@@ -118,8 +118,8 @@ def _discrepancy_rows(fit: FitResult) -> list[dict]:
     struct = orbit_structure(fit.shape)
     cells = list(all_cells(fit.shape))
     for members in struct.members:
-        if len(members) < 2:
-            continue
+        if len(members) < 2 or not fit.pihat.probs[members].any():
+            continue  # no comparison within a singleton or an empty orbit
         rep = cells[members[0]]
         for idx in members[1:]:
             cell = cells[idx]

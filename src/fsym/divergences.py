@@ -141,11 +141,6 @@ class FFunction:
             return (-1.0 / lam, math.inf)
         return (-math.inf, -1.0 / lam)
 
-    def in_F_inv_domain(self, y, margin: float = 0.0) -> bool:
-        lo, hi = self.F_inv_domain()
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(y > lo + margin) and np.all(y < hi - margin))
-
     def F_inv(self, y):
         y = np.asarray(y, dtype=float)
         lo, hi = self.F_inv_domain()

@@ -1,11 +1,18 @@
-"""Constrained maximum-likelihood fitting of the symmetry and asymmetry models.
+"""Maximum-likelihood fitting of the symmetry and asymmetry models.
 
-All non-closed-form models are fitted by the same routine: maximize the
-multinomial log likelihood subject to smooth constraints h(pi) = 0.  The
+Complete symmetry has a closed form.  The link families gs/els/ls are fitted
+in their own parameters: pi_i = S_o c_i(theta), where the orbit masses S_o
+are the observed orbit proportions and the within-orbit shares c_i come from
+the link-space engine (``linkspace``), so only theta is iterated (``fit_link``).
+Power links with lam > 1 are the exception and take the constrained route.
+
+The moment families me/ve/ce/me2 are fitted by maximizing the multinomial log
+likelihood subject to smooth constraints h(pi) = 0 (``fit_hlp``).  That
 iteration works on cell log scales (pi = softmax(xi)), which keeps every
 iterate strictly positive and the unit-sum exact, and takes damped Newton
 steps on the Lagrangian stationarity system with the multinomial information
-as curvature.
+as curvature.  ``linkform_constraint`` states the link families in the same
+form; it fits the lam > 1 links and is the independent oracle for ``fit_link``.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ from .moments import (
 )
 from .chi2 import chi2_sf
 from .divergences import FFunction, HELLINGER, KL, PEARSON, POWER
+from .linkspace import InfeasibleParameterError, LinkPoint, link_lambda, link_space
 from .tables import (
     CountTable,
+    DegenerateOrbitError,
     ProbTable,
     TableShape,
     all_cells,
     cell_index,
-    conditional_within_orbit,
     orbit_structure,
     orbit_sums,
 )
@@ -444,11 +452,8 @@ def fit_hlp(
         last_trace = trace
         if ok:
             pihat = ProbTable(shape, _softmax(xi))
-            theta_prime = None
-            if spec is not None and spec.family in design.ASYMMETRY_FAMILIES:
-                theta_prime = _theta_prime(shape, spec, pihat)
             return _finish(
-                spec, counts, pihat, theta_prime,
+                spec, counts, pihat, None,
                 constraint.dim if df is None else df, True, iters, resid,
             )
     raise FitError(
@@ -468,8 +473,9 @@ def _theta_prime(shape: TableShape, spec: ModelSpec, pihat: ProbTable) -> np.nda
     return theta
 
 
-def _finish(spec, counts, pihat, theta_prime, df, converged, iterations, resid):
-    mhat = counts.n * pihat.probs
+def _finish(spec, counts, pihat, theta_prime, df, converged, iterations, resid, mhat=None):
+    if mhat is None:
+        mhat = counts.n * pihat.probs
     stat = g2(counts, mhat)
     return FitResult(
         spec=spec,
@@ -483,6 +489,274 @@ def _finish(spec, counts, pihat, theta_prime, df, converged, iterations, resid):
         converged=converged,
         iterations=iterations,
         constraint_residual=resid,
+    )
+
+
+# --------------------------------------------------------------------------
+# Link families in theta space
+# --------------------------------------------------------------------------
+
+
+def _link_loglik(nvec: np.ndarray, has_count: np.ndarray, pt: LinkPoint) -> float:
+    """sum_i n_i log g_i: the within-orbit log likelihood up to a constant."""
+    g = pt.g[has_count]
+    if np.any(g <= 0):
+        return -math.inf
+    return float(nvec[has_count] @ np.log(g))
+
+
+def _theta_information(space, pt, a, nvec, has_count, orbit_counts):
+    """(B, mode): minus the log-likelihood Hessian in theta when it is positive
+    definite ("newton"), else the Fisher information ("fisher", or
+    "fisher-pinv" when it is singular because the table leaves some theta
+    direction unidentified).
+
+    With R_o = sum_o n_i / u_i and W_o = sum_o dg/dy, the Hessian is
+    -sum_i [lam n_i / u_i^2 + (1 - lam) (R_o / W_o) g_i / u_i^2] a_i a_i',
+    where a_i = dy_i / dtheta; the information weights are (N_o / |o|) g_i / u_i^2.
+    """
+    lam, orbits, oid = space.lam, space.orbits, space.orbits.oid
+    zero = np.zeros_like(pt.g)
+    wu = np.divide(pt.w, pt.u, out=zero.copy(), where=pt.g > 0)
+    nu = np.divide(nvec, pt.u, out=zero.copy(), where=has_count)
+    nu2 = np.divide(nu, pt.u, out=zero.copy(), where=has_count)
+    hessian = lam * nu2 + (1.0 - lam) * (orbits.sum(nu) / orbits.sum(pt.w))[oid] * wu
+    fisher = (orbit_counts / orbits.size)[oid] * wu
+    for mode, weight in (("newton", hessian), ("fisher", fisher)):
+        B = a.T @ (weight[:, None] * a)
+        if not np.all(np.isfinite(B)):
+            continue
+        try:
+            np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            continue
+        return B, mode
+    if not np.all(np.isfinite(B)):
+        raise np.linalg.LinAlgError("non-finite information matrix")
+    return B, "fisher-pinv"
+
+
+def _constrained_step(B, score, C, r, pinv=False):
+    """(d, multipliers) maximizing score'd - d'Bd/2 subject to C d = r.
+
+    The rows of held cells can be linearly dependent (two cells with one
+    design row, say), so with constraints (or a singular B) the least-norm
+    solution is used; it splits the multiplier of a repeated row evenly.  The
+    right side must then lie in the range of the system.
+    """
+    d, m = len(score), len(r)
+    if not (m or pinv):
+        return np.linalg.solve(B, score), np.zeros(0)
+    K = np.block([[B, C.T], [C, np.zeros((m, m))]])
+    rhs = np.concatenate([score, r])
+    sol = np.linalg.lstsq(K, rhs, rcond=1e-12)[0]
+    if np.max(np.abs(K @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+        raise np.linalg.LinAlgError("score outside the range of the information")
+    return sol[:d], -sol[d:]
+
+
+def _link_score(space, pt, nvec, has_count):
+    """(dy/dtheta, score of sum_i n_i log g_i)."""
+    a = space.slopes(pt)
+    return a, a.T @ np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
+
+
+def _link_start(space, ratio: np.ndarray, ff: FFunction) -> LinkPoint | None:
+    """The point whose link values fit F(ratio) best in least squares, if feasible."""
+    if not np.all(ratio > 0):
+        return None
+    with np.errstate(over="ignore"):
+        theta = space.theta_of(ff.F(ratio))
+    if not np.all(np.isfinite(theta)):
+        return None
+    try:
+        return space.evaluate(theta)
+    except InfeasibleParameterError:
+        return None
+
+
+def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol):
+    """Climb sum_i n_i log g_i from ``pt``; returns (point, loglik, iterations).
+
+    Damped Newton (Fisher scoring where the Hessian is indefinite) with a
+    backtracking line search that stays in the F^{-1} domain.  For a lam > 0
+    link, a zero-count cell whose share reaches 0 is held on the domain edge
+    as an active constraint, and released when its multiplier turns negative.
+    Converged when the projected score is below ``tol``.
+    """
+    lam, n = space.lam, float(nvec.sum())
+    has_count = nvec > 0
+    holdable = ~has_count & (lam > 0)
+    edge = -1.0 / lam if lam > 0 else 0.0
+    held = pt.held
+    a, score = _link_score(space, pt, nvec, has_count)
+    ll = _link_loglik(nvec, has_count, pt)
+    trace: list[tuple] = []
+    for it in range(max_iter + 1):
+        if not np.all(np.isfinite(score)):
+            raise FitError(f"non-finite score at iteration {it}", trace)
+        if not held.any() and float(np.max(np.abs(score))) <= tol:
+            trace.append((it, ll, float(np.max(np.abs(score))), 0.0, "stationary"))
+            break
+        active = held.copy()
+        try:
+            B, mode = _theta_information(space, pt, a, nvec, has_count, orbit_counts)
+            C, r = a[held], edge - pt.y[held]
+            step, mu = _constrained_step(B, score, C, r, mode == "fisher-pinv")
+            kkt = float(np.max(np.abs(score + C.T @ mu)))
+            resid = float(np.max(np.abs(r), initial=0.0))
+            # Release held cells with clearly negative multipliers, one at a
+            # time, while the freed cell then moves off the edge; a cell that
+            # the other held cells pin to it stays held.
+            while mu.size and mu.min() < -1e-6 * (1.0 + n):
+                cell = np.flatnonzero(active)[np.argmin(mu)]
+                trial = active.copy()
+                trial[cell] = False
+                r_trial = edge - pt.y[trial]
+                freed, freed_mu = _constrained_step(
+                    B, score, a[trial], r_trial, mode == "fisher-pinv"
+                )
+                if a[cell] @ freed <= 1e-9 * np.linalg.norm(a[cell]) * np.linalg.norm(freed):
+                    break
+                active, step, mu, r = trial, freed, freed_mu, r_trial
+        except np.linalg.LinAlgError as exc:
+            raise FitError(
+                f"singular information matrix at iteration {it}: {exc}", trace
+            ) from exc
+        trace.append((it, ll, kkt, resid, mode))
+        if kkt <= tol and resid <= 1e-10 and np.array_equal(active, held):
+            break
+        if it == max_iter:
+            raise FitError(
+                f"no convergence within {max_iter} iterations; "
+                f"final score norm {kkt:.3e}",
+                trace,
+            )
+
+        # Exact-penalty merit; its slope along the step is negative.  A step
+        # whose predicted gain is below 1e-9 in G2 units is taken in full: the
+        # merit cannot resolve it from rounding.
+        nu = 2.0 * float(np.max(np.abs(mu), initial=0.0)) + 1.0
+        merit0 = -ll + nu * float(np.sum(np.abs(r)))
+        quad = float(step @ B @ step)
+        slope = min(-quad + float(mu @ r) - nu * float(np.sum(np.abs(r))), 0.0)
+        slack = math.inf if quad < 1e-9 else 1e-13 * (1.0 + abs(merit0))
+        # A free zero-count cell that the step would carry over the edge
+        # blocks it there and is held from then on.
+        t, blockers = 1.0, np.zeros(0, dtype=np.intp)
+        free_zero = np.flatnonzero(holdable & ~active)
+        if free_zero.size:
+            dy = a[free_zero] @ step
+            with np.errstate(divide="ignore"):
+                reach = np.where(dy < 0, pt.u[free_zero] / (-lam * dy), np.inf)
+            if reach.min() < 1.0:
+                t = float(reach.min())
+                blockers = free_zero[reach <= t * (1.0 + 1e-9)]
+        t_block = t
+        infeasible = 0
+        for _ in range(60):
+            hold = active.copy()
+            if t == t_block:
+                hold[blockers] = True
+            try:
+                new = space.evaluate(pt.theta + t * step, hold, pt.gamma, holdable)
+            except InfeasibleParameterError:
+                infeasible += 1
+                t *= 0.5
+                continue
+            ll_new = _link_loglik(nvec, has_count, new)
+            merit = -ll_new + nu * float(np.sum(np.abs(edge - new.y[new.held])))
+            if merit <= merit0 + 1e-4 * t * slope + slack:
+                break
+            t *= 0.5
+        else:
+            reason = (
+                "an orbit normalizer is infeasible at every trial step"
+                if infeasible == 60
+                else "no trial step improves the likelihood"
+            )
+            raise FitError(
+                f"line search failed at iteration {it}: {reason}; "
+                f"score norm {kkt:.3e}",
+                trace,
+            )
+        pt, ll, held = new, ll_new, new.held
+        a, score = _link_score(space, pt, nvec, has_count)
+
+    return pt, ll, it
+
+
+def fit_link(
+    counts: CountTable,
+    spec: ModelSpec,
+    *,
+    df: int | None = None,
+    max_iter: int = 200,
+    tol_score: float = 1e-10,
+) -> FitResult:
+    """Maximum likelihood of a gs/els/ls model in its own parameters theta.
+
+    With pi_i = S_o c_i(theta) the log likelihood separates into
+    sum_o N_o log S_o + sum_i n_i log c_i(theta), so the orbit masses S_o are
+    the observed orbit proportions and only theta is iterated, to a projected
+    score below tol_score * (1 + n).  Links with 0 <= lam <= 1 make the second
+    sum concave; those with lam < 0 can have several maxima and are climbed
+    from three starts, keeping the best.  Links with lam > 1 are not covered
+    (see ``fit_model``).
+    """
+    shape = counts.shape
+    space = link_space(shape, spec.family, spec.ff)
+    if space.lam > 1.0:
+        raise ValueError(f"fit_link covers links with lam <= 1, not {spec.ff.name}")
+    nvec, n = counts.counts, counts.n
+    orbit_counts = space.orbits.sum(nvec)
+    tol = tol_score * (1.0 + n)
+
+    # theta = 0 is the symmetric fit; a table it already fits takes no step.
+    # Otherwise start near the saturated fit, as the constrained fitter does;
+    # a non-concave link, which can have several maxima, also starts from the
+    # KL fit and from theta = 0.
+    zero = np.zeros(space.X.shape[1])
+    starts = []
+    if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
+        p = counts.smoothed_proportions().probs
+        ratio = p * space.orbits.size[space.orbits.oid] / orbit_sums(shape, p)
+        starts.append(_link_start(space, ratio, spec.ff))
+        if not 0.0 <= space.lam <= 1.0:
+            kl = FFunction(KL)
+            kl_space = link_space(shape, spec.family, kl)
+            kl_start = _link_start(kl_space, ratio, kl)
+            try:
+                if kl_start is None:
+                    kl_start = kl_space.evaluate(zero)
+                kl_pt = _link_ascent(kl_space, kl_start, nvec, orbit_counts, max_iter, tol)[0]
+                starts.append(_link_start(space, kl_pt.g, spec.ff))
+            except FitError:
+                pass
+            starts.append(space.evaluate(zero))
+    starts = [pt for pt in starts if pt is not None] or [space.evaluate(zero)]
+    best, error = None, None
+    for start in starts:
+        try:
+            climb = _link_ascent(space, start, nvec, orbit_counts, max_iter, tol)
+        except FitError as exc:
+            error = error or exc
+            continue
+        if best is None or climb[1] > best[1]:
+            best = climb
+    if best is None:
+        raise error
+    pt, _, iterations = best
+
+    lam = space.lam
+    resid = float(np.max(np.abs(-1.0 / lam - pt.y[pt.held]), initial=0.0)) if lam > 0 else 0.0
+    oid = space.orbits.oid
+    mhat = (orbit_counts / space.orbits.size)[oid] * pt.g
+    theta_prime = np.concatenate([pt.theta, pt.gamma])
+    return _finish(
+        spec, counts, ProbTable(shape, mhat / mhat.sum()), theta_prime,
+        degrees_of_freedom(spec.family, shape) if df is None else df,
+        True, iterations, resid, mhat=mhat,
     )
 
 
@@ -515,16 +789,21 @@ def fit_symmetry(counts: CountTable) -> FitResult:
 
 
 def fit_model(counts: CountTable, spec: ModelSpec, **kwargs) -> FitResult:
-    """Dispatch a family to its constraint formulation (or closed form)."""
+    """Dispatch a family to its fit: closed form, theta-space link fit, or constrained fit."""
     shape = counts.shape
     df = degrees_of_freedom(spec.family, shape)
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
-    if spec.family in design.ASYMMETRY_FAMILIES:
-        constraint = linkform_constraint(shape, spec.family, spec.ff)
-    else:
-        constraint = moment_constraint(shape, spec.family)
-    return fit_hlp(counts, constraint, spec=spec, df=df, **kwargs)
+    if spec.family not in design.ASYMMETRY_FAMILIES:
+        return fit_hlp(counts, moment_constraint(shape, spec.family), spec=spec, df=df, **kwargs)
+    if link_lambda(spec.ff) <= 1.0:
+        return fit_link(counts, spec, df=df, **kwargs)
+    # On the edge of a lam > 1 link dg/dy is infinite, so a zero cell there
+    # pins its orbit's normalizer instead of leaving it, which fit_link's held
+    # cells do not model; the constrained fit covers these links.
+    fit = fit_hlp(counts, linkform_constraint(shape, spec.family, spec.ff), spec=spec, df=df, **kwargs)
+    fit.theta_prime = _theta_prime(shape, spec, fit.pihat)
+    return fit
 
 
 def g2(counts: CountTable, mhat: np.ndarray) -> float:
@@ -632,9 +911,13 @@ def discrepancy_measure(
     ff = ff or (fit.spec.ff if fit.spec else None)
     if ff is None:
         raise ValueError("no f-function available to pick the measure")
-    cond = conditional_within_orbit(fit.pihat)
-    ca = cond[cell_index(fit.shape, cell_a)]
-    cb = cond[cell_index(fit.shape, cell_b)]
+    # only this orbit needs mass: the link fits leave empty orbits at exactly 0
+    ia, ib = cell_index(fit.shape, cell_a), cell_index(fit.shape, cell_b)
+    probs = fit.pihat.probs
+    mass = float(orbit_sums(fit.shape, probs)[ia])
+    if mass <= 0:
+        raise DegenerateOrbitError(f"orbit of cell {cell_a} has zero fitted probability")
+    ca, cb = probs[ia] / mass, probs[ib] / mass
     if ff.family == KL or (ff.family == POWER and ff.lam == 0.0):
         return float(ca / cb)
     if ff.family == PEARSON:

@@ -4,30 +4,26 @@ Given an interior target table, the projection keeps the target's orbit sums,
 marginal means, and raw mixed second moments while minimizing the f-divergence
 from the symmetrized target.  The minimizer has the closed link form
 pi_i = pi_sym_i * F^{-1}(predictor_i + gamma_orbit), so the solve runs in the
-low-dimensional predictor space: Newton on the moment residuals with the
-per-orbit normalizers eliminated by an inner scalar solve.
+low-dimensional predictor space: Newton on the moment residuals, with the
+per-orbit normalizers solved and eliminated by the shared link-space engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import design
-from .divergences import DomainError, FFunction
-from .tables import (
-    Cell,
-    ProbTable,
-    TableShape,
-    orbit_structure,
-    symmetric_average,
+from .divergences import FFunction
+from .linkspace import (
+    InfeasibleParameterError,
+    LinkSpace,
+    Orbits,
+    link_lambda,
+    normalizers,
 )
-
-
-class InfeasibleParameterError(ValueError):
-    """No per-orbit normalizer exists inside the F^{-1} domain."""
+from .tables import Cell, ProbTable, TableShape, symmetric_average
 
 
 class ProjectionError(RuntimeError):
@@ -50,99 +46,6 @@ class ProjectionSpec:
             raise ValueError("projection target must be strictly positive")
 
 
-def _solve_gamma(z: np.ndarray, ff: FFunction, tol: float = 1e-13) -> float:
-    """Solve sum_j F^{-1}(z_j + gamma) = len(z) for the unique gamma.
-
-    The left side is strictly increasing in gamma, so at most one root exists;
-    with a one-sided F^{-1} domain the root can fail to exist when the finite
-    endpoint is approached while the sum still overshoots.
-    """
-    z = np.asarray(z, dtype=float)
-    m = len(z)
-    if m == 1:
-        return float(-z[0])  # F^{-1}(z + gamma) = 1 exactly at F(1) = 0
-    lo_dom, hi_dom = ff.F_inv_domain()
-    g_lo = lo_dom - z.min() if math.isfinite(lo_dom) else -math.inf
-    g_hi = hi_dom - z.max() if math.isfinite(hi_dom) else math.inf
-
-    def value(gamma: float) -> float:
-        return float(np.sum(ff.F_inv(z + gamma))) - m
-
-    # Feasible starting point, then geometric expansion toward each side.
-    start = 0.0
-    width = max(1.0, float(np.ptp(z)))
-    if start <= g_lo:
-        start = g_lo + width
-    if start >= g_hi:
-        start = g_hi - width
-    if not g_lo < start < g_hi:
-        start = 0.5 * (g_lo + g_hi)
-
-    v0 = value(start)
-    if v0 == 0.0:
-        return start
-    if v0 > 0:
-        hi, vhi = start, v0
-        lo = None
-        step = width
-        cand = start
-        for _ in range(200):
-            cand = cand - step if math.isinf(g_lo) else 0.5 * (cand + g_lo)
-            step *= 2.0
-            if math.isfinite(g_lo) and cand - g_lo < 1e-13 * (1.0 + abs(g_lo)):
-                raise InfeasibleParameterError(
-                    "orbit normalizer has no root: sum exceeds the orbit size "
-                    "over the whole domain"
-                )
-            v = value(cand)
-            if v < 0:
-                lo = cand
-                break
-            hi = cand
-        if lo is None:
-            raise InfeasibleParameterError("orbit normalizer bracketing failed")
-    else:
-        lo, vlo = start, v0
-        hi = None
-        step = width
-        cand = start
-        for _ in range(200):
-            cand = cand + step if math.isinf(g_hi) else 0.5 * (cand + g_hi)
-            step *= 2.0
-            if math.isfinite(g_hi) and g_hi - cand < 1e-13 * (1.0 + abs(g_hi)):
-                raise InfeasibleParameterError(
-                    "orbit normalizer has no root: sum stays below the orbit size "
-                    "over the whole domain"
-                )
-            v = value(cand)
-            if v > 0:
-                hi = cand
-                break
-            lo = cand
-        if hi is None:
-            raise InfeasibleParameterError("orbit normalizer bracketing failed")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol * (1.0 + abs(mid)):
-            break
-        if value(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
-    # Newton polish; the derivative is strictly positive
-    for _ in range(3):
-        deriv = float(np.sum(ff.F_inv_deriv(z + gamma)))
-        if deriv <= 0 or not math.isfinite(deriv):
-            break
-        step = value(gamma) / deriv
-        cand = gamma - step
-        if g_lo < cand < g_hi:
-            gamma = cand
-    return gamma
-
-
 def normalize_gamma(
     shape: TableShape,
     orbit_cells: tuple[Cell, ...],
@@ -153,18 +56,10 @@ def normalize_gamma(
     """Per-orbit normalizer gamma with sum_j F^{-1}(pred_j + gamma) = orbit size."""
     alpha = np.asarray(alpha, dtype=float)
     B = np.asarray(B, dtype=float)
-    z = []
-    for cell in orbit_cells:
-        u = shape.score_of(cell)
-        z.append(float(u @ alpha + u @ B @ u))
-    return _solve_gamma(np.array(z), ff)
-
-
-def _orbit_gammas(shape, struct, z, ff):
-    gammas = np.empty(len(struct.members))
-    for o, members in enumerate(struct.members):
-        gammas[o] = _solve_gamma(z[members], ff)
-    return gammas
+    scores = [shape.score_of(cell) for cell in orbit_cells]
+    z = np.array([u @ alpha + u @ B @ u for u in scores])
+    one_orbit = Orbits.of(np.zeros(len(z), dtype=np.intp))
+    return float(normalizers(z, one_orbit, link_lambda(ff))[0])
 
 
 def forward_model(base: ProbTable, ff: FFunction, alpha, B) -> ProbTable:
@@ -174,13 +69,12 @@ def forward_model(base: ProbTable, ff: FFunction, alpha, B) -> ProbTable:
     base exactly because the normalizers preserve every orbit's mass.
     """
     shape = base.shape
-    struct = orbit_structure(shape)
     base_sym = symmetric_average(base)
     if np.max(np.abs(base_sym.probs - base.probs)) > 1e-10:
         raise ValueError("forward model needs a completely symmetric base table")
     z = design.cell_predictor(shape, np.asarray(alpha, float), np.asarray(B, float))
-    gammas = _orbit_gammas(shape, struct, z, ff)
-    probs = base.probs * np.asarray(ff.F_inv(z + gammas[struct.orbit_id]))
+    pt = LinkSpace(shape, ff, z[:, None]).evaluate(np.ones(1))
+    probs = base.probs * pt.g
     return ProbTable(shape, probs / probs.sum())
 
 
@@ -192,8 +86,6 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
     residual.
     """
     shape = spec.target.shape
-    ff = spec.ff
-    struct = orbit_structure(shape)
     q = symmetric_average(spec.target).probs
     M = design.moment_matrix(shape)
     # Orthonormal row basis: for some shapes (r = 2 especially) the squared
@@ -202,38 +94,20 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
     _, s, vt = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps * s[0]))
     M = vt[:rank]
-    X = M.T  # predictor columns span the moment-difference space
-    d = rank
+    space = LinkSpace(shape, spec.ff, M.T)  # predictors span the moment rows
     target_mom = M @ spec.target.probs
 
-    theta = np.zeros(d)
     trace = []
-
-    def evaluate(th):
-        z = X @ th
-        gammas = _orbit_gammas(shape, struct, z, ff)
-        y = z + gammas[struct.orbit_id]
-        pi = q * np.asarray(ff.F_inv(y))
-        return pi, y
-
-    pi, y = evaluate(theta)
+    pt = space.evaluate(np.zeros(rank))
+    pi = q * pt.g
     resid = M @ pi - target_mom
     for it in range(spec.max_iter):
         rmax = float(np.max(np.abs(resid), initial=0.0))
         trace.append((it, rmax))
         if rmax < spec.tol:
             return ProbTable(shape, pi / pi.sum())
-        # dpi/dtheta with the orbit normalizers eliminated by implicit
-        # differentiation of the orbit-sum equations
-        w = q * np.asarray(ff.F_inv_deriv(y))
-        WX = X * w[:, None]
-        orbit_w = np.bincount(struct.orbit_id, weights=w, minlength=len(struct.members))
-        orbit_wx = np.array(
-            [WX[m].sum(axis=0) for m in struct.members]
-        )  # per-orbit sum of w_j X_j
-        dgamma = -orbit_wx / orbit_w[:, None]
-        dpi = WX + w[:, None] * dgamma[struct.orbit_id]
-        J = M @ dpi
+        # dpi/dtheta = q dg/dy dy/dtheta, normalizers eliminated
+        J = M @ ((q * pt.w)[:, None] * space.slopes(pt))
         try:
             step = np.linalg.solve(J, -resid)
         except np.linalg.LinAlgError as exc:
@@ -242,10 +116,11 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
         t = 1.0
         for _ in range(60):
             try:
-                pi_new, y_new = evaluate(theta + t * step)
-            except (DomainError, InfeasibleParameterError):
+                pt_new = space.evaluate(pt.theta + t * step, start=pt.gamma)
+            except InfeasibleParameterError:
                 t *= 0.5
                 continue
+            pi_new = q * pt_new.g
             resid_new = M @ pi_new - target_mom
             if np.max(np.abs(resid_new), initial=0.0) <= rmax * (1.0 - 0.25 * t) + 1e-15:
                 break
@@ -255,8 +130,7 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
                 f"positivity or progress could not be maintained at iteration {it}",
                 trace,
             )
-        theta = theta + t * step
-        pi, y, resid = pi_new, y_new, resid_new
+        pt, pi, resid = pt_new, pi_new, resid_new
     raise ProjectionError(
         f"no convergence in {spec.max_iter} iterations "
         f"(residual {float(np.max(np.abs(resid))):.3e})",

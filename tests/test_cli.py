@@ -81,6 +81,18 @@ class TestFit:
         thetas = {tuple(row["cell"]): row["theta"] for row in doc["potential"]}
         assert thetas[(1, 1, 3)] == pytest.approx(0.0161, abs=5e-4)
 
+    def test_json_with_an_empty_orbit(self, tmp_path, capsys):
+        table = anes_party_id()
+        empty = orbit_structure(table.shape).members[1]
+        counts = table.counts.copy()
+        counts[empty] = 0
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"r": 3, "T": 3, "counts": counts.astype(int).tolist()}))
+        assert main(["fit", "--input", str(path), "--model", "gs", "--f", "kl", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(doc["pihat"][i] == 0 for i in empty)
+        assert doc["discrepancies"]
+
     def test_exit_codes(self, tmp_path, anes_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
