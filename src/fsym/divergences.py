@@ -58,6 +58,11 @@ class FFunction:
             return f"power({self.lam:g})"
         return self.family
 
+    @property
+    def link_lam(self) -> float:
+        """Power index of the link: F^{-1}(y) = (1 + lam y)^(1/lam), exp(y) at 0."""
+        return {KL: 0.0, PEARSON: 1.0, HELLINGER: -0.5}.get(self.family, self.lam)
+
     # f, F = f', f'' -------------------------------------------------------
 
     def f(self, x):

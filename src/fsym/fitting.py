@@ -36,7 +36,7 @@ from .moments import (
 )
 from .chi2 import chi2_sf
 from .divergences import FFunction, HELLINGER, KL, PEARSON, POWER
-from .linkspace import InfeasibleParameterError, LinkPoint, link_lambda, link_space
+from .linkspace import InfeasibleParameterError, LinkPoint, link_space
 from .tables import (
     CountTable,
     DegenerateOrbitError,
@@ -51,6 +51,10 @@ from .wald import f_jacobian
 
 SYMMETRY = "s"
 FAMILIES = (SYMMETRY,) + design.ASYMMETRY_FAMILIES + MOMENT_FAMILIES
+
+# A theta-space link fit stops once its projected score is below
+# SCORE_TOL * (1 + n).
+SCORE_TOL = 1e-10
 
 
 class FitError(RuntimeError):
@@ -575,14 +579,15 @@ def _link_start(space, ratio: np.ndarray, ff: FFunction) -> LinkPoint | None:
         return None
 
 
-def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol):
+def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
     """Climb sum_i n_i log g_i from ``pt``; returns (point, loglik, iterations).
 
     Damped Newton (Fisher scoring where the Hessian is indefinite) with a
     backtracking line search that stays in the F^{-1} domain.  For a lam > 0
     link, a zero-count cell whose share reaches 0 is held on the domain edge
     as an active constraint, and released when its multiplier turns negative.
-    Converged when the projected score is below ``tol``.
+    Converged when the projected score is below ``tol`` and every held cell
+    is within ``tol_edge`` of the edge.
     """
     lam, n = space.lam, float(nvec.sum())
     has_count = nvec > 0
@@ -624,7 +629,7 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol):
                 f"singular information matrix at iteration {it}: {exc}", trace
             ) from exc
         trace.append((it, ll, kkt, resid, mode))
-        if kkt <= tol and resid <= 1e-10 and np.array_equal(active, held):
+        if kkt <= tol and resid <= tol_edge and np.array_equal(active, held):
             break
         if it == max_iter:
             raise FitError(
@@ -692,44 +697,47 @@ def fit_link(
     *,
     df: int | None = None,
     max_iter: int = 200,
-    tol_score: float = 1e-10,
+    tol_constraint: float = 1e-9,
 ) -> FitResult:
     """Maximum likelihood of a gs/els/ls model in its own parameters theta.
 
     With pi_i = S_o c_i(theta) the log likelihood separates into
     sum_o N_o log S_o + sum_i n_i log c_i(theta), so the orbit masses S_o are
     the observed orbit proportions and only theta is iterated, to a projected
-    score below tol_score * (1 + n).  Links with 0 <= lam <= 1 make the second
-    sum concave; those with lam < 0 can have several maxima and are climbed
-    from three starts, keeping the best.  Links with lam > 1 are not covered
-    (see ``fit_model``).
+    score below SCORE_TOL * (1 + n), with every cell held on the F^{-1} edge
+    within tol_constraint of it.  Links with 0 <= lam <= 1 make the second
+    sum concave.  Steeper negative links can have several maxima (random
+    sparse tables show them at lam = -1.1 and -1.5, never at lam = -1,
+    Hellinger's -1/2 or -1/4), so links with lam < -1 are climbed from three
+    starts, keeping the best.  Links with lam > 1 are not covered: their
+    edge is not modelled by the held cells (see ``fit_model``).
     """
     shape = counts.shape
     space = link_space(shape, spec.family, spec.ff)
-    if space.lam > 1.0:
-        raise ValueError(f"fit_link covers links with lam <= 1, not {spec.ff.name}")
     nvec, n = counts.counts, counts.n
     orbit_counts = space.orbits.sum(nvec)
-    tol = tol_score * (1.0 + n)
+    tol = SCORE_TOL * (1.0 + n)
+
+    def climb(link, start):
+        return _link_ascent(link, start, nvec, orbit_counts, max_iter, tol, tol_constraint)
 
     # theta = 0 is the symmetric fit; a table it already fits takes no step.
     # Otherwise start near the saturated fit, as the constrained fitter does;
-    # a non-concave link, which can have several maxima, also starts from the
-    # KL fit and from theta = 0.
+    # a link with several maxima also starts from the KL fit and theta = 0.
     zero = np.zeros(space.X.shape[1])
     starts = []
     if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
         p = counts.smoothed_proportions().probs
         ratio = p * space.orbits.size[space.orbits.oid] / orbit_sums(shape, p)
         starts.append(_link_start(space, ratio, spec.ff))
-        if not 0.0 <= space.lam <= 1.0:
+        if space.lam < -1.0:
             kl = FFunction(KL)
             kl_space = link_space(shape, spec.family, kl)
             kl_start = _link_start(kl_space, ratio, kl)
             try:
                 if kl_start is None:
                     kl_start = kl_space.evaluate(zero)
-                kl_pt = _link_ascent(kl_space, kl_start, nvec, orbit_counts, max_iter, tol)[0]
+                kl_pt = climb(kl_space, kl_start)[0]
                 starts.append(_link_start(space, kl_pt.g, spec.ff))
             except FitError:
                 pass
@@ -738,12 +746,12 @@ def fit_link(
     best, error = None, None
     for start in starts:
         try:
-            climb = _link_ascent(space, start, nvec, orbit_counts, max_iter, tol)
+            result = climb(space, start)
         except FitError as exc:
             error = error or exc
             continue
-        if best is None or climb[1] > best[1]:
-            best = climb
+        if best is None or result[1] > best[1]:
+            best = result
     if best is None:
         raise error
     pt, _, iterations = best
@@ -788,20 +796,38 @@ def fit_symmetry(counts: CountTable) -> FitResult:
     )
 
 
-def fit_model(counts: CountTable, spec: ModelSpec, **kwargs) -> FitResult:
-    """Dispatch a family to its fit: closed form, theta-space link fit, or constrained fit."""
+def fit_model(
+    counts: CountTable,
+    spec: ModelSpec,
+    *,
+    max_iter: int = 200,
+    tol_constraint: float = 1e-9,
+    tol_loglik: float = 1e-10,
+) -> FitResult:
+    """Dispatch a family to its fit: closed form, theta-space link fit, or constrained fit.
+
+    Every family takes the same keywords.  ``max_iter`` caps the iterations
+    of every fit and ``tol_constraint`` its constraint residual (for a link
+    fit, the distance of held cells from the F^{-1} edge); ``tol_loglik``
+    is the constrained fits' relative log-likelihood change, which a link
+    fit replaces by its score test (``SCORE_TOL``).
+    """
     shape = counts.shape
     df = degrees_of_freedom(spec.family, shape)
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
+    constrained = dict(
+        spec=spec, df=df, max_iter=max_iter,
+        tol_constraint=tol_constraint, tol_loglik=tol_loglik,
+    )
     if spec.family not in design.ASYMMETRY_FAMILIES:
-        return fit_hlp(counts, moment_constraint(shape, spec.family), spec=spec, df=df, **kwargs)
-    if link_lambda(spec.ff) <= 1.0:
-        return fit_link(counts, spec, df=df, **kwargs)
+        return fit_hlp(counts, moment_constraint(shape, spec.family), **constrained)
+    if spec.ff.link_lam <= 1.0:
+        return fit_link(counts, spec, df=df, max_iter=max_iter, tol_constraint=tol_constraint)
     # On the edge of a lam > 1 link dg/dy is infinite, so a zero cell there
     # pins its orbit's normalizer instead of leaving it, which fit_link's held
     # cells do not model; the constrained fit covers these links.
-    fit = fit_hlp(counts, linkform_constraint(shape, spec.family, spec.ff), spec=spec, df=df, **kwargs)
+    fit = fit_hlp(counts, linkform_constraint(shape, spec.family, spec.ff), **constrained)
     fit.theta_prime = _theta_prime(shape, spec, fit.pihat)
     return fit
 

@@ -7,9 +7,9 @@ cell's share of its orbit on a link scale,
 
 with one normalizer gamma_o per orbit so that the shares of every orbit sum
 to one.  Every standard f-function has a power link,
-F^{-1}(y) = (1 + lam y)^(1/lam) (exp(y) at lam = 0; Pearson is lam = 1 and
-Hellinger lam = -1/2), so one set of formulas serves all of them, vectorized
-over the orbits.  With u = 1 + lam y and g = F^{-1}(y):
+F^{-1}(y) = (1 + lam y)^(1/lam) with lam = ``FFunction.link_lam`` (exp(y) at
+lam = 0), so one set of formulas serves all of them, vectorized over the
+orbits.  With u = 1 + lam y and g = F^{-1}(y):
 
     dg/dy = g / u,    d2g/dy2 = (1 - lam) g / u^2.
 
@@ -21,12 +21,12 @@ normalizer, and its dg/dy is the edge limit (1 for Pearson, 0 for lam < 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import design
-from .divergences import HELLINGER, KL, PEARSON, FFunction
+from .divergences import POWER, FFunction
 from .tables import TableShape, orbit_structure
 
 NORMALIZER_TOL = 1e-13
@@ -43,11 +43,6 @@ class InfeasibleParameterError(ValueError):
         self.orbits = orbits
 
 
-def link_lambda(ff: FFunction) -> float:
-    """Power index of the link: F^{-1}(y) = (1 + lam y)^(1/lam)."""
-    return {KL: 0.0, PEARSON: 1.0, HELLINGER: -0.5}.get(ff.family, ff.lam)
-
-
 def inverse_link(y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """(g, u) = (F^{-1}(y), 1 + lam y); g is 0 on the edge of a lam > 0 domain."""
     if lam == 0.0:
@@ -56,10 +51,6 @@ def inverse_link(y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
         return 1.0 + y, 1.0 + y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.exp(np.log1p(lam * y) / lam), 1.0 + lam * y
-
-
-def _link(x: np.ndarray, lam: float) -> np.ndarray:
-    return np.log(x) if lam == 0.0 else np.expm1(lam * np.log(x)) / lam
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndar
         return gamma
 
     # At gamma = shift - zhi every free g <= |o| / k, at shift - zlo every g >= it.
-    shift = 0.0 if free is None else _link(size / k, lam)
+    shift = 0.0 if free is None else FFunction(POWER, lam).F(size / k)
     lo, hi = shift - zhi, shift - zlo
     edge = -1.0 / lam - (zlo if lam > 0 else zhi)
     with np.errstate(all="ignore"):
@@ -171,12 +162,19 @@ class LinkSpace:
     """Orbit bookkeeping and design columns of one shape, for one f-function."""
 
     def __init__(self, shape: TableShape, ff: FFunction, X: np.ndarray):
-        self.orbits = orbits = Orbits.of(orbit_structure(shape).orbit_id)
+        self.orbits = Orbits.of(orbit_structure(shape).orbit_id)
         self.X = np.ascontiguousarray(X)
-        self.lam = link_lambda(ff)
-        # dy/dtheta at theta = 0, where every dg/dy is 1
-        self.centered = X - (orbits.sum_rows(X) / orbits.size[:, None])[orbits.oid]
-        self._lift = np.linalg.pinv(self.centered)
+        self.lam = ff.link_lam
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """dy/dtheta at theta = 0, where every dg/dy is 1."""
+        o = self.orbits
+        return self.X - (o.sum_rows(self.X) / o.size[:, None])[o.oid]
+
+    @cached_property
+    def _lift(self) -> np.ndarray:
+        return np.linalg.pinv(self.centered)
 
     def theta_of(self, y: np.ndarray) -> np.ndarray:
         """Least-squares theta of link values y, up to per-orbit constants."""

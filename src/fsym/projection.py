@@ -20,10 +20,10 @@ from .linkspace import (
     InfeasibleParameterError,
     LinkSpace,
     Orbits,
-    link_lambda,
+    inverse_link,
     normalizers,
 )
-from .tables import Cell, ProbTable, TableShape, symmetric_average
+from .tables import Cell, ProbTable, TableShape, orbit_structure, symmetric_average
 
 
 class ProjectionError(RuntimeError):
@@ -59,7 +59,7 @@ def normalize_gamma(
     scores = [shape.score_of(cell) for cell in orbit_cells]
     z = np.array([u @ alpha + u @ B @ u for u in scores])
     one_orbit = Orbits.of(np.zeros(len(z), dtype=np.intp))
-    return float(normalizers(z, one_orbit, link_lambda(ff))[0])
+    return float(normalizers(z, one_orbit, ff.link_lam)[0])
 
 
 def forward_model(base: ProbTable, ff: FFunction, alpha, B) -> ProbTable:
@@ -73,8 +73,10 @@ def forward_model(base: ProbTable, ff: FFunction, alpha, B) -> ProbTable:
     if np.max(np.abs(base_sym.probs - base.probs)) > 1e-10:
         raise ValueError("forward model needs a completely symmetric base table")
     z = design.cell_predictor(shape, np.asarray(alpha, float), np.asarray(B, float))
-    pt = LinkSpace(shape, ff, z[:, None]).evaluate(np.ones(1))
-    probs = base.probs * pt.g
+    oid = orbit_structure(shape).orbit_id
+    gamma = normalizers(z, Orbits.of(oid), ff.link_lam)
+    g, _ = inverse_link(z + gamma[oid], ff.link_lam)
+    probs = base.probs * g
     return ProbTable(shape, probs / probs.sum())
 
 

@@ -15,7 +15,6 @@ from fsym.linkspace import (
     LinkSpace,
     Orbits,
     inverse_link,
-    link_lambda,
     normalizers,
 )
 from fsym.projection import ProjectionSpec, iproject
@@ -53,7 +52,7 @@ class TestNormalizers:
     def test_orbit_sums_restored(self, rng, ff):
         oid = np.repeat(np.arange(5), [1, 3, 3, 6, 2])
         orbits = Orbits.of(rng.permutation(oid))
-        lam = link_lambda(ff)
+        lam = ff.link_lam
         z = rng.normal(size=len(oid)) * 0.1
         gamma = normalizers(z, orbits, lam)
         g, _ = inverse_link(z + gamma[orbits.oid], lam)
@@ -64,7 +63,7 @@ class TestNormalizers:
         z = np.array([0.3, -0.1, -2.0])
         held = np.array([False, False, True])
         for ff in (pearson(), power(0.5)):
-            lam = link_lambda(ff)
+            lam = ff.link_lam
             gamma = normalizers(z, orbits, lam, free=~held)
             g, _ = inverse_link(z[:2] + gamma[0], lam)
             assert g.sum() == pytest.approx(3.0, abs=1e-12)
@@ -96,7 +95,7 @@ class TestOracleSweep:
                 # link values in the design span (F(0) = -1/lam on held cells)
                 assert np.max(np.abs(orbit_sums(shape, ours.pihat.probs) - observed)) < 1e-12
                 ratio, live = within_orbit(ours)
-                link = np.full_like(ratio, -1.0 / link_lambda(ff) if link_lambda(ff) > 0 else 0.0)
+                link = np.full_like(ratio, -1.0 / ff.link_lam if ff.link_lam > 0 else 0.0)
                 pos = ratio > 0
                 link[pos] = ff.F(ratio[pos])
                 assert np.all(pos[live] | (counts.counts[live] == 0))
@@ -147,8 +146,14 @@ class TestLinkFit:
         oracle = fit_hlp(table, linkform_constraint(table.shape, "gs", ff))
         assert fit.g2 == oracle.g2
         assert len(fitting.potential_params(fit)) == 27
-        with pytest.raises(ValueError):
-            fitting.fit_link(table, ModelSpec("gs", ff))
+
+    @pytest.mark.parametrize("ff", [kl(), power(2.0)], ids=lambda f: f.name)
+    def test_both_link_routes_take_the_constrained_fit_keywords(self, ff):
+        # decompose passes one keyword set to the link and the moment fits
+        fit = fit_model(
+            anes_party_id(), ModelSpec("gs", ff), max_iter=100, tol_constraint=1e-8, tol_loglik=1e-9
+        )
+        assert fit.converged
 
     def test_iteration_cap_names_the_score_norm(self):
         with pytest.raises(FitError, match="within 2 iterations; final score norm") as err:

@@ -163,6 +163,16 @@ class TestDecompose:
         report = decompose(counts, power(0.5))
         assert report.w_s >= max(report.w_gs, report.w_me2) - 1e-9
 
+    def test_fit_tolerances_reach_every_partition_fit(self):
+        table = anes_party_id()
+        default = decompose(table, kl())
+        tight = decompose(
+            table, kl(), fit_kwargs={"max_iter": 300, "tol_constraint": 1e-10, "tol_loglik": 1e-11}
+        )
+        for a, b in zip(default.g2_partition, tight.g2_partition):
+            assert a.family == b.family and a.df == b.df
+            assert b.g2 == pytest.approx(a.g2, abs=1e-6)
+
     def test_orthogonality_residual_at_symmetric_tables(self, rng):
         shape = TableShape(3, 3)
         ds = design_matrix(shape, "gs")
