@@ -1,6 +1,11 @@
-"""Score vectors, difference vectors, and design systems for the asymmetry families.
+"""Moment coordinates, difference vectors and design systems for the asymmetry families.
 
-Column blocks of the full design:
+One basis per shape underlies every model: the N x k matrix
+F = [s_h | s_a s_b, a <= b] of each variable's cell scores and their pairwise
+products (``moment_basis``, k = T + T(T+1)/2), so that m = F' pi holds the
+means and raw second moments.  The difference vectors, the rows of
+``moment_matrix``, are fixed combinations of its columns and, in this order,
+the non-gamma column blocks of the design:
 
 * ``alpha``: first-order score differences, one per adjacent variable pair
 * ``beta_diag``: squared-score differences
@@ -10,13 +15,14 @@ Column blocks of the full design:
 
 The extended-linear family drops the off-diagonal block and the linear family
 additionally drops the diagonal block; the dropped effects are constant on
-orbits and get absorbed by the gamma block.
+orbits and get absorbed by the gamma block.  Everything here is built once per
+shape and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,28 +38,40 @@ class ConfigurationError(ValueError):
     """Design construction failed, e.g. rank deficiency from degenerate scores."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def product_index(T: int) -> np.ndarray:
+    """T x T column indices into the moment basis: entry (a, b) holds s_{a+1} s_{b+1}."""
+    a, b = np.triu_indices(T)
+    idx = np.zeros((T, T), dtype=np.intp)
+    idx[a, b] = idx[b, a] = T + np.arange(len(a))
+    return _read_only(idx)
+
+
+@lru_cache(maxsize=None)
+def moment_basis(shape: TableShape) -> np.ndarray:
+    """N x k matrix [s_1 .. s_T | s_a s_b for a <= b], products in ``product_index`` order."""
+    T = shape.T
+    # variable 1 varies slowest over the lexicographic cell order
+    s = np.asarray(shape.scores)[np.indices((shape.r,) * T).reshape(T, -1).T]
+    a, b = np.triu_indices(T)
+    return _read_only(np.hstack([s, s[:, a] * s[:, b]]))
+
+
+def score_matrix(shape: TableShape) -> np.ndarray:
+    """N x T matrix whose column h - 1 holds the scores of variable h in every cell."""
+    return moment_basis(shape)[:, : shape.T]
+
+
 def score_vector(shape: TableShape, h: int) -> np.ndarray:
     """Scores of variable h across all cells, 1_{r^{h-1}} (x) u (x) 1_{r^{T-h}}."""
     if not 1 <= h <= shape.T:
         raise ValueError(f"variable index {h} outside 1..{shape.T}")
-    u = np.asarray(shape.scores)
-    left = np.ones(shape.r ** (h - 1))
-    right = np.ones(shape.r ** (shape.T - h))
-    return np.kron(np.kron(left, u), right)
-
-
-def delta1(shape: TableShape, h: int) -> np.ndarray:
-    """First-order difference s_h - s_{h+1}, h in 1..T-1."""
-    if not 1 <= h <= shape.T - 1:
-        raise ValueError(f"difference index {h} outside 1..{shape.T - 1}")
-    return score_vector(shape, h) - score_vector(shape, h + 1)
-
-
-def delta2(shape: TableShape, h: int) -> np.ndarray:
-    """Squared-score difference s_h*s_h - s_{h+1}*s_{h+1}."""
-    if not 1 <= h <= shape.T - 1:
-        raise ValueError(f"difference index {h} outside 1..{shape.T - 1}")
-    return score_vector(shape, h) ** 2 - score_vector(shape, h + 1) ** 2
+    return score_matrix(shape)[:, h - 1]
 
 
 def pair_chain(T: int) -> list[tuple[int, int]]:
@@ -66,16 +84,46 @@ def n_offdiag(T: int) -> int:
     return T * (T - 1) // 2 - 1
 
 
-def delta_v2(shape: TableShape, k: int) -> np.ndarray:
-    """k-th interaction difference along the pair chain, k in 1..T(T-1)/2 - 1."""
-    chain = pair_chain(shape.T)
-    if not 1 <= k <= len(chain) - 1:
-        raise ValueError(f"pair index {k} outside 1..{len(chain) - 1}")
-    s, t = chain[k - 1]
-    s_next, t_next = chain[k]
-    return score_vector(shape, s) * score_vector(shape, t) - score_vector(
-        shape, s_next
-    ) * score_vector(shape, t_next)
+@lru_cache(maxsize=None)
+def difference_coefficients(T: int) -> np.ndarray:
+    """The difference vectors in moment coordinates, one row each (d2 x k).
+
+    Rows: s_h - s_{h+1}, then s_h^2 - s_{h+1}^2 for h = 1..T-1, then the
+    consecutive differences of s_s s_t along ``pair_chain``.
+    """
+    idx = product_index(T)
+    groups = (range(T), np.diag(idx), [idx[s - 1, t - 1] for s, t in pair_chain(T)])
+    pairs = [(c, c_next) for cols in groups for c, c_next in zip(cols, cols[1:])]
+    A = np.zeros((len(pairs), T + T * (T + 1) // 2))
+    for row, (c, c_next) in enumerate(pairs):
+        A[row, c], A[row, c_next] = 1.0, -1.0
+    return _read_only(A)
+
+
+@lru_cache(maxsize=None)
+def _moment_matrix(shape: TableShape) -> np.ndarray:
+    return _read_only(difference_coefficients(shape.T) @ moment_basis(shape).T)
+
+
+def moment_matrix(shape: TableShape) -> np.ndarray:
+    """Rows are all difference vectors; the joint second-moment constraints."""
+    return _moment_matrix(shape)
+
+
+@lru_cache(maxsize=None)
+def independent_moment_rows(shape: TableShape) -> np.ndarray:
+    """Indices of a maximal independent set of ``moment_matrix`` rows, first rows first.
+
+    Every row for r >= 3.  With two categories a squared score is affine in
+    the score, so the squared-score differences repeat the first-order ones
+    and are left out.
+    """
+    M = _moment_matrix(shape)
+    keep: list[int] = []
+    for i in range(len(M)):
+        if np.linalg.matrix_rank(M[keep + [i]]) > len(keep):
+            keep.append(i)
+    return _read_only(np.array(keep, dtype=np.intp))
 
 
 def symmetry_indicator(shape: TableShape) -> np.ndarray:
@@ -84,14 +132,6 @@ def symmetry_indicator(shape: TableShape) -> np.ndarray:
     xs = np.zeros((shape.n_cells, len(struct.members)))
     xs[np.arange(shape.n_cells), struct.orbit_id] = 1.0
     return xs
-
-
-def moment_matrix(shape: TableShape) -> np.ndarray:
-    """Rows are all difference vectors; the joint second-moment constraints."""
-    rows = [delta1(shape, h) for h in range(1, shape.T)]
-    rows += [delta2(shape, h) for h in range(1, shape.T)]
-    rows += [delta_v2(shape, k) for k in range(1, n_offdiag(shape.T) + 1)]
-    return np.array(rows)
 
 
 def family_d2(family: str, T: int) -> int:
@@ -113,7 +153,6 @@ class DesignSystem:
     family: str
     X: np.ndarray
     Xs: np.ndarray
-    U: np.ndarray
     v2_chain: tuple[tuple[int, int], ...]
     column_layout: dict[str, slice]
 
@@ -123,76 +162,54 @@ class DesignSystem:
 
     @property
     def d1(self) -> int:
-        return self.U.shape[1]
+        return self.shape.n_cells - self.n_columns
 
     @property
     def d2(self) -> int:
         return self.n_columns - self.Xs.shape[1]
 
-
-def _null_space_basis(X: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column space."""
-    q, s, _ = np.linalg.svd(X, full_matrices=True)
-    tol = max(X.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return q[:, rank:]
+    @cached_property
+    def U(self) -> np.ndarray:
+        """Orthonormal basis of the complement of X's columns (an N x N SVD, run on first read)."""
+        q, s, _ = np.linalg.svd(self.X, full_matrices=True)
+        tol = max(self.X.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+        return q[:, int(np.sum(s > tol)) :]
 
 
 @lru_cache(maxsize=None)
-def _design_matrix(r: int, T: int, scores: tuple, family: str) -> DesignSystem:
-    shape = TableShape(r, T, scores)
-    blocks: list[tuple[str, np.ndarray]] = []
-    blocks.append(("alpha", np.column_stack([delta1(shape, h) for h in range(1, T)])))
+def design_matrix(shape: TableShape, family: str) -> DesignSystem:
+    """The design system of an asymmetry family, built once per shape."""
+    if family not in ASYMMETRY_FAMILIES:
+        raise ValueError(f"unknown asymmetry family {family!r}")
+    T = shape.T
+    widths = {"alpha": T - 1}
     if family in (GS, ELS):
-        blocks.append(
-            ("beta_diag", np.column_stack([delta2(shape, h) for h in range(1, T)]))
-        )
+        widths["beta_diag"] = T - 1
     if family == GS and n_offdiag(T) > 0:
-        blocks.append(
-            (
-                "beta_offdiag",
-                np.column_stack(
-                    [delta_v2(shape, k) for k in range(1, n_offdiag(T) + 1)]
-                ),
-            )
-        )
+        widths["beta_offdiag"] = n_offdiag(T)
     xs = symmetry_indicator(shape)
-    blocks.append(("gamma", xs))
-
-    layout: dict[str, slice] = {}
-    start = 0
-    for name, block in blocks:
-        layout[name] = slice(start, start + block.shape[1])
-        start += block.shape[1]
-    X = np.hstack([block for _, block in blocks])
+    widths["gamma"] = xs.shape[1]
+    stops = np.cumsum(list(widths.values())).tolist()
+    layout = {name: slice(stop - widths[name], stop) for name, stop in zip(widths, stops)}
+    d2 = family_d2(family, T)
+    X = np.hstack([moment_matrix(shape)[:d2].T, xs])
 
     # Full column rank is required; report the first offending block otherwise.
-    expected = 0
-    for name, block in blocks:
-        expected += block.shape[1]
-        partial = X[:, :expected]
-        if np.linalg.matrix_rank(partial) < expected:
-            raise ConfigurationError(
-                f"design for family {family!r} at r={r}, T={T} is rank deficient "
-                f"starting at the {name!r} block (degenerate scores?)"
-            )
-
-    U = _null_space_basis(X)
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        for name, cols in layout.items():
+            if np.linalg.matrix_rank(X[:, : cols.stop]) < cols.stop:
+                raise ConfigurationError(
+                    f"design for family {family!r} at r={shape.r}, T={T} is rank deficient "
+                    f"starting at the {name!r} block (degenerate scores?)"
+                )
     return DesignSystem(
         shape=shape,
         family=family,
         X=X,
         Xs=xs,
-        U=U,
         v2_chain=tuple(pair_chain(T)),
         column_layout=layout,
     )
-
-
-def design_matrix(shape: TableShape, family: str) -> DesignSystem:
-    if family not in ASYMMETRY_FAMILIES:
-        raise ValueError(f"unknown asymmetry family {family!r}")
-    return _design_matrix(shape.r, shape.T, shape.scores, family)
 
 
 def _telescope(prime: np.ndarray, length: int) -> np.ndarray:
@@ -244,5 +261,5 @@ def recover_coefficients(
 
 def cell_predictor(shape: TableShape, alpha: np.ndarray, B: np.ndarray) -> np.ndarray:
     """u_i' alpha + u_i' B u_i evaluated at every cell."""
-    svecs = np.column_stack([score_vector(shape, h) for h in range(1, shape.T + 1)])
-    return svecs @ alpha + np.einsum("ns,st,nt->n", svecs, B, svecs)
+    s = score_matrix(shape)
+    return s @ alpha + np.einsum("ns,st,nt->n", s, B, s)

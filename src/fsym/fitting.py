@@ -7,11 +7,14 @@ the link-space engine (``linkspace``), so only theta is iterated (``fit_link``).
 Power links with lam > 1 are the exception and take the constrained route.
 
 The moment families me/ve/ce/me2 are fitted by maximizing the multinomial log
-likelihood subject to smooth constraints h(pi) = 0 (``fit_hlp``).  That
-iteration works on cell log scales (pi = softmax(xi)), which keeps every
-iterate strictly positive and the unit-sum exact, and takes damped Newton
-steps on the Lagrangian stationarity system with the multinomial information
-as curvature.  ``linkform_constraint`` states the link families in the same
+likelihood subject to smooth constraints h(pi) = 0 (``fit_hlp``).  Their
+constraints are functions h(pi) = c(F' pi) of a few moment coordinates
+(``moments``), so the Jacobian grad c' F' and the curvature F (hess c) F' come
+from derivatives in k = T + T(T+1)/2 dimensions.  The iteration works on
+cell log scales (pi = softmax(xi)), which keeps every iterate strictly
+positive and the unit-sum exact, and takes damped Newton steps on the
+Lagrangian stationarity system with the multinomial information as
+curvature.  ``linkform_constraint`` states the link families in the same
 form; it fits the lam > 1 links and is the independent oracle for ``fit_link``.
 """
 
@@ -30,7 +33,7 @@ from .moments import (
     ME2,
     MOMENT_FAMILIES,
     VE,
-    constraint_dimension,
+    constraint_curvature as moment_curvature,
     constraint_jacobian as moment_jacobian,
     constraint_vector as moment_vector,
 )
@@ -201,79 +204,17 @@ def linkform_constraint(shape: TableShape, family: str, ff: FFunction) -> Constr
 
 
 def moment_constraint(shape: TableShape, model: str) -> Constraint:
-    def fun(pi: np.ndarray) -> np.ndarray:
-        return moment_vector(model, ProbTable(shape, pi / pi.sum()))
+    """A moment family's h(pi) = c(F' pi) with its derivatives from ``moments``."""
 
-    def jac(pi: np.ndarray) -> np.ndarray:
-        return moment_jacobian(model, ProbTable(shape, pi / pi.sum()))
-
-    hess = None
-    if model in (ME, ME2):
-        hess = _zero_hess
-    elif model == VE:
-        svecs = np.column_stack(
-            [design.score_vector(shape, h) for h in range(1, shape.T + 1)]
-        )
-        # d2 (sigma_h^2 - sigma_{h+1}^2) = -2 s_h s_h' + 2 s_{h+1} s_{h+1}'
-        def hess(pi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            coef = np.zeros(shape.T)
-            coef[:-1] -= 2.0 * weights
-            coef[1:] += 2.0 * weights
-            return (svecs * coef[None, :]) @ svecs.T
-
-    elif model == CE:
-        def hess(pi: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            return _correlation_curvature(shape, pi / pi.sum(), weights)
+    def prob(pi: np.ndarray) -> ProbTable:
+        return ProbTable(shape, pi / pi.sum())
 
     return Constraint(
-        dim=constraint_dimension(model, shape.T), fun=fun, jac=jac, hess=hess
+        dim=degrees_of_freedom(model, shape),
+        fun=lambda pi: moment_vector(model, prob(pi)),
+        jac=lambda pi: moment_jacobian(model, prob(pi)),
+        hess=lambda pi, weights: moment_curvature(model, prob(pi), weights),
     )
-
-
-def _correlation_curvature(
-    shape: TableShape, pi: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Weighted Hessian of the consecutive correlation differences.
-
-    The chain differences telescope into per-pair weights, and each pairwise
-    correlation rho = cov * (var_s var_t)^(-1/2) differentiates by the product
-    and quotient rules into rank-one terms built from the score vectors.
-    """
-    svecs = np.column_stack(
-        [design.score_vector(shape, h) for h in range(1, shape.T + 1)]
-    )
-    mu = svecs.T @ pi
-    mixed = svecs.T @ (svecs * pi[:, None])
-    var = np.diag(mixed) - mu**2
-    chain = design.pair_chain(shape.T)
-    pair_w = np.zeros(len(chain))
-    pair_w[: len(weights)] += weights
-    pair_w[1 : len(weights) + 1] -= weights
-
-    out = np.zeros((shape.n_cells, shape.n_cells))
-    for (s, t), w in zip(chain, pair_w):
-        if w == 0.0:
-            continue
-        i, j = s - 1, t - 1
-        si, sj = svecs[:, i], svecs[:, j]
-        A, B = var[i], var[j]
-        cov = mixed[i, j] - mu[i] * mu[j]
-        g = (A * B) ** -0.5
-        a = svecs[:, i] ** 2 - 2.0 * mu[i] * si  # grad of var_s
-        b = svecs[:, j] ** 2 - 2.0 * mu[j] * sj
-        c = si * sj - mu[j] * si - mu[i] * sj  # grad of cov
-        PA = -2.0 * np.outer(si, si)
-        PB = -2.0 * np.outer(sj, sj)
-        PC = -(np.outer(si, sj) + np.outer(sj, si))
-        dg = -(g / 2.0) * (a / A + b / B)
-        u = a / A + b / B
-        d2g = (g / 4.0) * np.outer(u, u) - (g / 2.0) * (
-            PA / A - np.outer(a, a) / A**2 + PB / B - np.outer(b, b) / B**2
-        )
-        out += w * (
-            g * PC + np.outer(c, dg) + np.outer(dg, c) + cov * d2g
-        )
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -871,6 +812,13 @@ def table1_df(family: str, r: int, T: int) -> int:
 
 
 def degrees_of_freedom(family: str, shape: TableShape) -> int:
+    """Table 1's count, except that me2 counts its independent constraint rows.
+
+    The two differ only for r = 2, where the squared-score differences
+    repeat the first-order ones.
+    """
+    if family == ME2:
+        return len(design.independent_moment_rows(shape))
     df = table1_df(family, shape.r, shape.T)
     if df < 0:
         raise ValueError(

@@ -23,7 +23,7 @@ from .linkspace import (
     inverse_link,
     normalizers,
 )
-from .tables import Cell, ProbTable, TableShape, orbit_structure, symmetric_average
+from .tables import Cell, ProbTable, TableShape, cell_index, orbit_structure, symmetric_average
 
 
 class ProjectionError(RuntimeError):
@@ -56,8 +56,8 @@ def normalize_gamma(
     """Per-orbit normalizer gamma with sum_j F^{-1}(pred_j + gamma) = orbit size."""
     alpha = np.asarray(alpha, dtype=float)
     B = np.asarray(B, dtype=float)
-    scores = [shape.score_of(cell) for cell in orbit_cells]
-    z = np.array([u @ alpha + u @ B @ u for u in scores])
+    cells = [cell_index(shape, cell) for cell in orbit_cells]
+    z = design.cell_predictor(shape, alpha, B)[cells]
     one_orbit = Orbits.of(np.zeros(len(z), dtype=np.intp))
     return float(normalizers(z, one_orbit, ff.link_lam)[0])
 
@@ -89,18 +89,14 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
     """
     shape = spec.target.shape
     q = symmetric_average(spec.target).probs
-    M = design.moment_matrix(shape)
-    # Orthonormal row basis: for some shapes (r = 2 especially) the squared
-    # scores are affine in the scores and the raw difference rows are rank
-    # deficient, which would make the Newton system singular.
-    _, s, vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps * s[0]))
-    M = vt[:rank]
+    # For r = 2 the raw difference rows are rank deficient (squared scores are
+    # affine in the scores), which would make the Newton system singular.
+    M = design.moment_matrix(shape)[design.independent_moment_rows(shape)]
     space = LinkSpace(shape, spec.ff, M.T)  # predictors span the moment rows
     target_mom = M @ spec.target.probs
 
     trace = []
-    pt = space.evaluate(np.zeros(rank))
+    pt = space.evaluate(np.zeros(len(M)))
     pi = q * pt.g
     resid = M @ pi - target_mom
     for it in range(spec.max_iter):

@@ -4,15 +4,16 @@ import pytest
 from fsym.design import (
     ConfigurationError,
     cell_predictor,
-    delta1,
-    delta2,
-    delta_v2,
     design_matrix,
     family_d2,
+    independent_moment_rows,
+    moment_basis,
     moment_matrix,
     n_offdiag,
     pair_chain,
+    product_index,
     recover_coefficients,
+    score_matrix,
     score_vector,
     symmetry_indicator,
 )
@@ -41,33 +42,61 @@ class TestScoreVectors:
         with pytest.raises(ValueError):
             score_vector(TableShape(3, 3), 4)
 
+    def test_moment_basis_holds_scores_and_products(self):
+        shape = TableShape(3, 4, (0.0, 1.0, 3.0))
+        F = moment_basis(shape)
+        s = np.column_stack([score_vector(shape, h) for h in range(1, 5)])
+        assert F.shape == (81, 4 + 10)
+        assert np.array_equal(score_matrix(shape), s)
+        idx = product_index(4)
+        for a in range(4):
+            for b in range(4):
+                assert np.array_equal(F[:, idx[a, b]], s[:, a] * s[:, b])
+
+    def test_built_once_and_read_only(self):
+        shape = TableShape(3, 3)
+        for build in (moment_basis, moment_matrix, independent_moment_rows):
+            assert build(shape) is build(TableShape(3, 3))
+            with pytest.raises(ValueError):
+                build(shape)[0] = 0
+
 
 class TestDifferenceVectors:
+    # moment_matrix rows: s_h - s_{h+1} (h = 1, 2), s_h^2 - s_{h+1}^2 (rows 2, 3)
+    # and the pair-chain product differences (rows 4, 5)
+
     def test_pair_chain_t3(self):
         assert pair_chain(3) == [(1, 2), (1, 3), (2, 3)]
         assert n_offdiag(3) == 2
 
-    def test_first_interaction_difference(self):
+    def test_rows_are_the_difference_vectors(self):
         shape = TableShape(3, 3)
-        want = score_vector(shape, 1) * score_vector(shape, 2) - score_vector(
-            shape, 1
-        ) * score_vector(shape, 3)
-        assert np.allclose(delta_v2(shape, 1), want)
+        s = [score_vector(shape, h) for h in (1, 2, 3)]
+        M = moment_matrix(shape)
+        assert np.array_equal(M[0], s[0] - s[1])
+        assert np.array_equal(M[3], s[1] ** 2 - s[2] ** 2)
+        assert np.allclose(M[4], s[0] * s[1] - s[0] * s[2])
+        assert np.array_equal(M[5], s[0] * s[2] - s[1] * s[2])
 
-    def test_delta1_vanishes_on_equal_coordinates(self):
+    def test_first_order_difference_vanishes_on_equal_coordinates(self):
         shape = TableShape(3, 3)
-        d = delta1(shape, 2)
+        d = moment_matrix(shape)[1]  # s_2 - s_3
         for idx, cell in enumerate(all_cells(shape)):
             if cell[1] == cell[2]:
                 assert d[idx] == 0
 
     def test_column_sums_vanish_for_equal_spacing(self):
-        shape = TableShape(3, 3)
-        for h in (1, 2):
-            assert abs(delta1(shape, h).sum()) < 1e-12
-            assert abs(delta2(shape, h).sum()) < 1e-12
-        for k in (1, 2):
-            assert abs(delta_v2(shape, k).sum()) < 1e-12
+        assert np.max(np.abs(moment_matrix(TableShape(3, 3)).sum(axis=1))) < 1e-12
+
+    def test_independent_rows(self):
+        assert np.array_equal(independent_moment_rows(TableShape(3, 3)), np.arange(6))
+        assert np.array_equal(independent_moment_rows(TableShape(4, 4)), np.arange(11))
+        # two categories: the squared-score differences repeat s_h - s_{h+1}
+        assert np.array_equal(independent_moment_rows(TableShape(2, 3)), [0, 1, 4, 5])
+        for T in (3, 4):
+            M = moment_matrix(TableShape(2, T))
+            rows = independent_moment_rows(TableShape(2, T))
+            assert len(rows) == np.linalg.matrix_rank(M) == np.linalg.matrix_rank(M[rows])
 
 
 class TestDesignSystem:
@@ -93,6 +122,7 @@ class TestDesignSystem:
         ds = design_matrix(shape, family)
         L = family_d2(family, shape.T) + shape.n_orbits
         assert ds.X.shape[1] == L
+        assert ds.d1 == ds.U.shape[1]
         assert np.max(np.abs(ds.U.T @ ds.X)) < 1e-10
         assert np.linalg.matrix_rank(ds.X) == L
         assert np.linalg.matrix_rank(ds.U) == shape.n_cells - L

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsym.datasets import anes_party_id
-from fsym.design import cell_predictor, design_matrix
+from fsym.design import cell_predictor, design_matrix, moment_matrix
 from fsym.divergences import hellinger, kl, pearson, power
 from fsym.fitting import (
     FitError,
@@ -141,19 +141,21 @@ class TestFitModelReferenceValues:
 
 class TestLagrangianCurvature:
     @pytest.mark.parametrize(
-        "make",
+        ("make", "shape"),
         [
-            lambda shape: linkform_constraint(shape, "gs", kl()),
-            lambda shape: linkform_constraint(shape, "gs", pearson()),
-            lambda shape: linkform_constraint(shape, "gs", hellinger()),
-            lambda shape: moment_constraint(shape, "ve"),
-            lambda shape: moment_constraint(shape, "ce"),
-            lambda shape: moment_constraint(shape, "me2"),
+            (lambda shape: linkform_constraint(shape, "gs", kl()), TableShape(3, 3)),
+            (lambda shape: linkform_constraint(shape, "gs", pearson()), TableShape(3, 3)),
+            (lambda shape: linkform_constraint(shape, "gs", hellinger()), TableShape(3, 3)),
+            (lambda shape: moment_constraint(shape, "ve"), TableShape(3, 3)),
+            (lambda shape: moment_constraint(shape, "ce"), TableShape(3, 3)),
+            (lambda shape: moment_constraint(shape, "me2"), TableShape(3, 3)),
+            (lambda shape: moment_constraint(shape, "ve"), TableShape(3, 4)),
+            (lambda shape: moment_constraint(shape, "ce"), TableShape(3, 4)),
+            (lambda shape: moment_constraint(shape, "me2"), TableShape(3, 4)),
         ],
-        ids=["gs-kl", "gs-pearson", "gs-hellinger", "ve", "ce", "me2"],
+        ids=["gs-kl", "gs-pearson", "gs-hellinger", "ve", "ce", "me2", "ve-3^4", "ce-3^4", "me2-3^4"],
     )
-    def test_matches_finite_differences(self, rng, make):
-        shape = TableShape(3, 3)
+    def test_matches_finite_differences(self, rng, make, shape):
         con = make(shape)
         xi = rng.normal(size=shape.n_cells) * 0.3
         pi = _softmax(xi)
@@ -330,6 +332,23 @@ class TestDegreesOfFreedom:
     def test_negative_df_rejected(self):
         with pytest.raises(ValueError):
             degrees_of_freedom("gs", TableShape(2, 2))
+
+    @pytest.mark.parametrize("T", [3, 4])
+    def test_me2_on_two_category_tables(self, T):
+        # Squared scores are affine in the scores when r = 2, so only
+        # T - 1 + T(T-1)/2 - 1 of the difference rows are independent; every
+        # fit must succeed on them and count them as its df.
+        shape = TableShape(2, T)
+        rank = np.linalg.matrix_rank(moment_matrix(shape))
+        assert degrees_of_freedom("me2", shape) == rank == T - 2 + T * (T - 1) // 2
+        assert table1_df("me2", 2, T) == (T * T + 3 * T - 6) // 2
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            p = rng.dirichlet(np.ones(shape.n_cells))
+            counts = CountTable(shape, rng.multinomial(30, p).astype(float))
+            fit = fit_model(counts, ModelSpec("me2"))
+            assert fit.df == rank
+            assert np.max(np.abs(moment_matrix(shape) @ fit.pihat.probs)) < 1e-8
 
     def test_pvalue_bounds(self):
         assert pvalue(0.0, 5) == 1.0

@@ -4,7 +4,6 @@ import pytest
 from fsym.design import moment_matrix
 from fsym.moments import (
     DegenerateMarginalError,
-    constraint_dimension,
     constraint_jacobian,
     constraint_vector,
     moments,
@@ -62,13 +61,14 @@ class TestMoments:
 
 
 class TestConstraints:
-    def test_dimensions_match_models(self):
-        assert constraint_dimension("me", 3) == 2
-        assert constraint_dimension("ve", 3) == 2
-        assert constraint_dimension("ce", 3) == 2
-        assert constraint_dimension("me2", 3) == 6
-        assert constraint_dimension("me2", 4) == 11
-        assert constraint_dimension("ce", 4) == 5
+    def test_dimensions_match_models(self, rng):
+        want = {
+            (3, "me"): 2, (3, "ve"): 2, (3, "ce"): 2, (3, "me2"): 6, (4, "me2"): 11, (4, "ce"): 5,
+        }
+        for (T, model), dim in want.items():
+            p = random_prob_table(rng, TableShape(3, T))
+            assert constraint_vector(model, p).shape == (dim,)
+            assert constraint_jacobian(model, p).shape == (dim, 3**T)
 
     def test_symmetric_tables_satisfy_everything(self, rng):
         p = symmetric_average(random_prob_table(rng, TableShape(3, 3)))
@@ -122,9 +122,12 @@ class TestConstraints:
         assert np.max(np.abs(constraint_vector("me2", fit.pihat))) < 1e-7
         assert fit.g2 == pytest.approx(joint.g2, abs=1e-5)
 
-    @pytest.mark.parametrize("model", ["ve", "ce"])
-    def test_jacobian_matches_finite_differences(self, rng, model):
-        shape = TableShape(3, 3)
+    @pytest.mark.parametrize(
+        ("model", "shape"),
+        [(model, TableShape(3, T)) for T in (3, 4) for model in ("ve", "ce")],
+        ids=["ve", "ce", "ve-3^4", "ce-3^4"],
+    )
+    def test_jacobian_matches_finite_differences(self, rng, model, shape):
         for _ in range(3):
             base = random_prob_table(rng, shape, concentration=5.0)
             J = constraint_jacobian(model, base)
