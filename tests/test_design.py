@@ -75,10 +75,16 @@ class TestDifferenceVectors:
         M = moment_matrix(shape)
         assert np.array_equal(M[0], s[0] - s[1])
         assert np.array_equal(M[3], s[1] ** 2 - s[2] ** 2)
-        assert np.allclose(M[4], s[0] * s[1] - s[0] * s[2])
         assert np.array_equal(M[5], s[0] * s[2] - s[1] * s[2])
 
-    def test_first_order_difference_vanishes_on_equal_coordinates(self):
+    def test_first_interaction_difference(self):
+        shape = TableShape(3, 3)
+        want = score_vector(shape, 1) * score_vector(shape, 2) - score_vector(
+            shape, 1
+        ) * score_vector(shape, 3)
+        assert np.allclose(moment_matrix(shape)[4], want)
+
+    def test_delta1_vanishes_on_equal_coordinates(self):
         shape = TableShape(3, 3)
         d = moment_matrix(shape)[1]  # s_2 - s_3
         for idx, cell in enumerate(all_cells(shape)):
