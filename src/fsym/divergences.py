@@ -1,9 +1,19 @@
 """Standard f-functions and f-divergences.
 
-Each family is standardized so that f(1) = 0, f'(1) = 0 and f''(1) = 1.  The
-first derivative F = f' acts as the model link; its inverse is only defined on
-an interval, exposed through ``F_inv_domain`` so that solvers can keep their
-iterates feasible.
+Every f-function the package ships is a member of the power (Cressie-Read)
+family, indexed by lam = ``FFunction.link_lam``: ``kl``, ``pearson`` and
+``hellinger`` are ``power(0)``, ``power(1)`` and ``power(-1/2)``.  One set
+of formulas in lam serves them all,
+
+    f(x) = [x (x^lam - 1) / lam - (x - 1)] / (lam + 1),
+    F(x) = f'(x) = (x^lam - 1) / lam,    f''(x) = x^(lam - 1),
+    F^{-1}(y) = (1 + lam y)^(1/lam),
+
+with their limits at the removable singularities lam = 0 (x log x - x + 1,
+log x, exp y) and lam = -1 (x - 1 - log x).  Each f is standardized so that
+f(1) = 0, f'(1) = 0 and f''(1) = 1.  F acts as the model link; its inverse
+is only defined on an interval, exposed through ``F_inv_domain`` so that
+solvers can keep their iterates feasible.
 """
 
 from __future__ import annotations
@@ -29,14 +39,37 @@ class DomainError(ValueError):
         self.bound = bound
 
 
+def link(x, lam: float):
+    """F(x) = (x^lam - 1) / lam, log x at lam = 0; expm1 keeps small lam stable."""
+    if lam == 0.0:
+        return np.log(x)
+    return np.expm1(lam * np.log(x)) / lam
+
+
+def inverse_link(y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(g, u) = (F^{-1}(y), 1 + lam y); g is 0 on the edge of a lam > 0 domain."""
+    if lam == 0.0:
+        return np.exp(y), np.ones_like(y)
+    if lam == 1.0:
+        return 1.0 + y, 1.0 + y
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.exp(np.log1p(lam * y) / lam), 1.0 + lam * y
+
+
+def _positive(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError(f"{what} is defined on positive arguments")
+    return x
+
+
 @dataclass(frozen=True)
 class FFunction:
-    """One member of the standard f-function families.
+    """A power-family f-function, by name or by its index.
 
-    ``lam`` is only meaningful for the power family.  Pearson's chi-square
-    corresponds to power lambda = 1 and the Hellinger scaling to lambda = -1/2;
-    both are kept as explicit branches because their link formulas are used
-    directly by the asymmetry models.
+    ``kl``, ``pearson`` and ``hellinger`` take no ``lam``; ``power`` needs
+    one.  The name only labels the function: every formula reads the power
+    index ``link_lam``.
     """
 
     family: str
@@ -63,88 +96,35 @@ class FFunction:
         """Power index of the link: F^{-1}(y) = (1 + lam y)^(1/lam), exp(y) at 0."""
         return {KL: 0.0, PEARSON: 1.0, HELLINGER: -0.5}.get(self.family, self.lam)
 
-    # f, F = f', f'' -------------------------------------------------------
+    # f, F = f', f'', f''' ---------------------------------------------------
 
     def f(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("f is defined on positive arguments")
-        if self.family == KL:
-            return x * np.log(x) - x + 1.0
-        if self.family == PEARSON:
-            return 0.5 * (x - 1.0) ** 2
-        if self.family == HELLINGER:
-            return 2.0 * (np.sqrt(x) - 1.0) ** 2
-        lam = self.lam
+        x, lam = _positive(x, "f"), self.link_lam
         if lam == 0.0:
             return x * np.log(x) - x + 1.0
         if lam == -1.0:
             return x - 1.0 - np.log(x)
-        # x*(x**lam - 1)/(lam*(lam+1)) - (x-1)/(lam+1), expm1 keeps small-lam stable
-        return (x * np.expm1(lam * np.log(x)) / lam - (x - 1.0)) / (lam + 1.0)
+        return (x * link(x, lam) - (x - 1.0)) / (lam + 1.0)
 
     def F(self, x):
         """First derivative of f, the link function."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("F is defined on positive arguments")
-        if self.family == KL:
-            return np.log(x)
-        if self.family == PEARSON:
-            return x - 1.0
-        if self.family == HELLINGER:
-            return 2.0 - 2.0 / np.sqrt(x)
-        lam = self.lam
-        if lam == 0.0:
-            return np.log(x)
-        return np.expm1(lam * np.log(x)) / lam
+        return link(_positive(x, "F"), self.link_lam)
 
     def f_second(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("f'' is defined on positive arguments")
-        if self.family == KL:
-            return 1.0 / x
-        if self.family == PEARSON:
-            return np.ones_like(x)
-        if self.family == HELLINGER:
-            return x**-1.5
-        lam = self.lam
-        if lam == 0.0:
-            return 1.0 / x
-        return x ** (lam - 1.0)
+        return _positive(x, "f''") ** (self.link_lam - 1.0)
 
     def f_third(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("f''' is defined on positive arguments")
-        if self.family == KL:
-            return -1.0 / x**2
-        if self.family == PEARSON:
-            return np.zeros_like(x)
-        if self.family == HELLINGER:
-            return -1.5 * x**-2.5
-        lam = self.lam
-        if lam == 0.0:
-            return -1.0 / x**2
-        return (lam - 1.0) * x ** (lam - 2.0)
+        lam = self.link_lam
+        return (lam - 1.0) * _positive(x, "f'''") ** (lam - 2.0)
 
     # F^{-1} ----------------------------------------------------------------
 
     def F_inv_domain(self) -> tuple[float, float]:
         """Open interval on which F^{-1} is defined (and positive)."""
-        if self.family == KL:
-            return (-math.inf, math.inf)
-        if self.family == PEARSON:
-            return (-1.0, math.inf)
-        if self.family == HELLINGER:
-            return (-math.inf, 2.0)
-        lam = self.lam
+        lam = self.link_lam
         if lam == 0.0:
             return (-math.inf, math.inf)
-        if lam > 0:
-            return (-1.0 / lam, math.inf)
-        return (-math.inf, -1.0 / lam)
+        return (-1.0 / lam, math.inf) if lam > 0 else (-math.inf, -1.0 / lam)
 
     def F_inv(self, y):
         y = np.asarray(y, dtype=float)
@@ -154,21 +134,7 @@ class FFunction:
                 f"argument outside the F^-1 domain ({lo}, {hi}) of {self.name}",
                 bound=(lo, hi),
             )
-        if self.family == KL:
-            return np.exp(y)
-        if self.family == PEARSON:
-            return y + 1.0
-        if self.family == HELLINGER:
-            return (1.0 - 0.5 * y) ** -2.0
-        lam = self.lam
-        if lam == 0.0:
-            return np.exp(y)
-        # (lam*y + 1)**(1/lam), stable for small lam through log1p
-        return np.exp(np.log1p(lam * y) / lam)
-
-    def F_inv_deriv(self, y):
-        """d/dy F^{-1}(y) = 1 / f''(F^{-1}(y))."""
-        return 1.0 / self.f_second(self.F_inv(y))
+        return inverse_link(y, self.link_lam)[0]
 
 
 def kl() -> FFunction:
@@ -230,26 +196,12 @@ def divergence(ff: FFunction, p: ProbTable, q: ProbTable) -> float:
 
 
 def _f_at_zero(ff: FFunction) -> float:
-    """lim_{x->0+} f(x); infinite for power lambda <= -1."""
-    if ff.family == KL:
-        return 1.0
-    if ff.family == PEARSON:
-        return 0.5
-    if ff.family == HELLINGER:
-        return 2.0
-    lam = ff.lam
-    if lam > -1.0:
-        return 1.0 / (lam + 1.0)
-    return math.inf
+    """lim_{x->0+} f(x); infinite for lam <= -1."""
+    lam = ff.link_lam
+    return 1.0 / (lam + 1.0) if lam > -1.0 else math.inf
 
 
 def _slope_at_inf(ff: FFunction) -> float:
-    """lim_{t->inf} f(t)/t; infinite whenever f grows superlinearly."""
-    if ff.family in (KL, PEARSON):
-        return math.inf
-    if ff.family == HELLINGER:
-        return 2.0
-    lam = ff.lam
-    if lam >= 0.0:
-        return math.inf
-    return -1.0 / lam
+    """lim_{t->inf} f(t)/t; infinite whenever f grows superlinearly (lam >= 0)."""
+    lam = ff.link_lam
+    return -1.0 / lam if lam < 0.0 else math.inf

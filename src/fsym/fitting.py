@@ -38,7 +38,7 @@ from .moments import (
     constraint_vector as moment_vector,
 )
 from .chi2 import chi2_sf
-from .divergences import FFunction, HELLINGER, KL, PEARSON, POWER
+from .divergences import FFunction, KL
 from .linkspace import InfeasibleParameterError, LinkPoint, link_space
 from .tables import (
     CountTable,
@@ -717,23 +717,10 @@ def fit_link(
 def fit_symmetry(counts: CountTable) -> FitResult:
     """Closed-form MLE of complete symmetry: orbit averages of the counts."""
     shape = counts.shape
-    struct = orbit_structure(shape)
-    mhat = orbit_sums(shape, counts.counts) / struct.size_of_cell
-    pihat = ProbTable(shape, mhat / counts.n)
-    stat = g2(counts, mhat)
-    df = degrees_of_freedom(SYMMETRY, shape)
-    return FitResult(
-        spec=ModelSpec(SYMMETRY),
-        counts=counts,
-        pihat=pihat,
-        mhat=mhat,
-        theta_prime=None,
-        g2=stat,
-        df=df,
-        pvalue=pvalue(stat, df),
-        converged=True,
-        iterations=0,
-        constraint_residual=0.0,
+    mhat = orbit_sums(shape, counts.counts) / orbit_structure(shape).size_of_cell
+    return _finish(
+        ModelSpec(SYMMETRY), counts, ProbTable(shape, mhat / counts.n), None,
+        degrees_of_freedom(SYMMETRY, shape), True, 0, 0.0, mhat=mhat,
     )
 
 
@@ -753,10 +740,10 @@ def fit_model(
     is the constrained fits' relative log-likelihood change, which a link
     fit replaces by its score test (``SCORE_TOL``).
     """
-    shape = counts.shape
-    df = degrees_of_freedom(spec.family, shape)
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
+    shape = counts.shape
+    df = degrees_of_freedom(spec.family, shape)
     constrained = dict(
         spec=spec, df=df, max_iter=max_iter,
         tol_constraint=tol_constraint, tol_loglik=tol_loglik,
@@ -792,18 +779,13 @@ def g2(counts: CountTable, mhat: np.ndarray) -> float:
 
 def table1_df(family: str, r: int, T: int) -> int:
     """Degrees-of-freedom formulas by family (may be negative for tiny tables)."""
-    L = math.comb(r + T - 1, T)
-    cells = r**T
+    symmetry = r**T - math.comb(r + T - 1, T)
     if family == SYMMETRY:
-        return cells - L
-    if family == design.GS:
-        return cells - L - (T * T + 3 * T - 6) // 2
-    if family == design.ELS:
-        return cells - L - 2 * T + 2
-    if family == design.LS:
-        return cells - L - T + 1
-    if family == ME2:
-        return (T * T + 3 * T - 6) // 2
+        return symmetry
+    if family in design.ASYMMETRY_FAMILIES:
+        return symmetry - design.family_d2(family, T)
+    if family == ME2:  # the gs columns that are not normalizers
+        return design.family_d2(design.GS, T)
     if family in (ME, VE):
         return T - 1
     if family == CE:
@@ -851,20 +833,17 @@ def linear_coefficients(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
 
 
 def potential_params(fit: FitResult) -> dict[tuple[int, ...], float]:
-    """Per-cell potential parameters, plugging the MLEs into the family formula."""
+    """Per-cell potential parameters from the fitted predictor z_i.
+
+    exp(z_i) for the KL link (lam = 0), else lam z_i / |o|^lam with |o| the
+    size of the cell's orbit.
+    """
     alpha, B = linear_coefficients(fit)
     shape = fit.shape
     pred = design.cell_predictor(shape, alpha, B)
     sizes = orbit_structure(shape).size_of_cell
-    ff = fit.spec.ff
-    if ff.family == KL or (ff.family == POWER and ff.lam == 0.0):
-        theta = np.exp(pred)
-    elif ff.family == PEARSON:
-        theta = pred / sizes
-    elif ff.family == HELLINGER:
-        theta = -0.5 * np.sqrt(sizes) * pred
-    else:
-        theta = ff.lam * pred / sizes**ff.lam
+    lam = fit.spec.ff.link_lam
+    theta = np.exp(pred) if lam == 0.0 else lam * pred / sizes**lam
     return {cell: float(theta[i]) for i, cell in enumerate(all_cells(shape))}
 
 
@@ -876,9 +855,10 @@ def discrepancy_measure(
 ) -> float:
     """Fitted conditional-probability comparison between two symmetric cells.
 
-    Ratio for the KL link, difference for Pearson, inverse-square-root
-    difference for Hellinger, power difference otherwise.  The benchmark under
-    complete symmetry is 1 for the ratio and 0 for the differences.
+    Ratio c_a / c_b for the KL link (lam = 0), else the power difference
+    c_a^lam - c_b^lam: the plain difference for Pearson, the inverse-square-root
+    difference for Hellinger.  The benchmark under complete symmetry is 1 for
+    the ratio and 0 for the differences.
     """
     if sorted(cell_a) != sorted(cell_b):
         raise ValueError(f"cells {cell_a} and {cell_b} are not in the same orbit")
@@ -892,10 +872,7 @@ def discrepancy_measure(
     if mass <= 0:
         raise DegenerateOrbitError(f"orbit of cell {cell_a} has zero fitted probability")
     ca, cb = probs[ia] / mass, probs[ib] / mass
-    if ff.family == KL or (ff.family == POWER and ff.lam == 0.0):
+    lam = ff.link_lam
+    if lam == 0.0:
         return float(ca / cb)
-    if ff.family == PEARSON:
-        return float(ca - cb)
-    if ff.family == HELLINGER:
-        return float(ca**-0.5 - cb**-0.5)
-    return float(ca**ff.lam - cb**ff.lam)
+    return float(ca**lam - cb**lam)

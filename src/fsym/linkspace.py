@@ -8,8 +8,8 @@ cell's share of its orbit on a link scale,
 with one normalizer gamma_o per orbit so that the shares of every orbit sum
 to one.  Every standard f-function has a power link,
 F^{-1}(y) = (1 + lam y)^(1/lam) with lam = ``FFunction.link_lam`` (exp(y) at
-lam = 0), so one set of formulas serves all of them, vectorized over the
-orbits.  With u = 1 + lam y and g = F^{-1}(y):
+lam = 0; ``divergences.inverse_link``), so one set of formulas serves all of
+them, vectorized over the orbits.  With u = 1 + lam y and g = F^{-1}(y):
 
     dg/dy = g / u,    d2g/dy2 = (1 - lam) g / u^2.
 
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import design
-from .divergences import POWER, FFunction
+from .divergences import FFunction, inverse_link, link
 from .tables import TableShape, orbit_structure
 
 NORMALIZER_TOL = 1e-13
@@ -41,16 +41,6 @@ class InfeasibleParameterError(ValueError):
     def __init__(self, message, orbits=None):
         super().__init__(message)
         self.orbits = orbits
-
-
-def inverse_link(y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(g, u) = (F^{-1}(y), 1 + lam y); g is 0 on the edge of a lam > 0 domain."""
-    if lam == 0.0:
-        return np.exp(y), np.ones_like(y)
-    if lam == 1.0:
-        return 1.0 + y, 1.0 + y
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.exp(np.log1p(lam * y) / lam), 1.0 + lam * y
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,7 @@ def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndar
         return gamma
 
     # At gamma = shift - zhi every free g <= |o| / k, at shift - zlo every g >= it.
-    shift = 0.0 if free is None else FFunction(POWER, lam).F(size / k)
+    shift = 0.0 if free is None else link(size / k, lam)
     lo, hi = shift - zhi, shift - zlo
     edge = -1.0 / lam - (zlo if lam > 0 else zhi)
     with np.errstate(all="ignore"):

@@ -15,7 +15,9 @@ from fsym.divergences import (
     pearson,
     power,
 )
-from fsym.tables import ProbTable, TableShape
+from fsym.datasets import anes_party_id
+from fsym.fitting import ModelSpec, discrepancy_measure, fit_model, potential_params
+from fsym.tables import ProbTable, TableShape, all_cells, orbit_representative
 
 from conftest import random_prob_table
 
@@ -100,13 +102,54 @@ class TestInverseLink:
         with pytest.raises(DomainError):
             power(0.5).F_inv(-3.0)
 
-    def test_inverse_derivative(self):
-        for ff in ALL_BASE:
-            lo, hi = ff.F_inv_domain()
-            y = 0.3 if hi > 0.3 else 0.5 * (lo + hi)
-            eps = 1e-6
-            fd = (ff.F_inv(y + eps) - ff.F_inv(y - eps)) / (2 * eps)
-            assert float(ff.F_inv_deriv(y)) == pytest.approx(float(fd), rel=1e-5)
+
+class TestNamedFunctionsArePowerMembers:
+    """kl, pearson and hellinger are power(0), power(1) and power(-1/2)."""
+
+    PAIRS = [(kl(), 0.0), (pearson(), 1.0), (hellinger(), -0.5)]
+
+    @pytest.mark.parametrize("named, lam", PAIRS, ids=lambda v: getattr(v, "name", v))
+    def test_formulas(self, named, lam):
+        member = power(lam)
+        assert named.link_lam == lam
+        x = np.geomspace(1e-3, 1e3, 41)
+        for method in ("f", "F", "f_second", "f_third"):
+            np.testing.assert_allclose(
+                getattr(named, method)(x), getattr(member, method)(x), rtol=1e-12, atol=1e-12
+            )
+        assert named.F_inv_domain() == member.F_inv_domain()
+        lo, hi = member.F_inv_domain()
+        y = np.linspace(-3.0, 3.0, 61)
+        y = y[(y > lo) & (y < hi)]
+        np.testing.assert_allclose(named.F_inv(y), member.F_inv(y), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("named, lam", PAIRS, ids=lambda v: getattr(v, "name", v))
+    def test_divergence_with_zero_cells(self, rng, named, lam):
+        shape = TableShape(3, 3)
+
+        def table(zero_share):
+            v = rng.dirichlet(np.ones(shape.n_cells))
+            v[rng.random(shape.n_cells) < zero_share] = 0.0
+            return ProbTable(shape, v / v.sum())
+
+        for _ in range(20):
+            p, q = table(0.2), table(0.0)
+            for a, b in ((p, q), (q, p), (p, table(0.2)), (p, p)):
+                assert divergence(named, a, b) == pytest.approx(
+                    divergence(power(lam), a, b), rel=1e-12, abs=1e-12
+                )
+
+    def test_panel_potentials_and_discrepancies(self):
+        table = anes_party_id()
+        named = fit_model(table, ModelSpec("gs", hellinger()))
+        member = fit_model(table, ModelSpec("gs", power(-0.5)))
+        theta_named, theta_member = potential_params(named), potential_params(member)
+        for cell in all_cells(table.shape):
+            assert theta_named[cell] == pytest.approx(theta_member[cell], rel=1e-12, abs=1e-12)
+            base = orbit_representative(cell)
+            assert discrepancy_measure(named, cell, base) == pytest.approx(
+                discrepancy_measure(member, cell, base), rel=1e-12, abs=1e-12
+            )
 
 
 class TestDivergence:
