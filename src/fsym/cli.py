@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .fitting import (
     fit_model,
     potential_params,
 )
-from .simulate import SimConfig, power_study
+from .simulate import PowerRow, SimConfig, power_study
 from .tables import CountTable, TableShape, all_cells, orbit_structure
 from .wald import decompose
 
@@ -220,8 +221,6 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     result = power_study(config, workers=args.workers)
     doc = result.to_dict()
@@ -229,15 +228,9 @@ def cmd_simulate(args) -> int:
         path = Path(args.out)
         if path.suffix == ".csv":
             with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["model", "rate", "ci_low", "ci_high", "rejections", "n_used", "failures"]
-                )
-                for row in doc["rows"]:
-                    writer.writerow(
-                        [row["model"], row["rate"], row["ci_low"], row["ci_high"],
-                         row["rejections"], row["n_used"], row["failures"]]
-                    )
+                writer = csv.DictWriter(fh, [f.name for f in fields(PowerRow)])
+                writer.writeheader()
+                writer.writerows(doc["rows"])
         else:
             path.write_text(json.dumps(doc, indent=2) + "\n")
     if args.json:

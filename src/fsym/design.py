@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tables import TableShape, orbit_structure
+from .tables import TableShape, _read_only, orbit_structure
 
 GS = "gs"
 ELS = "els"
@@ -36,11 +36,6 @@ ASYMMETRY_FAMILIES = (GS, ELS, LS)
 
 class ConfigurationError(ValueError):
     """Design construction failed, e.g. rank deficiency from degenerate scores."""
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -129,9 +124,7 @@ def independent_moment_rows(shape: TableShape) -> np.ndarray:
 def symmetry_indicator(shape: TableShape) -> np.ndarray:
     """0/1 matrix mapping each cell to its symmetric class (rows sum to one)."""
     struct = orbit_structure(shape)
-    xs = np.zeros((shape.n_cells, len(struct.members)))
-    xs[np.arange(shape.n_cells), struct.orbit_id] = 1.0
-    return xs
+    return np.eye(len(struct.size))[struct.orbit_id]
 
 
 def family_d2(family: str, T: int) -> int:

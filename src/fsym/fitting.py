@@ -131,16 +131,16 @@ def _zero_hess(pi: np.ndarray, weights: np.ndarray) -> float:
 
 
 def symmetry_constraint(shape: TableShape) -> Constraint:
-    """Pairwise probability equalities within each orbit (linear)."""
+    """Pairwise probability equalities within each orbit (linear).
+
+    One row pi_first - pi_other per non-first member, orbit by orbit.
+    """
     struct = orbit_structure(shape)
-    rows = []
-    for members in struct.members:
-        for other in members[1:]:
-            row = np.zeros(shape.n_cells)
-            row[members[0]] = 1.0
-            row[other] = -1.0
-            rows.append(row)
-    A = np.array(rows) if rows else np.zeros((0, shape.n_cells))
+    others = np.delete(struct.order, struct.starts)
+    rows = np.arange(len(others))
+    A = np.zeros((len(others), shape.n_cells))
+    A[rows, struct.order[struct.starts][struct.orbit_id[others]]] = 1.0
+    A[rows, others] = -1.0
     return Constraint(
         dim=A.shape[0], fun=lambda pi: A @ pi, jac=lambda pi: A, hess=_zero_hess
     )
@@ -460,7 +460,7 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts):
     -sum_i [lam n_i / u_i^2 + (1 - lam) (R_o / W_o) g_i / u_i^2] a_i a_i',
     where a_i = dy_i / dtheta; the information weights are (N_o / |o|) g_i / u_i^2.
     """
-    lam, orbits, oid = space.lam, space.orbits, space.orbits.oid
+    lam, orbits, oid = space.lam, space.orbits, space.orbits.orbit_id
     zero = np.zeros_like(pt.g)
     wu = np.divide(pt.w, pt.u, out=zero.copy(), where=pt.g > 0)
     nu = np.divide(nvec, pt.u, out=zero.copy(), where=has_count)
@@ -669,7 +669,7 @@ def fit_link(
     starts = []
     if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
         p = counts.smoothed_proportions().probs
-        ratio = p * space.orbits.size[space.orbits.oid] / orbit_sums(shape, p)
+        ratio = p * space.orbits.size_of_cell / orbit_sums(shape, p)
         starts.append(_link_start(space, ratio, spec.ff))
         if space.lam < -1.0:
             kl = FFunction(KL)
@@ -699,8 +699,7 @@ def fit_link(
 
     lam = space.lam
     resid = float(np.max(np.abs(-1.0 / lam - pt.y[pt.held]), initial=0.0)) if lam > 0 else 0.0
-    oid = space.orbits.oid
-    mhat = (orbit_counts / space.orbits.size)[oid] * pt.g
+    mhat = (orbit_counts / space.orbits.size)[space.orbits.orbit_id] * pt.g
     theta_prime = np.concatenate([pt.theta, pt.gamma])
     return _finish(
         spec, counts, ProbTable(shape, mhat / mhat.sum()), theta_prime,

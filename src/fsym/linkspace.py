@@ -16,6 +16,8 @@ them, vectorized over the orbits.  With u = 1 + lam y and g = F^{-1}(y):
 For lam > 0 the domain y > -1/lam has a finite edge at which g = 0.  A cell
 can be *held* there: its share is exactly 0, it adds nothing to its orbit's
 normalizer, and its dg/dy is the edge limit (1 for Pearson, 0 for lam < 1).
+
+The orbit type, ``Orbits``, lives in ``tables`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import design
 from .divergences import FFunction, inverse_link, link
-from .tables import TableShape, orbit_structure
+from .tables import Orbits, TableShape, orbit_structure
 
 NORMALIZER_TOL = 1e-13
 
@@ -43,34 +45,6 @@ class InfeasibleParameterError(ValueError):
         self.orbits = orbits
 
 
-@dataclass(frozen=True)
-class Orbits:
-    """Per-orbit reductions over cells labelled by orbit id."""
-
-    oid: np.ndarray
-    size: np.ndarray  # cells per orbit
-    order: np.ndarray  # cells sorted by orbit
-    starts: np.ndarray  # first sorted position of each orbit
-
-    @classmethod
-    def of(cls, oid: np.ndarray) -> "Orbits":
-        size = np.bincount(oid)
-        starts = np.concatenate([[0], np.cumsum(size)[:-1]])
-        return cls(oid, size.astype(float), np.argsort(oid, kind="stable"), starts)
-
-    def sum(self, v: np.ndarray) -> np.ndarray:
-        return np.bincount(self.oid, weights=v, minlength=len(self.size))
-
-    def sum_rows(self, V: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(V[self.order], self.starts, axis=0)
-
-    def min(self, v: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(v[self.order], self.starts)
-
-    def max(self, v: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(v[self.order], self.starts)
-
-
 def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndarray:
     """gamma_o with sum over the free cells of o of F^{-1}(z_i + gamma_o) = |o|.
 
@@ -79,7 +53,7 @@ def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndar
     every free cell inside the F^{-1} domain and warm-started from ``start``.
     Raises InfeasibleParameterError when some orbit has no root in the domain.
     """
-    oid, size = orbits.oid, orbits.size
+    oid, size = orbits.orbit_id, orbits.size
     zhi = orbits.max(z if free is None else np.where(free, z, -np.inf))
     if lam == 0.0:  # no edge, so nothing is ever held
         return np.log(size / orbits.sum(np.exp(z - zhi[oid]))) - zhi
@@ -152,7 +126,7 @@ class LinkSpace:
     """Orbit bookkeeping and design columns of one shape, for one f-function."""
 
     def __init__(self, shape: TableShape, ff: FFunction, X: np.ndarray):
-        self.orbits = Orbits.of(orbit_structure(shape).orbit_id)
+        self.orbits = orbit_structure(shape)
         self.X = np.ascontiguousarray(X)
         self.lam = ff.link_lam
 
@@ -160,7 +134,7 @@ class LinkSpace:
     def centered(self) -> np.ndarray:
         """dy/dtheta at theta = 0, where every dg/dy is 1."""
         o = self.orbits
-        return self.X - (o.sum_rows(self.X) / o.size[:, None])[o.oid]
+        return self.X - (o.sum_rows(self.X) / o.size[:, None])[o.orbit_id]
 
     @cached_property
     def _lift(self) -> np.ndarray:
@@ -176,7 +150,7 @@ class LinkSpace:
         Where an orbit's normalizer has no root because its lowest free cell
         would cross the edge, that cell is held instead if ``holdable`` allows.
         """
-        oid = self.orbits.oid
+        oid = self.orbits.orbit_id
         held = np.zeros(len(oid), dtype=bool) if held is None else held.copy()
         z = self.X @ theta
         while True:
@@ -188,7 +162,8 @@ class LinkSpace:
                 if holdable is None or exc.orbits is None:
                     raise
                 for o in np.flatnonzero(exc.orbits):
-                    cells = np.flatnonzero((oid == o) & ~held)
+                    cells = self.orbits.members[o]
+                    cells = cells[~held[cells]]
                     low = cells[np.argmin(z[cells])]
                     if not holdable[low]:
                         raise
@@ -211,7 +186,7 @@ class LinkSpace:
         """
         w = pt.w
         mean = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
-        return self.X - mean[self.orbits.oid]
+        return self.X - mean[self.orbits.orbit_id]
 
 
 @lru_cache(maxsize=64)

@@ -16,14 +16,8 @@ import numpy as np
 
 from . import design
 from .divergences import FFunction
-from .linkspace import (
-    InfeasibleParameterError,
-    LinkSpace,
-    Orbits,
-    inverse_link,
-    normalizers,
-)
-from .tables import Cell, ProbTable, TableShape, cell_index, orbit_structure, symmetric_average
+from .linkspace import InfeasibleParameterError, LinkSpace, inverse_link, normalizers
+from .tables import Cell, Orbits, ProbTable, TableShape, cell_index, orbit_structure, symmetric_average
 
 
 class ProjectionError(RuntimeError):
@@ -73,9 +67,9 @@ def forward_model(base: ProbTable, ff: FFunction, alpha, B) -> ProbTable:
     if np.max(np.abs(base_sym.probs - base.probs)) > 1e-10:
         raise ValueError("forward model needs a completely symmetric base table")
     z = design.cell_predictor(shape, np.asarray(alpha, float), np.asarray(B, float))
-    oid = orbit_structure(shape).orbit_id
-    gamma = normalizers(z, Orbits.of(oid), ff.link_lam)
-    g, _ = inverse_link(z + gamma[oid], ff.link_lam)
+    orbits = orbit_structure(shape)
+    gamma = normalizers(z, orbits, ff.link_lam)
+    g, _ = inverse_link(z + gamma[orbits.orbit_id], ff.link_lam)
     probs = base.probs * g
     return ProbTable(shape, probs / probs.sum())
 

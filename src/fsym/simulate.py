@@ -8,7 +8,7 @@ scheduled or parallelized.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -158,18 +158,7 @@ class PowerStudyResult:
             "n_reps": self.config.n_reps,
             "alpha": self.config.alpha,
             "seed": self.config.seed,
-            "rows": [
-                {
-                    "model": row.model,
-                    "rate": row.rate,
-                    "ci_low": row.ci_low,
-                    "ci_high": row.ci_high,
-                    "rejections": row.rejections,
-                    "n_used": row.n_used,
-                    "failures": row.failures,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
         }
 
 

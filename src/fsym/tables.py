@@ -4,13 +4,20 @@ Cells are 1-based coordinate tuples ``(i_1, ..., i_T)`` with each coordinate in
 ``{1, ..., r}``.  The linear index is lexicographic with the first coordinate
 most significant, so score vectors built from Kronecker products line up with
 the cell enumeration by construction.
+
+An orbit is the set of cells whose coordinates permute into each other; its
+representative is its non-decreasing cell.  Orbits are numbered by the
+lexicographic order of their representatives, which is also the order in
+which they first appear among the cells, and each orbit lists its member
+cells in ascending index order.  ``orbit_structure`` caches this one
+``Orbits`` per (r, T) for every module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -164,41 +171,79 @@ def orbit_representative(cell: Cell) -> Cell:
 
 
 @dataclass(frozen=True)
-class OrbitStructure:
-    """Precomputed orbit bookkeeping for one (r, T)."""
+class Orbits:
+    """Cells grouped by orbit id, with per-orbit reductions over cell vectors.
 
-    representatives: tuple[Cell, ...]  # lexicographic order
+    ``orbit_structure`` gives the orbits of a table shape; ``Orbits.of`` groups
+    any labelling of cells by ids ``0..k-1`` and leaves ``representatives``
+    empty.  Every array is read-only.
+    """
+
     orbit_id: np.ndarray  # cell index -> orbit number
-    members: tuple[np.ndarray, ...]  # orbit number -> cell indices
+    size: np.ndarray  # cells per orbit
+    order: np.ndarray  # cells sorted by orbit, ascending within each orbit
+    starts: np.ndarray  # first sorted position of each orbit
+    members: tuple[np.ndarray, ...]  # orbit number -> cell indices, ascending
     size_of_cell: np.ndarray  # |D(i)| per cell
+    representatives: tuple[Cell, ...] = ()  # lexicographic order
+
+    @classmethod
+    def of(cls, orbit_id: np.ndarray) -> "Orbits":
+        orbit_id = _read_only(np.array(orbit_id, dtype=np.intp))
+        counts = np.bincount(orbit_id)
+        order = _read_only(np.argsort(orbit_id, kind="stable"))
+        starts = _read_only(np.concatenate([[0], np.cumsum(counts)[:-1]]))
+        size = _read_only(counts.astype(float))
+        return cls(
+            orbit_id=orbit_id,
+            size=size,
+            order=order,
+            starts=starts,
+            members=tuple(np.split(order, starts[1:])),
+            size_of_cell=_read_only(size[orbit_id]),
+        )
+
+    def sum(self, v: np.ndarray) -> np.ndarray:
+        return np.bincount(self.orbit_id, weights=v, minlength=len(self.size))
+
+    def sum_rows(self, V: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(V[self.order], self.starts, axis=0)
+
+    def min(self, v: np.ndarray) -> np.ndarray:
+        return np.minimum.reduceat(v[self.order], self.starts)
+
+    def max(self, v: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(v[self.order], self.starts)
+
+    def same_orbit(self) -> np.ndarray:
+        """N x N mask of cell pairs that share an orbit."""
+        return self.orbit_id[:, None] == self.orbit_id[None, :]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
-def _orbit_structure(r: int, T: int) -> OrbitStructure:
-    shape = TableShape(r, T)
-    reps_seen: dict[Cell, int] = {}
-    orbit_id = np.empty(shape.n_cells, dtype=np.intp)
-    member_lists: list[list[int]] = []
-    for idx, cell in enumerate(all_cells(shape)):
-        rep = orbit_representative(cell)
-        oid = reps_seen.get(rep)
-        if oid is None:
-            oid = len(reps_seen)
-            reps_seen[rep] = oid
-            member_lists.append([])
-        orbit_id[idx] = oid
-        member_lists[oid].append(idx)
-    members = tuple(np.array(m, dtype=np.intp) for m in member_lists)
-    sizes = np.array([len(members[o]) for o in orbit_id], dtype=float)
-    return OrbitStructure(
-        representatives=tuple(reps_seen),
-        orbit_id=orbit_id,
-        members=members,
-        size_of_cell=sizes,
-    )
+def _orbit_structure(r: int, T: int) -> Orbits:
+    # Rows of ``coords`` are the cells' 0-based coordinates in index order.
+    # Sorting a row gives the orbit's representative, and the representative's
+    # index names the orbit.  Orbits are numbered by counting representatives
+    # in increasing index, i.e. lexicographic, order, which is also the order
+    # in which the orbits first appear, since a representative is the first
+    # cell of its orbit.
+    coords = np.indices((r,) * T).reshape(T, -1).T
+    rep_index = np.sort(coords, axis=1) @ r ** np.arange(T - 1, -1, -1)
+    is_rep = np.zeros(r**T, dtype=bool)
+    is_rep[rep_index] = True
+    reps = np.flatnonzero(is_rep)
+    orbit_id = np.cumsum(is_rep)[rep_index] - 1
+    representatives = tuple(map(tuple, (coords[reps] + 1).tolist()))
+    return replace(Orbits.of(orbit_id), representatives=representatives)
 
 
-def orbit_structure(shape: TableShape) -> OrbitStructure:
+def orbit_structure(shape: TableShape) -> Orbits:
     """Cached orbit decomposition of the cell set (scores play no role)."""
     return _orbit_structure(shape.r, shape.T)
 
@@ -206,8 +251,7 @@ def orbit_structure(shape: TableShape) -> OrbitStructure:
 def orbit_sums(shape: TableShape, values: np.ndarray) -> np.ndarray:
     """Per-cell sum of ``values`` over each cell's orbit."""
     struct = orbit_structure(shape)
-    totals = np.bincount(struct.orbit_id, weights=values, minlength=len(struct.members))
-    return totals[struct.orbit_id]
+    return struct.sum(values)[struct.orbit_id]
 
 
 def symmetric_average(p: ProbTable) -> ProbTable:

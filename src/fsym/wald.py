@@ -44,19 +44,15 @@ def f_jacobian(p: ProbTable, ff: FFunction) -> np.ndarray:
     fpp = np.asarray(ff.f_second(pi / pi_s))
     # Column value shared by every cell of the row's orbit.
     spill = -pi * fpp / (struct.size_of_cell * pi_s**2)
-    out = np.where(_same_orbit(struct), spill[:, None], 0.0)
+    out = np.where(struct.same_orbit(), spill[:, None], 0.0)
     out[np.diag_indices_from(out)] += fpp / pi_s
     return out
-
-
-def _same_orbit(struct) -> np.ndarray:
-    return struct.orbit_id[:, None] == struct.orbit_id[None, :]
 
 
 def orbit_averaging_matrix(shape: TableShape) -> np.ndarray:
     """Projector J onto orbit-constant vectors, J_ij = 1/|D(i)| within orbits."""
     struct = orbit_structure(shape)
-    return np.where(_same_orbit(struct), 1.0 / struct.size_of_cell[:, None], 0.0)
+    return np.where(struct.same_orbit(), 1.0 / struct.size_of_cell[:, None], 0.0)
 
 
 def wald_statistic(h: np.ndarray, H: np.ndarray, p: ProbTable, n: float) -> float:

@@ -146,6 +146,8 @@ class TestLagrangianCurvature:
             (lambda shape: linkform_constraint(shape, "gs", kl()), TableShape(3, 3)),
             (lambda shape: linkform_constraint(shape, "gs", pearson()), TableShape(3, 3)),
             (lambda shape: linkform_constraint(shape, "gs", hellinger()), TableShape(3, 3)),
+            (lambda shape: linkform_constraint(shape, "gs", power(2.0)), TableShape(3, 3)),
+            (lambda shape: linkform_constraint(shape, "ls", power(1.5)), TableShape(3, 3)),
             (lambda shape: moment_constraint(shape, "ve"), TableShape(3, 3)),
             (lambda shape: moment_constraint(shape, "ce"), TableShape(3, 3)),
             (lambda shape: moment_constraint(shape, "me2"), TableShape(3, 3)),
@@ -153,7 +155,10 @@ class TestLagrangianCurvature:
             (lambda shape: moment_constraint(shape, "ce"), TableShape(3, 4)),
             (lambda shape: moment_constraint(shape, "me2"), TableShape(3, 4)),
         ],
-        ids=["gs-kl", "gs-pearson", "gs-hellinger", "ve", "ce", "me2", "ve-3^4", "ce-3^4", "me2-3^4"],
+        ids=[
+            "gs-kl", "gs-pearson", "gs-hellinger", "gs-power(2)", "ls-power(1.5)",
+            "ve", "ce", "me2", "ve-3^4", "ce-3^4", "me2-3^4",
+        ],
     )
     def test_matches_finite_differences(self, rng, make, shape):
         con = make(shape)

@@ -55,7 +55,7 @@ class TestNormalizers:
         lam = ff.link_lam
         z = rng.normal(size=len(oid)) * 0.1
         gamma = normalizers(z, orbits, lam)
-        g, _ = inverse_link(z + gamma[orbits.oid], lam)
+        g, _ = inverse_link(z + gamma[orbits.orbit_id], lam)
         assert np.max(np.abs(orbits.sum(g) - orbits.size)) < 1e-12
 
     def test_held_cells_leave_the_sum(self):

@@ -81,6 +81,20 @@ class TestOrbits:
                 denom *= math.factorial(rep.count(v))
             assert len(members) == math.factorial(T) // denom
 
+    @pytest.mark.parametrize("r,T", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 3), (3, 4)])
+    def test_orbit_numbering(self, r, T):
+        # The gamma columns of the design follow this numbering.
+        shape = TableShape(r, T)
+        struct = orbit_structure(shape)
+        reps = struct.representatives
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        cells = list(all_cells(shape))
+        for rep, members in zip(reps, struct.members):
+            assert cells[members[0]] == rep
+            assert np.all(np.diff(members) > 0)
+            assert all(tuple(sorted(cells[i])) == rep for i in members)
+        assert len(reps) == len(struct.members) == shape.n_orbits
+
 
 class TestSymmetricAverage:
     def test_pair_average_2x2(self):
