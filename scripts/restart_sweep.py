@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Seeded sweep of sparse random tables: every fit against the KKT oracle.
+
+Tables: for seed s in 1..8, ``rng = default_rng(s)`` draws, for the shapes
+2^3, 3^3, 4^3 and 3^4, for n in (60, 500) and Dirichlet concentration in
+(1, 0.3), one table ``rng.multinomial(n, rng.dirichlet(full(N, c)))``.
+Models: me/ve/ce/me2 and gs/els/ls[power(2)].  Each model is fitted by
+``fit_model``; the link models are also fitted by the KKT oracle,
+``fit_hlp(linkform_constraint(...))``.
+
+Prints one JSON line per fit, with ``g2``/``iterations`` or ``error`` for
+each fitter (``oracle_*`` for the oracle), then a summary line on stderr.
+A shape a family cannot take (gs/els at r = 2) is skipped.
+
+Usage: python scripts/restart_sweep.py > sweep.jsonl
+"""
+
+import json
+import sys
+
+import numpy as np
+
+from fsym import ModelSpec, fit_model, power
+from fsym.fitting import FitError, fit_hlp, linkform_constraint
+from fsym.tables import CountTable, TableShape
+
+SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
+MOMENT_MODELS = ("me", "ve", "ce", "me2")
+LINK_FAMILIES = ("gs", "els", "ls")
+LINK = power(2.0)
+
+
+def tables():
+    for seed in range(1, 9):
+        rng = np.random.default_rng(seed)
+        for r, T in SHAPES:
+            shape = TableShape(r, T)
+            for n in (60, 500):
+                for c in (1.0, 0.3):
+                    probs = rng.dirichlet(np.full(shape.n_cells, c))
+                    key = dict(seed=seed, shape=f"{r}^{T}", n=n, concentration=c)
+                    yield key, CountTable(shape, rng.multinomial(n, probs))
+
+
+def attempt(fit, prefix=""):
+    try:
+        result = fit()
+    except FitError as exc:
+        return {f"{prefix}error": str(exc)}
+    return {f"{prefix}g2": result.g2, f"{prefix}iterations": result.iterations}
+
+
+def main():
+    errors = oracle_errors = above = 0
+    for key, counts in tables():
+        specs = [ModelSpec(m) for m in MOMENT_MODELS]
+        specs += [ModelSpec(f, LINK) for f in LINK_FAMILIES]
+        for spec in specs:
+            row = dict(key, model=spec.label)
+            try:
+                row.update(attempt(lambda: fit_model(counts, spec)))
+            except ValueError:
+                continue  # the family has no free parameters at this shape
+            if spec.ff is not None:
+                oracle = linkform_constraint(counts.shape, spec.family, spec.ff)
+                row.update(attempt(lambda: fit_hlp(counts, oracle), "oracle_"))
+                oracle_errors += "oracle_error" in row
+                above += "g2" in row and "oracle_g2" in row and (
+                    row["g2"] > row["oracle_g2"] + 1e-6
+                )
+            errors += "error" in row
+            print(json.dumps(row), flush=True)
+    print(
+        f"FitError: {errors} (oracle {oracle_errors}); "
+        f"link fits above the oracle's G2 by more than 1e-6: {above}",
+        file=sys.stderr,
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -1,10 +1,10 @@
 """Maximum-likelihood fitting of the symmetry and asymmetry models.
 
 Complete symmetry has a closed form.  The link families gs/els/ls are fitted
-in their own parameters: pi_i = S_o c_i(theta), where the orbit masses S_o
-are the observed orbit proportions and the within-orbit shares c_i come from
-the link-space engine (``linkspace``), so only theta is iterated (``fit_link``).
-Power links with lam > 1 are the exception and take the constrained route.
+in their own parameters under every power link: pi_i = S_o c_i(theta), where
+the orbit masses S_o are the observed orbit proportions and the within-orbit
+shares c_i come from the link-space engine (``linkspace``), so only theta is
+iterated (``fit_link``).
 
 The moment families me/ve/ce/me2 are fitted by maximizing the multinomial log
 likelihood subject to smooth constraints h(pi) = 0 (``fit_hlp``).  Their
@@ -15,7 +15,7 @@ cell log scales (pi = softmax(xi)), which keeps every iterate strictly
 positive and the unit-sum exact, and takes damped Newton steps on the
 Lagrangian stationarity system with the multinomial information as
 curvature.  ``linkform_constraint`` states the link families in the same
-form; it fits the lam > 1 links and is the independent oracle for ``fit_link``.
+form; no fit uses it, and it is the independent oracle for ``fit_link``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .moments import (
     constraint_vector as moment_vector,
 )
 from .chi2 import chi2_sf
-from .divergences import FFunction, KL
+from .divergences import FFunction, KL, PEARSON, link
 from .linkspace import InfeasibleParameterError, LinkPoint, link_space
 from .tables import (
     CountTable,
@@ -58,6 +58,11 @@ FAMILIES = (SYMMETRY,) + design.ASYMMETRY_FAMILIES + MOMENT_FAMILIES
 # A theta-space link fit stops once its projected score is below
 # SCORE_TOL * (1 + n).
 SCORE_TOL = 1e-10
+# A lam > 1 trial point may pin the lowest cell of an orbit whose normalizer
+# has no root only while the orbit's free cells then hold at most |o| plus
+# this much; further over, the pinned rows cannot be met and the point is
+# treated as infeasible.
+PIN_EXCESS = 0.5
 
 
 class FitError(RuntimeError):
@@ -151,30 +156,22 @@ def _link_curvature(
 ) -> np.ndarray:
     """sum_i w_i d2 F(x_i) / dpi dpi' with x_i = |D(i)| pi_i / orbit sum.
 
-    Orbit-local: x_i depends only on pi_i and its orbit's total.
+    Orbit-local: x_i depends only on pi_i and its orbit's total S.  With
+    q = |D(i)| / S, p = x / S, b = w F''(x) and c = w F'(x), the same-orbit
+    entry (j, k) is e_j + e_k + sum_o (b p^2 + 2 c p / S), e = -q (b p + c / S),
+    plus q^2 b on the diagonal.
     """
     struct = orbit_structure(shape)
-    n_cells = shape.n_cells
-    x = pi * struct.size_of_cell / orbit_sums(shape, pi)
-    f2 = np.asarray(ff.f_second(x))
-    f3 = np.asarray(ff.f_third(x))
-    out = np.zeros((n_cells, n_cells))
-    for members in struct.members:
-        m = len(members)
-        S = float(pi[members].sum())
-        for i in members:
-            # a = dx_i/dpi (supported on the orbit), and the rank-one + shared
-            # parts of d2 x_i
-            a = np.full(m, -len(members) * pi[i] / S**2)
-            a[np.where(members == i)[0][0]] += m / S
-            w = weights[i]
-            block = w * f3[i] * np.outer(a, a)
-            # d2 x_i / dpi_j dpi_k = -m [delta_ij + delta_ik] / S^2 + 2 m pi_i / S^3
-            block += w * f2[i] * (2.0 * m * pi[i] / S**3)
-            i_local = np.where(members == i)[0][0]
-            block[i_local, :] -= w * f2[i] * m / S**2
-            block[:, i_local] -= w * f2[i] * m / S**2
-            out[np.ix_(members, members)] += block
+    S = orbit_sums(shape, pi)
+    q = struct.size_of_cell / S
+    x = pi * q
+    p = x / S
+    b = weights * np.asarray(ff.f_third(x))
+    c = weights * np.asarray(ff.f_second(x))
+    e = -q * (b * p + c / S)
+    shared = struct.sum(b * p * p + 2.0 * c * p / S)[struct.orbit_id]
+    out = np.where(struct.same_orbit(), e[:, None] + e[None, :] + shared[:, None], 0.0)
+    out[np.diag_indices_from(out)] += q * q * b
     return out
 
 
@@ -249,7 +246,10 @@ def _lagrangian_curvature(constraint, pi, mu, H, sig):
         T += (w.sum()) * np.outer(pi, pi) - float(gbar @ pi) * sig
         inner = constraint.hess(pi, mu)
         if np.ndim(inner) != 0:  # zero-curvature constraints return a scalar 0
-            T += sig @ inner @ sig
+            # sig inner sig with sig = diag(pi) - pi pi', in O(N^2)
+            a = pi * (inner @ pi)
+            T += inner * np.outer(pi, pi) - np.outer(a, pi) - np.outer(pi, a)
+            T += a.sum() * np.outer(pi, pi)
     if not np.all(np.isfinite(T)):
         return None  # curvature useless at this iterate; Gauss-Newton instead
     return T
@@ -408,16 +408,6 @@ def fit_hlp(
     )
 
 
-def _theta_prime(shape: TableShape, spec: ModelSpec, pihat: ProbTable) -> np.ndarray:
-    """Difference-basis parameters recovered from the fitted link values."""
-    ds = design.design_matrix(shape, spec.family)
-    struct = orbit_structure(shape)
-    pi_s = orbit_sums(shape, pihat.probs) / struct.size_of_cell
-    zeta = np.asarray(spec.ff.F(pihat.probs / pi_s))
-    theta, *_ = np.linalg.lstsq(ds.X, zeta, rcond=None)
-    return theta
-
-
 def _finish(spec, counts, pihat, theta_prime, df, converged, iterations, resid, mhat=None):
     if mhat is None:
         mhat = counts.n * pihat.probs
@@ -450,29 +440,38 @@ def _link_loglik(nvec: np.ndarray, has_count: np.ndarray, pt: LinkPoint) -> floa
     return float(nvec[has_count] @ np.log(g))
 
 
-def _theta_information(space, pt, a, nvec, has_count, orbit_counts):
-    """(B, mode): minus the log-likelihood Hessian in theta when it is positive
+def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tangent=None):
+    """(B, mode): minus the Lagrangian Hessian in theta when it is positive
     definite ("newton"), else the Fisher information ("fisher", or
     "fisher-pinv" when it is singular because the table leaves some theta
     direction unidentified).
 
-    With R_o = sum_o n_i / u_i and W_o = sum_o dg/dy, the Hessian is
-    -sum_i [lam n_i / u_i^2 + (1 - lam) (R_o / W_o) g_i / u_i^2] a_i a_i',
-    where a_i = dy_i / dtheta; the information weights are (N_o / |o|) g_i / u_i^2.
+    With mu_o the multiplier of orbit o's unit sum, the Hessian is
+    -sum_i [lam n_i / u_i^2 + (1 - lam) mu_o g_i / u_i^2] a_i a_i',
+    where a_i = dy_i / dtheta.  A free orbit's normalizer makes
+    mu_o = R_o / W_o, with R_o = sum_o n_i / u_i and W_o = sum_o dg/dy; a
+    pinned orbit's is the multiplier of its unit-sum row, ``unit_mu``, when
+    the last step had one.  The information weights are (N_o / |o|) g_i / u_i^2.
+    Given a basis ``tangent`` of the directions that keep the edge rows, the
+    Hessian need only be definite on those.
     """
     lam, orbits, oid = space.lam, space.orbits, space.orbits.orbit_id
     zero = np.zeros_like(pt.g)
     wu = np.divide(pt.w, pt.u, out=zero.copy(), where=pt.g > 0)
     nu = np.divide(nvec, pt.u, out=zero.copy(), where=has_count)
     nu2 = np.divide(nu, pt.u, out=zero.copy(), where=has_count)
-    hessian = lam * nu2 + (1.0 - lam) * (orbits.sum(nu) / orbits.sum(pt.w))[oid] * wu
+    W = orbits.sum(pt.w)  # 0 in a pinned orbit with no free cell
+    mu = np.divide(orbits.sum(nu), W, out=np.zeros_like(W), where=W > 0)
+    if unit_mu is not None:
+        mu = np.where(np.isnan(unit_mu), mu, unit_mu)
+    hessian = lam * nu2 + (1.0 - lam) * mu[oid] * wu
     fisher = (orbit_counts / orbits.size)[oid] * wu
     for mode, weight in (("newton", hessian), ("fisher", fisher)):
         B = a.T @ (weight[:, None] * a)
         if not np.all(np.isfinite(B)):
             continue
         try:
-            np.linalg.cholesky(B)
+            np.linalg.cholesky(B if tangent is None or mode == "fisher" else tangent.T @ B @ tangent)
         except np.linalg.LinAlgError:
             continue
         return B, mode
@@ -484,18 +483,23 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts):
 def _constrained_step(B, score, C, r, pinv=False):
     """(d, multipliers) maximizing score'd - d'Bd/2 subject to C d = r.
 
-    The rows of held cells can be linearly dependent (two cells with one
-    design row, say), so with constraints (or a singular B) the least-norm
-    solution is used; it splits the multiplier of a repeated row evenly.  The
-    right side must then lie in the range of the system.
+    With independent rows and a definite B the system is nonsingular and is
+    solved exactly, however ill-conditioned.  The rows of held cells can be
+    linearly dependent (two cells with one design row, say), so otherwise
+    the least-norm solution is used; it splits the multiplier of a repeated
+    row evenly and meets rows that contradict each other in least squares.
+    The score must then lie in the range of the system.
     """
     d, m = len(score), len(r)
     if not (m or pinv):
         return np.linalg.solve(B, score), np.zeros(0)
     K = np.block([[B, C.T], [C, np.zeros((m, m))]])
     rhs = np.concatenate([score, r])
+    if not pinv and np.linalg.matrix_rank(C) == m:
+        sol = np.linalg.solve(K, rhs)
+        return sol[:d], -sol[d:]
     sol = np.linalg.lstsq(K, rhs, rcond=1e-12)[0]
-    if np.max(np.abs(K @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+    if np.max(np.abs((K @ sol - rhs)[:d])) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
         raise np.linalg.LinAlgError("score outside the range of the information")
     return sol[:d], -sol[d:]
 
@@ -506,18 +510,60 @@ def _link_score(space, pt, nvec, has_count):
     return a, a.T @ np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
 
 
-def _link_start(space, ratio: np.ndarray, ff: FFunction) -> LinkPoint | None:
-    """The point whose link values fit F(ratio) best in least squares, if feasible."""
-    if not np.all(ratio > 0):
-        return None
-    with np.errstate(over="ignore"):
-        theta = space.theta_of(ff.F(ratio))
+def _link_start(space, ratio: np.ndarray, shrink: int = 0) -> LinkPoint | None:
+    """The point whose link values fit F(ratio) best in least squares, if
+    feasible, else the first feasible one of ``shrink`` halvings toward 0."""
+    # F(0) = -1/lam for lam > 0; a zero share gives no start for lam <= 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        theta = space.theta_of(link(ratio, space.lam))
     if not np.all(np.isfinite(theta)):
         return None
-    try:
-        return space.evaluate(theta)
-    except InfeasibleParameterError:
-        return None
+    for k in range(shrink + 1):
+        try:
+            return space.evaluate(theta * 0.5**k)
+        except InfeasibleParameterError:
+            pass
+    return None
+
+
+def _edge_rows(space, pt, a, active):
+    """(C, r, owner, releasable): the edge constraints C d = r of the cells
+    ``active`` holds, linearized at ``pt``.
+
+    Held-cell model: one row y_i = -1/lam per held cell, owned by that cell.
+    Pinned orbits: one row per orbit for its unit sum over the free cells,
+    sum_o g - |o| <= 0 (gradient sum_j w_j (x_j - x_p)), and one row tying
+    each other held cell to the pin; the orbit owns them all, and only the
+    unit-sum row's multiplier can release it.  ``a`` may be None for r alone.
+    """
+    if not active.any():
+        return None if a is None else a[:0], np.zeros(0), np.zeros(0, np.intp), np.zeros(0, bool)
+    edge = -1.0 / space.lam
+    if not space.pins:
+        cells = np.flatnonzero(active)
+        C = None if a is None else a[cells]
+        return C, edge - pt.y[cells], cells, np.ones(len(cells), dtype=bool)
+    orbits, oid = space.orbits, space.orbits.orbit_id
+    orbs = np.flatnonzero(orbits.sum(active) > 0)
+    ties = np.flatnonzero(active & (np.arange(len(oid)) != pt.pin[oid]))
+    r = np.concatenate([(orbits.sum(pt.g) - orbits.size)[orbs], edge - pt.y[ties]])
+    C = None
+    if a is not None:
+        C = np.concatenate([-orbits.sum_rows(pt.w[:, None] * a)[orbs], a[ties]])
+    releasable = np.arange(len(r)) < len(orbs)
+    return C, r, np.concatenate([orbs, oid[ties]]), releasable
+
+
+def _null_space(C):
+    """Orthonormal basis of the directions d with C d = 0."""
+    _, sv, vt = np.linalg.svd(C)
+    return vt[np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)):].T
+
+
+def _reach(dy, u, lam):
+    """Fraction of a step that carries cells with slope dy from u to the edge."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dy < 0, u / (-lam * dy), np.inf)
 
 
 def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
@@ -526,75 +572,88 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
     Damped Newton (Fisher scoring where the Hessian is indefinite) with a
     backtracking line search that stays in the F^{-1} domain.  For a lam > 0
     link, a zero-count cell whose share reaches 0 is held on the domain edge
-    as an active constraint, and released when its multiplier turns negative.
-    Converged when the projected score is below ``tol`` and every held cell
-    is within ``tol_edge`` of the edge.
+    as an active constraint (``_edge_rows``; for lam > 1 it pins its orbit),
+    and released when its multiplier turns negative.  Converged when the
+    projected score is below ``tol`` and every edge row is met within
+    ``tol_edge``.
     """
     lam, n = space.lam, float(nvec.sum())
     has_count = nvec > 0
     holdable = ~has_count & (lam > 0)
-    edge = -1.0 / lam if lam > 0 else 0.0
-    held = pt.held
-    a, score = _link_score(space, pt, nvec, has_count)
-    ll = _link_loglik(nvec, has_count, pt)
+    # The cell or orbit that a released row frees.
+    owner_of = space.orbits.orbit_id if space.pins else np.arange(len(nvec))
+    unit_mu = np.full(len(orbit_counts), np.nan) if space.pins else None
     trace: list[tuple] = []
-    for it in range(max_iter + 1):
+
+    def merit_at(q, nu):
+        ll_q = _link_loglik(nvec, has_count, q)
+        if not q.held.any():
+            return ll_q, -ll_q
+        return ll_q, -ll_q + nu * float(np.sum(np.abs(_edge_rows(space, q, None, q.held)[1])))
+
+    def plan(pt, it, a, score):
+        """The constrained Newton step at pt, after releasing held cells."""
         if not np.all(np.isfinite(score)):
             raise FitError(f"non-finite score at iteration {it}", trace)
-        if not held.any() and float(np.max(np.abs(score))) <= tol:
-            trace.append((it, ll, float(np.max(np.abs(score))), 0.0, "stationary"))
-            break
-        active = held.copy()
+        active = pt.held.copy()
         try:
-            B, mode = _theta_information(space, pt, a, nvec, has_count, orbit_counts)
-            C, r = a[held], edge - pt.y[held]
-            step, mu = _constrained_step(B, score, C, r, mode == "fisher-pinv")
+            C, r, owner, releasable = _edge_rows(space, pt, a, active)
+            B, mode = _theta_information(
+                space, pt, a, nvec, has_count, orbit_counts, unit_mu,
+                _null_space(C) if space.pins else None,
+            )
+            pinv = mode == "fisher-pinv"
+            step, mu = _constrained_step(B, score, C, r, pinv)
             kkt = float(np.max(np.abs(score + C.T @ mu)))
             resid = float(np.max(np.abs(r), initial=0.0))
-            # Release held cells with clearly negative multipliers, one at a
-            # time, while the freed cell then moves off the edge; a cell that
-            # the other held cells pin to it stays held.
-            while mu.size and mu.min() < -1e-6 * (1.0 + n):
-                cell = np.flatnonzero(active)[np.argmin(mu)]
-                trial = active.copy()
-                trial[cell] = False
-                r_trial = edge - pt.y[trial]
-                freed, freed_mu = _constrained_step(
-                    B, score, a[trial], r_trial, mode == "fisher-pinv"
-                )
-                if a[cell] @ freed <= 1e-9 * np.linalg.norm(a[cell]) * np.linalg.norm(freed):
+            # Release held cells with clearly negative multipliers, one row at
+            # a time, while the freed cells then move off the edge; a cell
+            # that the other held cells pin to it stays held.
+            while True:
+                # an orbit whose free cells hold more than |o| has no free normalizer
+                want = np.where(releasable & ((r <= 0) | ~space.pins), mu, np.inf)
+                if not np.any(want < -1e-6 * (1.0 + n)):
                     break
-                active, step, mu, r = trial, freed, freed_mu, r_trial
+                k = int(np.argmin(want))
+                trial = active & (owner_of != owner[k])
+                rows = _edge_rows(space, pt, a, trial)
+                freed, freed_mu = _constrained_step(B, score, rows[0], rows[1], pinv)
+                if C[k] @ freed <= 1e-9 * np.linalg.norm(C[k]) * np.linalg.norm(freed):
+                    break
+                active, step, mu = trial, freed, freed_mu
+                C, r, owner, releasable = rows
         except np.linalg.LinAlgError as exc:
             raise FitError(
                 f"singular information matrix at iteration {it}: {exc}", trace
             ) from exc
-        trace.append((it, ll, kkt, resid, mode))
-        if kkt <= tol and resid <= tol_edge and np.array_equal(active, held):
-            break
-        if it == max_iter:
-            raise FitError(
-                f"no convergence within {max_iter} iterations; "
-                f"final score norm {kkt:.3e}",
-                trace,
-            )
+        return dict(
+            a=a, B=B, mode=mode, active=active, r=r, owner=owner,
+            releasable=releasable, step=step, mu=mu, kkt=kkt, resid=resid,
+        )
 
+    def line_search(pt, p, ll0, r0, it):
+        """(point, loglik) of a backtracking search along p's step from pt,
+        judged against a point with log likelihood ll0 and edge rows r0."""
+        a, B, active, r, mu, step = p["a"], p["B"], p["active"], p["r"], p["mu"], p["step"]
         # Exact-penalty merit; its slope along the step is negative.  A step
         # whose predicted gain is below 1e-9 in G2 units is taken in full: the
         # merit cannot resolve it from rounding.
         nu = 2.0 * float(np.max(np.abs(mu), initial=0.0)) + 1.0
-        merit0 = -ll + nu * float(np.sum(np.abs(r)))
+        merit0 = -ll0 + nu * float(np.sum(np.abs(r0)))
         quad = float(step @ B @ step)
         slope = min(-quad + float(mu @ r) - nu * float(np.sum(np.abs(r))), 0.0)
-        slack = math.inf if quad < 1e-9 else 1e-13 * (1.0 + abs(merit0))
-        # A free zero-count cell that the step would carry over the edge
-        # blocks it there and is held from then on.
+        slack = math.inf if abs(quad) < 1e-9 else 1e-13 * (1.0 + abs(merit0))
+        # A free zero-count cell that the step would carry over the edge of
+        # a pinned orbit (or, for lam <= 1, of any orbit) blocks it there and
+        # is held from then on.  A free lam > 1 orbit's normalizer keeps its
+        # cells off the edge, and its y is too far from linear to land one.
         t, blockers = 1.0, np.zeros(0, dtype=np.intp)
         free_zero = np.flatnonzero(holdable & ~active)
+        if space.pins:
+            pinned = np.zeros(len(orbit_counts), dtype=bool) if pt.pin is None else pt.pin >= 0
+            free_zero = free_zero[pinned[space.orbits.orbit_id[free_zero]]]
         if free_zero.size:
-            dy = a[free_zero] @ step
-            with np.errstate(divide="ignore"):
-                reach = np.where(dy < 0, pt.u[free_zero] / (-lam * dy), np.inf)
+            reach = _reach(a[free_zero] @ step, pt.u[free_zero], lam)
             if reach.min() < 1.0:
                 t = float(reach.min())
                 blockers = free_zero[reach <= t * (1.0 + 1e-9)]
@@ -606,28 +665,81 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
                 hold[blockers] = True
             try:
                 new = space.evaluate(pt.theta + t * step, hold, pt.gamma, holdable)
+                if space.pins and np.any(new.held & ~hold):
+                    grabbed = np.zeros(len(orbit_counts), dtype=bool)
+                    grabbed[space.orbits.orbit_id[new.held & ~hold]] = True
+                    excess = (space.orbits.sum(new.g) - space.orbits.size)[grabbed]
+                    if np.any(excess > PIN_EXCESS):
+                        raise InfeasibleParameterError("a pin leaves its orbit far over |o|")
             except InfeasibleParameterError:
                 infeasible += 1
                 t *= 0.5
                 continue
-            ll_new = _link_loglik(nvec, has_count, new)
-            merit = -ll_new + nu * float(np.sum(np.abs(edge - new.y[new.held])))
+            ll_new, merit = merit_at(new, nu)
             if merit <= merit0 + 1e-4 * t * slope + slack:
-                break
+                return new, ll_new
             t *= 0.5
-        else:
-            reason = (
-                "an orbit normalizer is infeasible at every trial step"
-                if infeasible == 60
-                else "no trial step improves the likelihood"
-            )
+        reason = (
+            "an orbit normalizer is infeasible at every trial step"
+            if infeasible == 60
+            else "no trial step improves the likelihood"
+        )
+        raise FitError(
+            f"line search failed at iteration {it}: {reason}; "
+            f"score norm {p['kkt']:.3e}",
+            trace,
+        )
+
+    ll = _link_loglik(nvec, has_count, pt)
+    for it in range(max_iter + 1):
+        a, score = _link_score(space, pt, nvec, has_count)
+        if not pt.held.any() and np.all(np.abs(score) <= tol):
+            trace.append((it, ll, float(np.max(np.abs(score))), 0.0, "stationary"))
+            break
+        p = plan(pt, it, a, score)
+        trace.append((it, ll, p["kkt"], p["resid"], p["mode"]))
+        if p["kkt"] <= tol and p["resid"] <= tol_edge and np.array_equal(p["active"], pt.held):
+            break
+        if it == max_iter:
             raise FitError(
-                f"line search failed at iteration {it}: {reason}; "
-                f"score norm {kkt:.3e}",
+                f"no convergence within {max_iter} iterations; "
+                f"final score norm {p['kkt']:.3e}",
                 trace,
             )
-        pt, ll, held = new, ll_new, new.held
-        a, score = _link_score(space, pt, nvec, has_count)
+        moved = None
+        free_zero = np.flatnonzero(holdable & ~p["active"]) if space.pins else ()
+        if len(free_zero):
+            # Near a lam > 1 edge dg/dy blows up, so the free normalizer holds
+            # a zero cell's y in place and a Newton step only shrinks its
+            # distance u by a constant factor.  A cell that the step takes
+            # more than half way there, or the lowest zero cell of an orbit
+            # that the step would carry past the edge, is pinned where it
+            # stands instead, and the pinned orbit's step is taken if it
+            # improves on the unpinned point.
+            hold = pt.held.copy()
+            hold[free_zero[_reach(p["a"][free_zero] @ p["step"], pt.u[free_zero], lam) < 2.0]] = True
+            try:
+                space.evaluate(pt.theta + p["step"], p["active"], pt.gamma)
+            except InfeasibleParameterError as exc:
+                if exc.orbits is not None:
+                    z = np.where(holdable & ~p["active"], space.X @ pt.theta, np.inf)
+                    low = space.orbits.min(z)
+                    hit = exc.orbits & np.isfinite(low)
+                    hold |= (z == low[space.orbits.orbit_id]) & hit[space.orbits.orbit_id]
+            if np.any(hold & ~pt.held):
+                try:
+                    alt = space.evaluate(pt.theta, hold, pt.gamma)
+                    alt_plan = plan(alt, it, *_link_score(space, alt, nvec, has_count))
+                    moved = line_search(alt, alt_plan, ll, p["r"], it)
+                    p = alt_plan
+                except (InfeasibleParameterError, FitError):
+                    moved = None
+        if moved is None:
+            moved = line_search(pt, p, ll, p["r"], it)
+        if unit_mu is not None:
+            unit_mu[:] = np.nan
+            unit_mu[p["owner"][p["releasable"]]] = p["mu"][p["releasable"]]
+        pt, ll = moved
 
     return pt, ll, it
 
@@ -647,11 +759,13 @@ def fit_link(
     the observed orbit proportions and only theta is iterated, to a projected
     score below SCORE_TOL * (1 + n), with every cell held on the F^{-1} edge
     within tol_constraint of it.  Links with 0 <= lam <= 1 make the second
-    sum concave.  Steeper negative links can have several maxima (random
-    sparse tables show them at lam = -1.1 and -1.5, never at lam = -1,
-    Hellinger's -1/2 or -1/4), so links with lam < -1 are climbed from three
-    starts, keeping the best.  Links with lam > 1 are not covered: their
-    edge is not modelled by the held cells (see ``fit_model``).
+    sum concave.  Steeper links can have several maxima (random sparse
+    tables show them at lam = -1.1 and -1.5, never at lam = -1, Hellinger's
+    -1/2 or -1/4; and at lam = 1.5, 2 and 3, where the edge's infinite dg/dy
+    makes every zero cell on it a corner), so links with |lam| > 1 are
+    climbed from several starts, keeping the best: the smoothed table (its
+    theta halved toward 0 until feasible), the fit of the nearest link with
+    one maximum (KL, and for lam > 1 also Pearson), and theta = 0.
     """
     shape = counts.shape
     space = link_space(shape, spec.family, spec.ff)
@@ -664,24 +778,26 @@ def fit_link(
 
     # theta = 0 is the symmetric fit; a table it already fits takes no step.
     # Otherwise start near the saturated fit, as the constrained fitter does;
-    # a link with several maxima also starts from the KL fit and theta = 0.
+    # a link with several maxima also starts from its anchors' fits and theta = 0.
     zero = np.zeros(space.X.shape[1])
     starts = []
     if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
         p = counts.smoothed_proportions().probs
         ratio = p * space.orbits.size_of_cell / orbit_sums(shape, p)
-        starts.append(_link_start(space, ratio, spec.ff))
-        if space.lam < -1.0:
-            kl = FFunction(KL)
-            kl_space = link_space(shape, spec.family, kl)
-            kl_start = _link_start(kl_space, ratio, kl)
-            try:
-                if kl_start is None:
-                    kl_start = kl_space.evaluate(zero)
-                kl_pt = climb(kl_space, kl_start)[0]
-                starts.append(_link_start(space, kl_pt.g, spec.ff))
-            except FitError:
-                pass
+        several = abs(space.lam) > 1.0
+        starts.append(_link_start(space, ratio, 4 * several))
+        if several:
+            # the nearest links with one maximum
+            for anchor in [FFunction(KL)] + [FFunction(PEARSON)] * (space.lam > 1.0):
+                anchor_space = link_space(shape, spec.family, anchor)
+                anchor_start = _link_start(anchor_space, ratio)
+                try:
+                    if anchor_start is None:
+                        anchor_start = anchor_space.evaluate(zero)
+                    anchor_pt = climb(anchor_space, anchor_start)[0]
+                    starts.append(_link_start(space, anchor_pt.g, 4))
+                except FitError:
+                    pass
             starts.append(space.evaluate(zero))
     starts = [pt for pt in starts if pt is not None] or [space.evaluate(zero)]
     best, error = None, None
@@ -697,9 +813,16 @@ def fit_link(
         raise error
     pt, _, iterations = best
 
-    lam = space.lam
-    resid = float(np.max(np.abs(-1.0 / lam - pt.y[pt.held]), initial=0.0)) if lam > 0 else 0.0
-    mhat = (orbit_counts / space.orbits.size)[space.orbits.orbit_id] * pt.g
+    orbits = space.orbits
+    resid = 0.0
+    if pt.held.any():
+        resid = float(np.max(np.abs(_edge_rows(space, pt, None, pt.held)[1])))
+    # a pinned orbit meets its unit sum to within tol_constraint; close it
+    g = pt.g
+    if pt.pin is not None:
+        scale = np.divide(orbits.size, orbits.sum(g), out=np.ones_like(orbits.size), where=pt.pin >= 0)
+        g = g * scale[orbits.orbit_id]
+    mhat = (orbit_counts / orbits.size)[orbits.orbit_id] * g
     theta_prime = np.concatenate([pt.theta, pt.gamma])
     return _finish(
         spec, counts, ProbTable(shape, mhat / mhat.sum()), theta_prime,
@@ -731,7 +854,9 @@ def fit_model(
     tol_constraint: float = 1e-9,
     tol_loglik: float = 1e-10,
 ) -> FitResult:
-    """Dispatch a family to its fit: closed form, theta-space link fit, or constrained fit.
+    """Dispatch a family to its fit: closed form, theta-space link fit for
+    gs/els/ls under every f-function, or constrained fit for the moment
+    families.
 
     Every family takes the same keywords.  ``max_iter`` caps the iterations
     of every fit and ``tol_constraint`` its constraint residual (for a link
@@ -749,14 +874,7 @@ def fit_model(
     )
     if spec.family not in design.ASYMMETRY_FAMILIES:
         return fit_hlp(counts, moment_constraint(shape, spec.family), **constrained)
-    if spec.ff.link_lam <= 1.0:
-        return fit_link(counts, spec, df=df, max_iter=max_iter, tol_constraint=tol_constraint)
-    # On the edge of a lam > 1 link dg/dy is infinite, so a zero cell there
-    # pins its orbit's normalizer instead of leaving it, which fit_link's held
-    # cells do not model; the constrained fit covers these links.
-    fit = fit_hlp(counts, linkform_constraint(shape, spec.family, spec.ff), **constrained)
-    fit.theta_prime = _theta_prime(shape, spec, fit.pihat)
-    return fit
+    return fit_link(counts, spec, df=df, max_iter=max_iter, tol_constraint=tol_constraint)
 
 
 def g2(counts: CountTable, mhat: np.ndarray) -> float:

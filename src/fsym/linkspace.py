@@ -13,9 +13,18 @@ them, vectorized over the orbits.  With u = 1 + lam y and g = F^{-1}(y):
 
     dg/dy = g / u,    d2g/dy2 = (1 - lam) g / u^2.
 
-For lam > 0 the domain y > -1/lam has a finite edge at which g = 0.  A cell
-can be *held* there: its share is exactly 0, it adds nothing to its orbit's
-normalizer, and its dg/dy is the edge limit (1 for Pearson, 0 for lam < 1).
+For lam > 0 the domain y > -1/lam has a finite edge at which g = 0, and a
+zero-count cell can be *held* there with its share exactly 0.  How a held
+cell enters the orbit's normalizer depends on dg/dy = u^(1/lam - 1) at the
+edge:
+
+* lam <= 1: dg/dy is finite (1 for Pearson, 0 below), so a held cell simply
+  leaves the normalizer; gamma_o still solves the unit sum over the other
+  cells, and the held cell's y = -1/lam is a constraint on theta.
+* lam > 1: dg/dy is infinite, so the cell *pins* its orbit instead: gamma_o
+  = -1/lam - z_p for the held cell p with the lowest z, every other held
+  cell q of the orbit is tied to it (y_q = -1/lam), and the unit sum over
+  the orbit's free cells becomes a constraint on theta (``pins``).
 
 The orbit type, ``Orbits``, lives in ``tables`` and is re-exported here.
 """
@@ -120,6 +129,7 @@ class LinkPoint:
     u: np.ndarray
     w: np.ndarray  # dg/dy
     held: np.ndarray
+    pin: np.ndarray | None  # per orbit, the held cell that fixes gamma_o, or -1
 
 
 class LinkSpace:
@@ -129,6 +139,7 @@ class LinkSpace:
         self.orbits = orbit_structure(shape)
         self.X = np.ascontiguousarray(X)
         self.lam = ff.link_lam
+        self.pins = self.lam > 1.0  # held cells pin their orbit's normalizer
 
     @cached_property
     def centered(self) -> np.ndarray:
@@ -150,26 +161,41 @@ class LinkSpace:
         Where an orbit's normalizer has no root because its lowest free cell
         would cross the edge, that cell is held instead if ``holdable`` allows.
         """
-        oid = self.orbits.orbit_id
-        held = np.zeros(len(oid), dtype=bool) if held is None else held.copy()
+        orbits, n_cells = self.orbits, len(self.orbits.orbit_id)
+        oid = orbits.orbit_id
+        held = np.zeros(n_cells, dtype=bool) if held is None else held.copy()
         z = self.X @ theta
         while True:
-            free = ~held if held.any() else None
+            pinned = None
+            if self.pins and held.any():
+                pinned = orbits.sum(held) > 0
+                # a pinned orbit's normalizer is not solved: all-zero z gives 0
+                zs, free = np.where(pinned[oid], 0.0, z), None
+            else:
+                zs, free = z, (~held if held.any() else None)
             try:
-                gamma = normalizers(z, self.orbits, self.lam, free, start)
+                gamma = normalizers(zs, orbits, self.lam, free, start)
                 break
             except InfeasibleParameterError as exc:
                 if holdable is None or exc.orbits is None:
                     raise
                 for o in np.flatnonzero(exc.orbits):
-                    cells = self.orbits.members[o]
+                    cells = orbits.members[o]
                     cells = cells[~held[cells]]
                     low = cells[np.argmin(z[cells])]
                     if not holdable[low]:
                         raise
                     held[low] = True
+        pin = None
+        if pinned is not None:
+            lowest = orbits.min(np.where(held, z, np.inf))
+            at_pin = held & (z == lowest[oid])
+            pin = np.where(pinned, orbits.min(np.where(at_pin, np.arange(n_cells), n_cells)), -1)
+            gamma = np.where(pinned, -1.0 / self.lam - lowest, gamma)
         y = z + gamma[oid]
         g, u = inverse_link(y, self.lam)
+        if pinned is not None and np.any(~held & pinned[oid] & ~(u > 0)):
+            raise InfeasibleParameterError("a free cell of a pinned orbit crosses the edge")
         g = np.where(held, 0.0, g)
         if not np.all(np.isfinite(g)):
             raise InfeasibleParameterError("link values overflow")
@@ -177,16 +203,24 @@ class LinkSpace:
             w = np.ones_like(g)
         else:
             w = np.divide(g, u, out=np.zeros_like(g), where=g > 0)
-        return LinkPoint(theta, gamma, y, g, u, w, held)
+        return LinkPoint(theta, gamma, y, g, u, w, held, pin)
 
     def slopes(self, pt: LinkPoint) -> np.ndarray:
-        """dy/dtheta: each X row minus its orbit's dg/dy-weighted mean row.
+        """dy/dtheta: each X row minus its orbit's reference row.
 
-        Implicit differentiation of the normalizer equations eliminates gamma.
+        In a free orbit that is the dg/dy-weighted mean row: implicit
+        differentiation of the normalizer equations eliminates gamma.  In a
+        pinned orbit it is the pin's row.
         """
         w = pt.w
-        mean = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
-        return self.X - mean[self.orbits.orbit_id]
+        if pt.pin is None:
+            ref = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
+        else:
+            pinned = pt.pin >= 0
+            with np.errstate(invalid="ignore", divide="ignore"):  # no free w
+                ref = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
+            ref[pinned] = self.X[pt.pin[pinned]]
+        return self.X - ref[self.orbits.orbit_id]
 
 
 @lru_cache(maxsize=64)

@@ -81,6 +81,17 @@ class TestFit:
         thetas = {tuple(row["cell"]): row["theta"] for row in doc["potential"]}
         assert thetas[(1, 1, 3)] == pytest.approx(0.0161, abs=5e-4)
 
+    def test_json_of_a_steep_power_link(self, capsys, anes_path):
+        docs = {}
+        for f in ("kl", "power:2"):
+            assert main(["fit", "--input", anes_path, "--model", "gs", "--f", f, "--json"]) == 0
+            docs[f] = json.loads(capsys.readouterr().out)
+        doc = docs["power:2"]
+        assert len(doc["theta_prime"]) == len(docs["kl"]["theta_prime"])
+        assert np.all(np.isfinite(doc["theta_prime"]))
+        assert len(doc["potential"]) == 27
+        assert len(doc["discrepancies"]) == len(docs["kl"]["discrepancies"])
+
     def test_json_with_an_empty_orbit(self, tmp_path, capsys):
         table = anes_party_id()
         empty = orbit_structure(table.shape).members[1]

@@ -21,6 +21,7 @@ from fsym.projection import ProjectionSpec, iproject
 from fsym.tables import CountTable, TableShape, orbit_structure, orbit_sums
 
 LINKS = [kl(), pearson(), hellinger(), power(0.5), power(-1.5)]
+STEEP_LINKS = [power(1.5), power(2.0), power(3.0)]
 FAMILIES = ("gs", "els", "ls")
 
 
@@ -76,6 +77,22 @@ class TestNormalizers:
         assert err.value.orbits.tolist() == [False, True]
 
 
+def assert_model_point(counts, fit):
+    """The fit is a point of its model: observed orbit masses, zero shares
+    only on empty cells, and link values in the design span (F(0) = -1/lam
+    on held cells)."""
+    shape, ff = counts.shape, fit.spec.ff
+    observed = orbit_sums(shape, counts.counts) / counts.n
+    assert np.max(np.abs(orbit_sums(shape, fit.pihat.probs) - observed)) < 1e-12
+    ratio, live = within_orbit(fit)
+    link = np.full_like(ratio, -1.0 / ff.link_lam if ff.link_lam > 0 else 0.0)
+    pos = ratio > 0
+    link[pos] = ff.F(ratio[pos])
+    assert np.all(pos[live] | (counts.counts[live] == 0))
+    X = design_matrix(shape, fit.spec.family).X
+    assert np.max(np.abs((X @ fit.theta_prime - link)[live])) < 1e-8
+
+
 class TestOracleSweep:
     """The theta-space MLE against fit_hlp on the link-form constraint."""
 
@@ -84,22 +101,12 @@ class TestOracleSweep:
     )
     def test_engine_matches_or_beats_kkt(self, counts):
         shape = counts.shape
-        observed = orbit_sums(shape, counts.counts) / counts.n
         agreed = 0
         for family in FAMILIES:
-            X = design_matrix(shape, family).X
             for ff in LINKS:
                 ours = fit_model(counts, ModelSpec(family, ff))
                 oracle = fit_hlp(counts, linkform_constraint(shape, family, ff))
-                # our fit is a point of the model: observed orbit masses, and
-                # link values in the design span (F(0) = -1/lam on held cells)
-                assert np.max(np.abs(orbit_sums(shape, ours.pihat.probs) - observed)) < 1e-12
-                ratio, live = within_orbit(ours)
-                link = np.full_like(ratio, -1.0 / ff.link_lam if ff.link_lam > 0 else 0.0)
-                pos = ratio > 0
-                link[pos] = ff.F(ratio[pos])
-                assert np.all(pos[live] | (counts.counts[live] == 0))
-                assert np.max(np.abs((X @ ours.theta_prime - link)[live])) < 1e-8
+                assert_model_point(counts, ours)
                 # never worse than the oracle, and equal wherever the oracle
                 # stays off the F^-1 edge (where it stalls short of the MLE)
                 assert ours.g2 <= oracle.g2 + 1e-6
@@ -108,6 +115,19 @@ class TestOracleSweep:
                     assert ours.g2 == pytest.approx(oracle.g2, abs=1e-6)
                     agreed += 1
         assert agreed >= 10
+
+    @pytest.mark.parametrize(
+        "counts", sweep_tables(), ids=lambda c: f"{c.shape.r}^{c.shape.T}-n{c.n:g}"
+    )
+    def test_steep_links_match_or_beat_kkt(self, counts):
+        # lam > 1 links have several maxima, and either fit may stop at a
+        # lower one: the engine's may be higher than the oracle's, never lower
+        for family in FAMILIES:
+            for ff in STEEP_LINKS:
+                ours = fit_model(counts, ModelSpec(family, ff))
+                oracle = fit_hlp(counts, linkform_constraint(counts.shape, family, ff))
+                assert_model_point(counts, ours)
+                assert ours.g2 <= oracle.g2 + 1e-6
 
 
 class TestLinkFit:
@@ -139,13 +159,20 @@ class TestLinkFit:
             assert np.all(fit.pihat.probs[struct.members[1]] == 0)
             assert np.all(np.isfinite(fit.theta_prime))
 
-    def test_steep_power_links_take_the_constrained_route(self):
+    def test_steep_power_links_fit_in_theta_space(self):
         table = anes_party_id()
-        ff = power(2.0)
-        fit = fit_model(table, ModelSpec("gs", ff))
-        oracle = fit_hlp(table, linkform_constraint(table.shape, "gs", ff))
-        assert fit.g2 == oracle.g2
-        assert len(fitting.potential_params(fit)) == 27
+        for family in FAMILIES:
+            for ff in STEEP_LINKS:
+                fit = fit_model(table, ModelSpec(family, ff))
+                oracle = fit_hlp(table, linkform_constraint(table.shape, family, ff))
+                assert fit.g2 <= oracle.g2 + 1e-6
+                if (family, ff.link_lam) == ("gs", 2.0):
+                    assert fit.iterations <= 10
+                # held cells at exactly 0, and on the edge: X theta' = -1/lam
+                held = fit.pihat.probs == 0
+                assert np.all(table.counts[held] == 0) and (family != "gs" or held.any())
+                assert_model_point(table, fit)
+                assert len(fitting.potential_params(fit)) == 27
 
     @pytest.mark.parametrize("ff", [kl(), power(2.0)], ids=lambda f: f.name)
     def test_both_link_routes_take_the_constrained_fit_keywords(self, ff):
@@ -199,7 +226,7 @@ def test_link_fits_and_projection_are_warning_clean():
         warnings.simplefilter("error")
         for table in (sparse, anes_party_id()):
             for family in FAMILIES:
-                for ff in LINKS:
+                for ff in LINKS + [power(2.0)]:
                     fit_model(table, ModelSpec(family, ff))
         target = anes_party_id().smoothed_proportions()
         for ff in LINKS:
