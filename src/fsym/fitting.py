@@ -38,7 +38,7 @@ from .moments import (
     constraint_vector as moment_vector,
 )
 from .chi2 import chi2_sf
-from .divergences import FFunction, KL, PEARSON, link
+from .divergences import FFunction, KL, link
 from .linkspace import InfeasibleParameterError, LinkPoint, link_space
 from .tables import (
     CountTable,
@@ -58,6 +58,9 @@ FAMILIES = (SYMMETRY,) + design.ASYMMETRY_FAMILIES + MOMENT_FAMILIES
 # A theta-space link fit stops once its projected score is below
 # SCORE_TOL * (1 + n).
 SCORE_TOL = 1e-10
+# A lam > 1 fit pins a free orbit's lowest zero cell once a step moves it
+# toward the edge from a distance u = 1 + lam y below PIN_U.
+PIN_U = 1e-3
 # A lam > 1 trial point may pin the lowest cell of an orbit whose normalizer
 # has no root only while the orbit's free cells then hold at most |o| plus
 # this much; further over, the pinned rows cannot be met and the point is
@@ -480,15 +483,16 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tan
     return B, "fisher-pinv"
 
 
-def _constrained_step(B, score, C, r, pinv=False):
+def _constrained_step(B, score, C, r, pinv=False, rows_lsq=False):
     """(d, multipliers) maximizing score'd - d'Bd/2 subject to C d = r.
 
     With independent rows and a definite B the system is nonsingular and is
     solved exactly, however ill-conditioned.  The rows of held cells can be
     linearly dependent (two cells with one design row, say), so otherwise
     the least-norm solution is used; it splits the multiplier of a repeated
-    row evenly and meets rows that contradict each other in least squares.
-    The score must then lie in the range of the system.
+    row evenly.  The right side must then lie in the range of the system;
+    with ``rows_lsq`` only the score must, and rows that contradict each
+    other are met in least squares.
     """
     d, m = len(score), len(r)
     if not (m or pinv):
@@ -499,7 +503,8 @@ def _constrained_step(B, score, C, r, pinv=False):
         sol = np.linalg.solve(K, rhs)
         return sol[:d], -sol[d:]
     sol = np.linalg.lstsq(K, rhs, rcond=1e-12)[0]
-    if np.max(np.abs((K @ sol - rhs)[:d])) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+    resid = (K @ sol - rhs)[: d if rows_lsq else None]
+    if np.max(np.abs(resid)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
         raise np.linalg.LinAlgError("score outside the range of the information")
     return sol[:d], -sol[d:]
 
@@ -603,7 +608,7 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
                 _null_space(C) if space.pins else None,
             )
             pinv = mode == "fisher-pinv"
-            step, mu = _constrained_step(B, score, C, r, pinv)
+            step, mu = _constrained_step(B, score, C, r, pinv, space.pins)
             kkt = float(np.max(np.abs(score + C.T @ mu)))
             resid = float(np.max(np.abs(r), initial=0.0))
             # Release held cells with clearly negative multipliers, one row at
@@ -617,7 +622,7 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
                 k = int(np.argmin(want))
                 trial = active & (owner_of != owner[k])
                 rows = _edge_rows(space, pt, a, trial)
-                freed, freed_mu = _constrained_step(B, score, rows[0], rows[1], pinv)
+                freed, freed_mu = _constrained_step(B, score, rows[0], rows[1], pinv, space.pins)
                 if C[k] @ freed <= 1e-9 * np.linalg.norm(C[k]) * np.linalg.norm(freed):
                     break
                 active, step, mu = trial, freed, freed_mu
@@ -712,20 +717,19 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
             # Near a lam > 1 edge dg/dy blows up, so the free normalizer holds
             # a zero cell's y in place and a Newton step only shrinks its
             # distance u by a constant factor.  A cell that the step takes
-            # more than half way there, or the lowest zero cell of an orbit
-            # that the step would carry past the edge, is pinned where it
-            # stands instead, and the pinned orbit's step is taken if it
-            # improves on the unpinned point.
+            # more than half way there, or a free orbit's lowest zero cell
+            # that the step moves toward the edge from within PIN_U of it,
+            # is pinned where it stands instead, and the pinned orbit's step
+            # is taken if it improves on the unpinned point.
+            dy = p["a"][free_zero] @ p["step"]
             hold = pt.held.copy()
-            hold[free_zero[_reach(p["a"][free_zero] @ p["step"], pt.u[free_zero], lam) < 2.0]] = True
-            try:
-                space.evaluate(pt.theta + p["step"], p["active"], pt.gamma)
-            except InfeasibleParameterError as exc:
-                if exc.orbits is not None:
-                    z = np.where(holdable & ~p["active"], space.X @ pt.theta, np.inf)
-                    low = space.orbits.min(z)
-                    hit = exc.orbits & np.isfinite(low)
-                    hold |= (z == low[space.orbits.orbit_id]) & hit[space.orbits.orbit_id]
+            hold[free_zero[_reach(dy, pt.u[free_zero], lam) < 2.0]] = True
+            approach = (dy < 0) & (pt.u[free_zero] < PIN_U)
+            if pt.pin is not None:
+                approach &= pt.pin[space.orbits.orbit_id[free_zero]] < 0
+            near = np.full(len(nvec), np.inf)
+            near[free_zero[approach]] = pt.y[free_zero[approach]]
+            hold |= np.isfinite(near) & (near == space.orbits.min(near)[space.orbits.orbit_id])
             if np.any(hold & ~pt.held):
                 try:
                     alt = space.evaluate(pt.theta, hold, pt.gamma)
@@ -763,9 +767,10 @@ def fit_link(
     tables show them at lam = -1.1 and -1.5, never at lam = -1, Hellinger's
     -1/2 or -1/4; and at lam = 1.5, 2 and 3, where the edge's infinite dg/dy
     makes every zero cell on it a corner), so links with |lam| > 1 are
-    climbed from several starts, keeping the best: the smoothed table (its
-    theta halved toward 0 until feasible), the fit of the nearest link with
-    one maximum (KL, and for lam > 1 also Pearson), and theta = 0.
+    climbed from several starts, keeping the best: the smoothed table (for
+    lam > 1 its theta halved toward 0 until feasible), theta = 0, for
+    lam < -1 the KL fit, and for lam > 1 the fit of the table plus t in
+    every cell, followed from t = 0.5 down to 0.02.
     """
     shape = counts.shape
     space = link_space(shape, spec.family, spec.ff)
@@ -773,32 +778,44 @@ def fit_link(
     orbit_counts = space.orbits.sum(nvec)
     tol = SCORE_TOL * (1.0 + n)
 
-    def climb(link, start):
-        return _link_ascent(link, start, nvec, orbit_counts, max_iter, tol, tol_constraint)
+    def climb(link, start, nvec=nvec):
+        tol = SCORE_TOL * (1.0 + nvec.sum())
+        return _link_ascent(link, start, nvec, link.orbits.sum(nvec), max_iter, tol, tol_constraint)
 
     # theta = 0 is the symmetric fit; a table it already fits takes no step.
     # Otherwise start near the saturated fit, as the constrained fitter does;
-    # a link with several maxima also starts from its anchors' fits and theta = 0.
+    # a link with several maxima also starts from theta = 0 and a nearby fit.
     zero = np.zeros(space.X.shape[1])
     starts = []
     if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
         p = counts.smoothed_proportions().probs
         ratio = p * space.orbits.size_of_cell / orbit_sums(shape, p)
-        several = abs(space.lam) > 1.0
-        starts.append(_link_start(space, ratio, 4 * several))
-        if several:
-            # the nearest links with one maximum
-            for anchor in [FFunction(KL)] + [FFunction(PEARSON)] * (space.lam > 1.0):
-                anchor_space = link_space(shape, spec.family, anchor)
-                anchor_start = _link_start(anchor_space, ratio)
-                try:
-                    if anchor_start is None:
-                        anchor_start = anchor_space.evaluate(zero)
-                    anchor_pt = climb(anchor_space, anchor_start)[0]
-                    starts.append(_link_start(space, anchor_pt.g, 4))
-                except FitError:
-                    pass
+        # a lam > 1 start halves theta toward 0 until feasible
+        starts.append(_link_start(space, ratio, 4 * (space.lam > 1.0)))
+        if space.lam < -1.0:
+            kl = FFunction(KL)
+            kl_space = link_space(shape, spec.family, kl)
+            kl_start = _link_start(kl_space, ratio)
+            try:
+                if kl_start is None:
+                    kl_start = kl_space.evaluate(zero)
+                kl_pt = climb(kl_space, kl_start)[0]
+                starts.append(_link_start(space, kl_pt.g))
+            except FitError:
+                pass
+        if abs(space.lam) > 1.0:
             starts.append(space.evaluate(zero))
+        if space.lam > 1.0:
+            # The fit of the table plus t in every cell has no cell on the
+            # edge; followed as t shrinks, it leads into the basin that the
+            # zero cells approach from the inside.
+            try:
+                pt = space.evaluate(zero)
+                for t in (0.5, 0.1, 0.02):
+                    pt = climb(space, pt, nvec + t)[0]
+                starts.append(pt)
+            except FitError:
+                pass
     starts = [pt for pt in starts if pt is not None] or [space.evaluate(zero)]
     best, error = None, None
     for start in starts:

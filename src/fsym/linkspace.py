@@ -213,12 +213,10 @@ class LinkSpace:
         pinned orbit it is the pin's row.
         """
         w = pt.w
-        if pt.pin is None:
+        with np.errstate(invalid="ignore", divide="ignore"):  # a pinned orbit may have no free w
             ref = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
-        else:
+        if pt.pin is not None:
             pinned = pt.pin >= 0
-            with np.errstate(invalid="ignore", divide="ignore"):  # no free w
-                ref = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
             ref[pinned] = self.X[pt.pin[pinned]]
         return self.X - ref[self.orbits.orbit_id]
 

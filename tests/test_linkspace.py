@@ -37,6 +37,21 @@ def sweep_tables():
     return tables
 
 
+def restart_table(seed, r, T, n, concentration):
+    """One table of the restart sweep (``scripts/restart_sweep.py``): its
+    draws replayed from ``default_rng(seed)`` in the sweep's order."""
+    rng = np.random.default_rng(seed)
+    for rr, TT in ((2, 3), (3, 3), (4, 3), (3, 4)):
+        shape = TableShape(rr, TT)
+        for nn in (60, 500):
+            for c in (1.0, 0.3):
+                probs = rng.dirichlet(np.full(shape.n_cells, c))
+                counts = rng.multinomial(nn, probs)
+                if (rr, TT, nn, c) == (r, T, n, concentration):
+                    return CountTable(shape, counts)
+    raise ValueError("not a table of the restart sweep")
+
+
 def within_orbit(fit):
     """(|o| pi_i / S_o per cell, mask of cells in orbits with positive mass)."""
     shape = fit.shape
@@ -120,14 +135,39 @@ class TestOracleSweep:
         "counts", sweep_tables(), ids=lambda c: f"{c.shape.r}^{c.shape.T}-n{c.n:g}"
     )
     def test_steep_links_match_or_beat_kkt(self, counts):
-        # lam > 1 links have several maxima, and either fit may stop at a
-        # lower one: the engine's may be higher than the oracle's, never lower
+        # lam > 1 links have several likelihood maxima, and either fit may
+        # stop at a lower one: the engine's G2 may be below the oracle's,
+        # never above it
         for family in FAMILIES:
             for ff in STEEP_LINKS:
                 ours = fit_model(counts, ModelSpec(family, ff))
                 oracle = fit_hlp(counts, linkform_constraint(counts.shape, family, ff))
                 assert_model_point(counts, ours)
                 assert ours.g2 <= oracle.g2 + 1e-6
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # (seed, r, T, n, concentration, family)
+            (4, 3, 3, 60, 0.3, "gs"),
+            (6, 4, 3, 500, 0.3, "gs"),
+            (8, 3, 4, 60, 0.3, "ls"),
+            (2, 3, 4, 60, 1.0, "gs"),
+            (3, 4, 3, 60, 1.0, "els"),
+            (5, 3, 4, 500, 0.3, "els"),
+        ],
+        ids=lambda c: "{5}-s{0}-{1}^{2}-n{3}-c{4:g}".format(*c),
+    )
+    def test_steep_link_regressions(self, case):
+        # sparse restart-sweep tables on which a power(2) climb easily ends
+        # in FitError or at a lower likelihood maximum than the oracle's
+        *table, family = case
+        counts = restart_table(*table)
+        ff = power(2.0)
+        ours = fit_model(counts, ModelSpec(family, ff))
+        oracle = fit_hlp(counts, linkform_constraint(counts.shape, family, ff))
+        assert_model_point(counts, ours)
+        assert ours.g2 <= oracle.g2 + 1e-6
 
 
 class TestLinkFit:
