@@ -4,13 +4,15 @@
 Tables: for seed s in 1..8, ``rng = default_rng(s)`` draws, for the shapes
 2^3, 3^3, 4^3 and 3^4, for n in (60, 500) and Dirichlet concentration in
 (1, 0.3), one table ``rng.multinomial(n, rng.dirichlet(full(N, c)))``.
-Models: me/ve/ce/me2 and gs/els/ls[power(2)].  Each model is fitted by
-``fit_model``; the link models are also fitted by the KKT oracle,
-``fit_hlp(linkform_constraint(...))``.
+Models: me/ve/ce/me2 and gs/els/ls under power(2) and Hellinger.  Each model
+is fitted by ``fit_model``; the link models are also fitted by the KKT
+oracle, ``fit_hlp(linkform_constraint(...))``.
 
 Prints one JSON line per fit, with ``g2``/``iterations`` or ``error`` for
-each fitter (``oracle_*`` for the oracle), then a summary line on stderr.
-A shape a family cannot take (gs/els at r = 2) is skipped.
+each fitter (``oracle_*`` for the oracle), then on stderr one summary line
+per link (and one for the moment models): the FitError count, the oracle's,
+and the fits above the oracle's G2.  A shape a family cannot take (gs/els at
+r = 2) is skipped.
 
 Usage: python scripts/restart_sweep.py > sweep.jsonl
 """
@@ -20,14 +22,14 @@ import sys
 
 import numpy as np
 
-from fsym import ModelSpec, fit_model, power
+from fsym import ModelSpec, fit_model, hellinger, power
 from fsym.fitting import FitError, fit_hlp, linkform_constraint
 from fsym.tables import CountTable, TableShape
 
 SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
 MOMENT_MODELS = ("me", "ve", "ce", "me2")
 LINK_FAMILIES = ("gs", "els", "ls")
-LINK = power(2.0)
+LINKS = (power(2.0), hellinger())
 
 
 def tables():
@@ -51,30 +53,35 @@ def attempt(fit, prefix=""):
 
 
 def main():
-    errors = oracle_errors = above = 0
+    # [FitError, oracle FitError, fits above the oracle's G2] per link
+    tally = {"moment": [0, 0, 0]} | {ff.name: [0, 0, 0] for ff in LINKS}
     for key, counts in tables():
         specs = [ModelSpec(m) for m in MOMENT_MODELS]
-        specs += [ModelSpec(f, LINK) for f in LINK_FAMILIES]
+        specs += [ModelSpec(f, ff) for ff in LINKS for f in LINK_FAMILIES]
         for spec in specs:
             row = dict(key, model=spec.label)
             try:
                 row.update(attempt(lambda: fit_model(counts, spec)))
             except ValueError:
                 continue  # the family has no free parameters at this shape
+            counter = tally["moment" if spec.ff is None else spec.ff.name]
+            counter[0] += "error" in row
             if spec.ff is not None:
                 oracle = linkform_constraint(counts.shape, spec.family, spec.ff)
                 row.update(attempt(lambda: fit_hlp(counts, oracle), "oracle_"))
-                oracle_errors += "oracle_error" in row
-                above += "g2" in row and "oracle_g2" in row and (
+                counter[1] += "oracle_error" in row
+                counter[2] += "g2" in row and "oracle_g2" in row and (
                     row["g2"] > row["oracle_g2"] + 1e-6
                 )
-            errors += "error" in row
             print(json.dumps(row), flush=True)
-    print(
-        f"FitError: {errors} (oracle {oracle_errors}); "
-        f"link fits above the oracle's G2 by more than 1e-6: {above}",
-        file=sys.stderr,
-    )
+    for name, (errors, oracle_errors, above) in tally.items():
+        line = f"{name}: FitError {errors}"
+        if name != "moment":
+            line += (
+                f" (oracle {oracle_errors}); "
+                f"fits above the oracle's G2 by more than 1e-6: {above}"
+            )
+        print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

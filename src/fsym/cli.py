@@ -20,6 +20,8 @@ from . import design as design_mod
 from .datasets import load_table_document
 from .divergences import parse_f
 from .fitting import (
+    FAMILIES,
+    MAX_ITER,
     FitError,
     FitResult,
     ModelSpec,
@@ -35,8 +37,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BAD_MODEL = 4
-
-MODEL_NAMES = ("s", "gs", "els", "ls", "me2", "me", "ve", "ce")
 
 
 class CliError(Exception):
@@ -70,9 +70,9 @@ def _read_table(path: str, scores: str | None) -> CountTable:
 
 def _model_spec(model: str, f_name: str | None) -> ModelSpec:
     model = model.lower()
-    if model not in MODEL_NAMES:
+    if model not in FAMILIES:
         raise CliError(
-            f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})",
+            f"unknown model {model!r} (choose from {', '.join(FAMILIES)})",
             EXIT_BAD_MODEL,
         )
     ff = None
@@ -216,8 +216,6 @@ def cmd_simulate(args) -> int:
     overrides = {}
     if args.reps is not None:
         overrides["n_reps"] = args.reps
-    if args.full_scale:
-        overrides["n_reps"] = 10_000
     if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
@@ -291,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit one model to a table document")
     p_fit.add_argument("--input", required=True, help="JSON table document")
-    p_fit.add_argument("--model", required=True, help="s, gs, els, ls, me2, me, ve, ce")
+    p_fit.add_argument("--model", required=True, help=", ".join(FAMILIES))
     p_fit.add_argument("--f", help="kl, pearson, hellinger, or power:LAMBDA")
     p_fit.add_argument("--scores", help="comma-separated category scores")
-    p_fit.add_argument("--max-iter", type=int, default=200)
+    p_fit.add_argument("--max-iter", type=int, default=MAX_ITER)
     p_fit.add_argument("--json", action="store_true", help="machine-readable report")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -302,14 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--f", help="f-function for the asymmetry component")
     p_dec.add_argument("--scores", help="comma-separated category scores")
-    p_dec.add_argument("--max-iter", type=int, default=200)
+    p_dec.add_argument("--max-iter", type=int, default=MAX_ITER)
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
 
     p_sim = sub.add_parser("simulate", help="empirical power study from a JSON config")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--reps", type=int, help="override replicate count")
-    p_sim.add_argument("--full-scale", action="store_true", help="10,000 replicates")
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", help="write results to FILE (.json or .csv)")

@@ -15,7 +15,8 @@ cell log scales (pi = softmax(xi)), which keeps every iterate strictly
 positive and the unit-sum exact, and takes damped Newton steps on the
 Lagrangian stationarity system with the multinomial information as
 curvature.  ``linkform_constraint`` states the link families in the same
-form; no fit uses it, and it is the independent oracle for ``fit_link``.
+form: no fit uses it, its gs form is the Wald decomposition's h1, and it is
+the independent oracle for ``fit_link``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ from .wald import f_jacobian
 
 SYMMETRY = "s"
 FAMILIES = (SYMMETRY,) + design.ASYMMETRY_FAMILIES + MOMENT_FAMILIES
+
+MAX_ITER = 200
+TOL_CONSTRAINT = 1e-9
+TOL_LOGLIK = 1e-10
 
 # A theta-space link fit stops once its projected score is below
 # SCORE_TOL * (1 + n).
@@ -179,7 +184,8 @@ def _link_curvature(
 
 
 def linkform_constraint(shape: TableShape, family: str, ff: FFunction) -> Constraint:
-    """U' F(pi / pi_sym) = 0 for the requested asymmetry family."""
+    """U' F(pi / pi_sym) = 0 for the requested asymmetry family: for gs the
+    h1 of ``wald.decompose``, and for every family the oracle of ``fit_link``."""
     ds = design.design_matrix(shape, family)
     struct = orbit_structure(shape)
     U = ds.U
@@ -377,18 +383,16 @@ def fit_hlp(
     constraint: Constraint,
     *,
     spec: ModelSpec | None = None,
-    df: int | None = None,
-    max_iter: int = 200,
-    tol_constraint: float = 1e-9,
-    tol_loglik: float = 1e-10,
+    max_iter: int = MAX_ITER,
+    tol_constraint: float = TOL_CONSTRAINT,
+    tol_loglik: float = TOL_LOGLIK,
 ) -> FitResult:
-    """Maximum likelihood under h(pi) = 0 for a smooth constraint h."""
+    """Maximum likelihood under a smooth constraint h(pi) = 0, on constraint.dim df."""
     shape = counts.shape
     nvec = counts.counts
-    n = counts.n
     if constraint.dim == 0:
         pihat = counts.proportions()
-        return _finish(spec, counts, pihat, None, df or 0, True, 0, 0.0)
+        return _finish(spec, counts, pihat, None, constraint.dim, 0, 0.0)
 
     start = np.log(counts.smoothed_proportions().probs)
     attempts = (start, np.zeros(shape.n_cells))
@@ -400,10 +404,7 @@ def fit_hlp(
         last_trace = trace
         if ok:
             pihat = ProbTable(shape, _softmax(xi))
-            return _finish(
-                spec, counts, pihat, None,
-                constraint.dim if df is None else df, True, iters, resid,
-            )
+            return _finish(spec, counts, pihat, None, constraint.dim, iters, resid)
     raise FitError(
         f"no convergence within {max_iter} iterations (after uniform restart); "
         f"final constraint residual {resid:.3e}",
@@ -411,7 +412,7 @@ def fit_hlp(
     )
 
 
-def _finish(spec, counts, pihat, theta_prime, df, converged, iterations, resid, mhat=None):
+def _finish(spec, counts, pihat, theta_prime, df, iterations, resid, mhat=None):
     if mhat is None:
         mhat = counts.n * pihat.probs
     stat = g2(counts, mhat)
@@ -424,7 +425,7 @@ def _finish(spec, counts, pihat, theta_prime, df, converged, iterations, resid, 
         g2=stat,
         df=df,
         pvalue=pvalue(stat, df),
-        converged=converged,
+        converged=True,  # a fit that does not converge raises FitError
         iterations=iterations,
         constraint_residual=resid,
     )
@@ -496,7 +497,10 @@ def _constrained_step(B, score, C, r, pinv=False, rows_lsq=False):
     """
     d, m = len(score), len(r)
     if not (m or pinv):
-        return np.linalg.solve(B, score), np.zeros(0)
+        try:
+            return np.linalg.solve(B, score), np.zeros(0)
+        except np.linalg.LinAlgError:
+            pinv = True  # singular to rounding although B passed its Cholesky test
     K = np.block([[B, C.T], [C, np.zeros((m, m))]])
     rhs = np.concatenate([score, r])
     if not pinv and np.linalg.matrix_rank(C) == m:
@@ -515,15 +519,15 @@ def _link_score(space, pt, nvec, has_count):
     return a, a.T @ np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
 
 
-def _link_start(space, ratio: np.ndarray, shrink: int = 0) -> LinkPoint | None:
-    """The point whose link values fit F(ratio) best in least squares, if
-    feasible, else the first feasible one of ``shrink`` halvings toward 0."""
+def _link_start(space, ratio: np.ndarray) -> LinkPoint | None:
+    """The point whose link values fit F(ratio) best in least squares, if feasible,
+    else for lam > 1 the first feasible one of 4 halvings toward 0."""
     # F(0) = -1/lam for lam > 0; a zero share gives no start for lam <= 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         theta = space.theta_of(link(ratio, space.lam))
     if not np.all(np.isfinite(theta)):
         return None
-    for k in range(shrink + 1):
+    for k in range(4 * (space.lam > 1.0) + 1):
         try:
             return space.evaluate(theta * 0.5**k)
         except InfeasibleParameterError:
@@ -751,10 +755,8 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
 def fit_link(
     counts: CountTable,
     spec: ModelSpec,
-    *,
-    df: int | None = None,
-    max_iter: int = 200,
-    tol_constraint: float = 1e-9,
+    max_iter: int,
+    tol_constraint: float,
 ) -> FitResult:
     """Maximum likelihood of a gs/els/ls model in its own parameters theta.
 
@@ -790,8 +792,7 @@ def fit_link(
     if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
         p = counts.smoothed_proportions().probs
         ratio = p * space.orbits.size_of_cell / orbit_sums(shape, p)
-        # a lam > 1 start halves theta toward 0 until feasible
-        starts.append(_link_start(space, ratio, 4 * (space.lam > 1.0)))
+        starts.append(_link_start(space, ratio))
         if space.lam < -1.0:
             kl = FFunction(KL)
             kl_space = link_space(shape, spec.family, kl)
@@ -843,8 +844,7 @@ def fit_link(
     theta_prime = np.concatenate([pt.theta, pt.gamma])
     return _finish(
         spec, counts, ProbTable(shape, mhat / mhat.sum()), theta_prime,
-        degrees_of_freedom(spec.family, shape) if df is None else df,
-        True, iterations, resid, mhat=mhat,
+        degrees_of_freedom(spec.family, shape), iterations, resid, mhat=mhat,
     )
 
 
@@ -859,7 +859,7 @@ def fit_symmetry(counts: CountTable) -> FitResult:
     mhat = orbit_sums(shape, counts.counts) / orbit_structure(shape).size_of_cell
     return _finish(
         ModelSpec(SYMMETRY), counts, ProbTable(shape, mhat / counts.n), None,
-        degrees_of_freedom(SYMMETRY, shape), True, 0, 0.0, mhat=mhat,
+        degrees_of_freedom(SYMMETRY, shape), 0, 0.0, mhat=mhat,
     )
 
 
@@ -867,9 +867,9 @@ def fit_model(
     counts: CountTable,
     spec: ModelSpec,
     *,
-    max_iter: int = 200,
-    tol_constraint: float = 1e-9,
-    tol_loglik: float = 1e-10,
+    max_iter: int = MAX_ITER,
+    tol_constraint: float = TOL_CONSTRAINT,
+    tol_loglik: float = TOL_LOGLIK,
 ) -> FitResult:
     """Dispatch a family to its fit: closed form, theta-space link fit for
     gs/els/ls under every f-function, or constrained fit for the moment
@@ -883,15 +883,12 @@ def fit_model(
     """
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
-    shape = counts.shape
-    df = degrees_of_freedom(spec.family, shape)
-    constrained = dict(
-        spec=spec, df=df, max_iter=max_iter,
-        tol_constraint=tol_constraint, tol_loglik=tol_loglik,
-    )
     if spec.family not in design.ASYMMETRY_FAMILIES:
-        return fit_hlp(counts, moment_constraint(shape, spec.family), **constrained)
-    return fit_link(counts, spec, df=df, max_iter=max_iter, tol_constraint=tol_constraint)
+        return fit_hlp(
+            counts, moment_constraint(counts.shape, spec.family), spec=spec,
+            max_iter=max_iter, tol_constraint=tol_constraint, tol_loglik=tol_loglik,
+        )
+    return fit_link(counts, spec, max_iter, tol_constraint)
 
 
 def g2(counts: CountTable, mhat: np.ndarray) -> float:

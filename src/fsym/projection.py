@@ -28,12 +28,17 @@ class ProjectionError(RuntimeError):
         self.trace = trace or []
 
 
+TOL = 1e-11
+MAX_ITER = 500
+
+
 @dataclass(frozen=True)
 class ProjectionSpec:
+    """Project ``target`` under ``ff`` to moment residuals below TOL = 1e-11
+    within MAX_ITER = 500 Newton steps."""
+
     target: ProbTable
     ff: FFunction
-    tol: float = 1e-11
-    max_iter: int = 500
 
     def __post_init__(self):
         if not self.target.is_interior:
@@ -93,10 +98,10 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
     pt = space.evaluate(np.zeros(len(M)))
     pi = q * pt.g
     resid = M @ pi - target_mom
-    for it in range(spec.max_iter):
+    for it in range(MAX_ITER):
         rmax = float(np.max(np.abs(resid), initial=0.0))
         trace.append((it, rmax))
-        if rmax < spec.tol:
+        if rmax < TOL:
             return ProbTable(shape, pi / pi.sum())
         # dpi/dtheta = q dg/dy dy/dtheta, normalizers eliminated
         J = M @ ((q * pt.w)[:, None] * space.slopes(pt))
@@ -124,7 +129,7 @@ def iproject(spec: ProjectionSpec) -> ProbTable:
             )
         pt, pi, resid = pt_new, pi_new, resid_new
     raise ProjectionError(
-        f"no convergence in {spec.max_iter} iterations "
+        f"no convergence in {MAX_ITER} iterations "
         f"(residual {float(np.max(np.abs(resid))):.3e})",
         trace,
     )

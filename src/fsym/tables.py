@@ -100,11 +100,11 @@ class CountTable:
     def proportions(self) -> "ProbTable":
         return ProbTable(self.shape, self.counts / self.n)
 
-    def smoothed_proportions(self, add: float = 0.5) -> "ProbTable":
-        """Additively smoothed proportions; interior even with sampling zeros."""
+    def smoothed_proportions(self) -> "ProbTable":
+        """Proportions plus 1/2 in every cell; interior even with sampling zeros."""
         return ProbTable(
             self.shape,
-            (self.counts + add) / (self.n + add * self.shape.n_cells),
+            (self.counts + 0.5) / (self.n + 0.5 * self.shape.n_cells),
         )
 
 

@@ -1,8 +1,9 @@
 """Wald statistics, analytic link Jacobians, and the symmetry decomposition report.
 
-The three hypotheses are the link-form asymmetry constraints (h1), the joint
-second-moment equalities (h2 = M pi), and their stack (h3), whose Wald
-statistics add exactly at any evaluation point where h1 Sigma h2' vanishes.
+The three hypotheses are the gs link-form asymmetry constraints (h1, stated
+once by ``fitting.linkform_constraint``), the joint second-moment equalities
+(h2 = M pi), and their stack (h3), whose Wald statistics add exactly at any
+evaluation point where h1 Sigma h2' vanishes.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
     from . import fitting  # deferred to avoid an import cycle
 
     shape = counts.shape
-    ds = design.design_matrix(shape, design.GS)
     M = design.moment_matrix(shape)
 
     p_obs = counts.proportions()
@@ -127,10 +127,9 @@ def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
     else:
         p_eval, point = counts.smoothed_proportions(), "smoothed"
 
-    struct = orbit_structure(shape)
-    pi_s = orbit_sums(shape, p_eval.probs) / struct.size_of_cell
-    h1 = ds.U.T @ np.asarray(ff.F(p_eval.probs / pi_s))
-    H1 = ds.U.T @ f_jacobian(p_eval, ff)
+    linkform = fitting.linkform_constraint(shape, design.GS, ff)
+    h1 = linkform.fun(p_eval.probs)
+    H1 = linkform.jac(p_eval.probs)
     h2 = M @ p_eval.probs
     H2 = M
     h3 = np.concatenate([h1, h2])
@@ -144,7 +143,7 @@ def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
     sym = symmetric_average(p_obs)
     if not sym.is_interior:
         sym = symmetric_average(counts.smoothed_proportions())
-    H1_sym = ds.U.T @ f_jacobian(sym, ff)
+    H1_sym = linkform.jac(sym.probs)
     ortho = float(np.max(np.abs(H1_sym @ sigma(sym) @ M.T)))
 
     report = WaldReport(
@@ -154,12 +153,12 @@ def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
         w_gs=w1,
         w_me2=w2,
         w_s=w3,
-        df_gs=ds.d1,
+        df_gs=linkform.dim,
         df_me2=M.shape[0],
-        df_s=ds.d1 + M.shape[0],
-        p_gs=chi2_sf(w1, ds.d1),
+        df_s=linkform.dim + M.shape[0],
+        p_gs=chi2_sf(w1, linkform.dim),
         p_me2=chi2_sf(w2, M.shape[0]),
-        p_s=chi2_sf(w3, ds.d1 + M.shape[0]),
+        p_s=chi2_sf(w3, linkform.dim + M.shape[0]),
         additivity_gap=abs(w3 - w1 - w2),
         orthogonality_residual=ortho,
         evaluation_point=point,

@@ -71,6 +71,9 @@ def test_criterion_1_goodness_of_fit_table():
     G2 = 31.545 (confirmed by an independent SQP optimizer), which prints as
     31.5 rather than the published 31.6; the assertion below keeps the
     published target and therefore documents the discrepancy when it fails.
+    The MLE gives the sampling zero at cell 6 = (1, 3, 1) the mass 0.000679;
+    the fit on the observed support, with all three sampling zeros kept at 0,
+    has G2 = 31.578 and prints as the published 31.6.
     """
     t0 = time.time()
     table = anes_party_id()

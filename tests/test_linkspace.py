@@ -20,6 +20,8 @@ from fsym.linkspace import (
 from fsym.projection import ProjectionSpec, iproject
 from fsym.tables import CountTable, TableShape, orbit_structure, orbit_sums
 
+from conftest import restart_table
+
 LINKS = [kl(), pearson(), hellinger(), power(0.5), power(-1.5)]
 STEEP_LINKS = [power(1.5), power(2.0), power(3.0)]
 FAMILIES = ("gs", "els", "ls")
@@ -35,21 +37,6 @@ def sweep_tables():
             probs = rng.dirichlet(np.ones(shape.n_cells))
             tables.append(CountTable(shape, rng.multinomial(n, probs)))
     return tables
-
-
-def restart_table(seed, r, T, n, concentration):
-    """One table of the restart sweep (``scripts/restart_sweep.py``): its
-    draws replayed from ``default_rng(seed)`` in the sweep's order."""
-    rng = np.random.default_rng(seed)
-    for rr, TT in ((2, 3), (3, 3), (4, 3), (3, 4)):
-        shape = TableShape(rr, TT)
-        for nn in (60, 500):
-            for c in (1.0, 0.3):
-                probs = rng.dirichlet(np.full(shape.n_cells, c))
-                counts = rng.multinomial(nn, probs)
-                if (rr, TT, nn, c) == (r, T, n, concentration):
-                    return CountTable(shape, counts)
-    raise ValueError("not a table of the restart sweep")
 
 
 def within_orbit(fit):
@@ -234,6 +221,25 @@ class TestLinkFit:
         monkeypatch.setattr(fitting, "_theta_information", singular)
         with pytest.raises(FitError, match="singular information matrix at iteration 0"):
             fit_model(anes_party_id(), ModelSpec("gs", kl()))
+
+    @pytest.mark.parametrize("ff", [hellinger(), power(-1.0), power(-1.1)], ids=lambda f: f.name)
+    def test_numerically_singular_information_is_solved(self, ff):
+        # On this restart-sweep table an information matrix that passed its
+        # Cholesky test is singular to np.linalg.solve late in the climb.
+        # The fit drives zero-count shares to 1e-6 or below, where the link
+        # values reach 1e5 to 1e6, so the model-point checks of
+        # assert_model_point are made relative to their size here.
+        counts = restart_table(7, 3, 3, 60, 0.3)
+        fit = fit_model(counts, ModelSpec("gs", ff))
+        assert fit.converged
+        shape = counts.shape
+        observed = orbit_sums(shape, counts.counts) / counts.n
+        assert np.max(np.abs(orbit_sums(shape, fit.pihat.probs) - observed)) < 1e-10
+        ratio, live = within_orbit(fit)
+        assert np.all(ratio[live] > 0)
+        link = np.asarray(ff.F(ratio[live]))
+        X = design_matrix(shape, "gs").X
+        assert np.max(np.abs((X @ fit.theta_prime)[live] - link) / (1.0 + np.abs(link))) < 1e-9
 
     def test_infeasible_line_search_is_named(self, monkeypatch):
         evaluate = LinkSpace.evaluate
