@@ -6,17 +6,21 @@ the orbit masses S_o are the observed orbit proportions and the within-orbit
 shares c_i come from the link-space engine (``linkspace``), so only theta is
 iterated (``fit_link``).
 
-The moment families me/ve/ce/me2 are fitted by maximizing the multinomial log
-likelihood subject to smooth constraints h(pi) = 0 (``fit_hlp``).  Their
-constraints are functions h(pi) = c(F' pi) of a few moment coordinates
-(``moments``), so the Jacobian grad c' F' and the curvature F (hess c) F' come
-from derivatives in k = T + T(T+1)/2 dimensions.  The iteration works on
-cell log scales (pi = softmax(xi)), which keeps every iterate strictly
-positive and the unit-sum exact, and takes damped Newton steps on the
-Lagrangian stationarity system with the multinomial information as
-curvature.  ``linkform_constraint`` states the link families in the same
-form: no fit uses it, its gs form is the Wald decomposition's h1, and it is
-the independent oracle for ``fit_link``.
+The moment families me/ve/ce/me2 constrain a few moment coordinates,
+c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
+the tilted multinomial (``tilted``, ``fit_moment``): pi_i = n_i / s_i on the
+observed cells, with the slack s_i affine in the cell's row of F, and a
+zero-count cell at exactly 0 unless its slack is 0.  me and me2 are linear
+and take one convex dual solve in at most k + 1 = T + T(T+1)/2 + 1 unknowns;
+ve and ce take sequential quadratic programming on the profile of that
+dual.  Every step is O(N k^2); no N x N array is built.
+
+``fit_hlp`` maximizes the likelihood under any smooth constraint h(pi) = 0
+by damped Newton steps on the Lagrangian stationarity system in cell log
+scales (pi = softmax(xi)), with dense (N + d)-square systems.  No fit uses
+it: on ``moment_constraint`` and ``linkform_constraint`` it is the
+independent oracle of the moment and link fits, and the gs form of
+``linkform_constraint`` is the Wald decomposition's h1.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import design
+from . import design, tilted
 from .moments import (
     CE,
     ME,
@@ -224,7 +228,7 @@ def moment_constraint(shape: TableShape, model: str) -> Constraint:
 
 
 # --------------------------------------------------------------------------
-# Generic constrained Newton fitter
+# Generic constrained Newton fitter: the KKT oracle of the moment and link fits
 # --------------------------------------------------------------------------
 
 
@@ -848,6 +852,29 @@ def fit_link(
     )
 
 
+def fit_moment(
+    counts: CountTable,
+    spec: ModelSpec,
+    max_iter: int,
+    tol_constraint: float,
+    tol_loglik: float,
+) -> FitResult:
+    """Maximum likelihood of a moment family through its tilted-multinomial
+    dual (``tilted``): one dual solve for me/me2, a profile SQP for ve/ce."""
+    try:
+        probs, steps = tilted.fit(
+            counts, spec.family, max_iter=max_iter,
+            tol_constraint=tol_constraint, tol_loglik=tol_loglik,
+        )
+    except tilted.CertificateError as exc:
+        raise FitError(str(exc), exc.trace) from exc
+    pihat = ProbTable(counts.shape, probs)
+    resid = float(np.max(np.abs(moment_vector(spec.family, pihat))))
+    return _finish(
+        spec, counts, pihat, None, degrees_of_freedom(spec.family, counts.shape), steps, resid
+    )
+
+
 # --------------------------------------------------------------------------
 # Family-level fitting
 # --------------------------------------------------------------------------
@@ -872,22 +899,21 @@ def fit_model(
     tol_loglik: float = TOL_LOGLIK,
 ) -> FitResult:
     """Dispatch a family to its fit: closed form, theta-space link fit for
-    gs/els/ls under every f-function, or constrained fit for the moment
+    gs/els/ls under every f-function, or tilted-dual fit for the moment
     families.
 
     Every family takes the same keywords.  ``max_iter`` caps the iterations
-    of every fit and ``tol_constraint`` its constraint residual (for a link
-    fit, the distance of held cells from the F^{-1} edge); ``tol_loglik``
-    is the constrained fits' relative log-likelihood change, which a link
-    fit replaces by its score test (``SCORE_TOL``).
+    of every fit (a moment fit's dual Newton or SQP steps) and
+    ``tol_constraint`` its constraint residual (for me/me2, the dual KKT
+    residual; for a link fit, the distance of held cells from the F^{-1}
+    edge); ``tol_loglik`` is a moment fit's relative log-likelihood change
+    over its last step, which a link fit replaces by its score test
+    (``SCORE_TOL``).
     """
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
-    if spec.family not in design.ASYMMETRY_FAMILIES:
-        return fit_hlp(
-            counts, moment_constraint(counts.shape, spec.family), spec=spec,
-            max_iter=max_iter, tol_constraint=tol_constraint, tol_loglik=tol_loglik,
-        )
+    if spec.family in MOMENT_FAMILIES:
+        return fit_moment(counts, spec, max_iter, tol_constraint, tol_loglik)
     return fit_link(counts, spec, max_iter, tol_constraint)
 
 

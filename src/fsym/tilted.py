@@ -1,0 +1,515 @@
+"""The moment families fitted through the tilted multinomial, a small convex dual.
+
+Maximizing sum_i n_i log pi_i subject to G' pi = b, 1' pi = 1 and pi >= 0 is
+the empirical-likelihood problem (Owen, *Empirical Likelihood*, 2001, ch. 3;
+Qin and Lawless, 1994, *Ann. Statist.*).  Its dual has d + 1 unknowns
+v = (nu, lam).  With the slack s_i = nu + lam'(g_i - b) of cell i, the fitted
+table is the tilted one, pi_i = n_i / s_i, on the observed cells, and v
+minimizes the convex
+
+    phi(v) = nu - sum_i n_i log s_i        (observed cells)
+
+subject to s_j >= 0 on every zero-count cell.  A zero-count cell has mass
+only where its slack is exactly 0; the mass is that row's multiplier.  At the
+solution nu = n.  ``TiltedDual.solve`` takes damped Newton steps on phi,
+O(N d^2) each, with an active set of zero cells held at slack 0, and returns
+only a certified point (``Tilt``).  It stores v as w = (nu - lam'b, lam), so
+that the slacks, and with them a warm start, do not depend on b.
+
+The moment families use it in two ways (``fit``):
+
+* me and me2 are linear, A m = 0 in the moment coordinates m = F' pi, so the
+  fit is one solve with G = F A' and b = 0;
+* ve and ce maximize the profile l*(m) = max {loglik : F' pi = m}, one
+  solve with G = F and b = m, subject to c(m) = 0, by sequential quadratic
+  programming in the moment coordinates (``_profile_fit``).  The gradient
+  of l* is lam and its Hessian follows from the dual stationarity by
+  implicit differentiation.  Where the observed and held rows do not span,
+  l* has a kink, and the step either keeps to the face on which l* is
+  smooth or goes to the table of largest likelihood on the linearized
+  constraints, one solve with G = F J'.  With two categories ve is a union
+  of linear models instead (``_two_category_ve``).
+
+No step builds an N x N array: the largest is N x (d + 1), with d <= k.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from . import design
+from .moments import ME, ME2, VE, DegenerateMarginalError, _constraint_jet
+from .tables import CountTable, TableShape, _read_only
+
+# A held cell whose mass falls below -MASS_TOL is released.
+MASS_TOL = 1e-12
+# An inactive zero cell's slack must be at least -SLACK_TOL * n.
+SLACK_TOL = 1e-10
+# Relative singular-value cut for the rank of rows and of the observed rows.
+RANK_TOL = 1e-10
+# The subproblems of the ve/ce fits stop at this dual KKT residual.
+INNER_TOL = 1e-12
+# A ve/ce fit is stationary once its lam is within STATIONARITY_TOL * (1 + n)
+# of the span of the constraint gradients.
+STATIONARITY_TOL = 1e-9
+
+
+class CertificateError(RuntimeError):
+    """A dual iteration stopped without its certificate; the message names
+    the criterion that failed, and ``trace`` holds one record per step."""
+
+    def __init__(self, message: str, trace=None):
+        super().__init__(message)
+        self.trace = trace or []
+
+
+class Infeasible(ValueError):
+    """No table meets the moment conditions, or, given a cutoff, none meets
+    them with a log likelihood above it."""
+
+
+@dataclass
+class Tilt:
+    """A certified solution of one dual problem."""
+
+    w: np.ndarray  # (nu - lam'b, lam): the slacks are A w
+    active: list  # zero-count cells held at slack 0
+    probs: np.ndarray  # the fitted table, summing to one
+    loglik: float  # sum n_i log probs_i
+    iterations: int
+    # Directions of w that no observed or held row sees (columns): where
+    # there are some, the maximum as a function of b has a kink, and is
+    # smooth only on the face of b that keeps lam'b fixed along them.
+    kernel: np.ndarray
+    # Hessian in b of the maximal log likelihood along that face,
+    # -E'Z (Z'HZ)^-1 Z'E with Z the seen directions that keep the held rows,
+    # H the dual Hessian and E' dropping the intercept
+    curvature: np.ndarray
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self.w[1:]
+
+
+def _null_space(M: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis of the vectors x with M x = 0 (M has ``dim`` columns)."""
+    if not len(M):
+        return np.eye(dim)
+    _, sv, vt = np.linalg.svd(M)
+    return vt[np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0)):].T
+
+
+class TiltedDual:
+    """The dual of max sum n_i log pi_i subject to G' pi = b, 1' pi = 1, pi >= 0,
+    for one table of counts and one N x d matrix G, solved for any b."""
+
+    def __init__(self, nvec: np.ndarray, G: np.ndarray):
+        self.A = np.column_stack([np.ones(len(nvec)), G])
+        self.obs = nvec > 0
+        self.n_obs = nvec[self.obs]
+        self.A_obs = self.A[self.obs]
+        self.zero = np.flatnonzero(~self.obs)
+        self.n = float(self.n_obs.sum())
+        # The span of the observed rows: along a direction outside it phi is
+        # linear, and the zero-cell slacks alone bound it.
+        _, sv, vt = np.linalg.svd(self.A_obs, full_matrices=False)
+        self.seen = vt[: np.count_nonzero(sv > RANK_TOL * sv.max())].T
+        self.log_const = float(self.n_obs @ np.log(self.n_obs)) - self.n
+
+    def _phi(self, w, c):
+        s = self.A_obs @ w
+        if np.any(s <= 0):
+            return math.inf
+        return float(c @ w - self.n_obs @ np.log(s))
+
+    def _plan(self, H, grad, w, active, tol, release=True):
+        """(step, masses, ray, active) of the Newton step at w that keeps
+        ``active`` at slack 0, after releasing the held cell of most negative
+        mass (one per step, as in a primal active-set method).
+
+        Within the null space of the held rows, a direction that leaves every
+        observed slack unchanged but lowers phi is a ray (phi is linear along
+        it): where phi falls along it by more than tol / 10, the step is that
+        direction, to be taken until a zero cell blocks it.
+        """
+        dim = len(w)
+        AW = self.A[active]
+        Z, kernel = self._split(active)
+        step = np.zeros(dim)
+        if active:  # restore the held slacks to exactly 0
+            step = -np.linalg.lstsq(AW, AW @ w, rcond=None)[0]
+        descent = -kernel @ (kernel.T @ grad)
+        if np.max(np.abs(descent), initial=0.0) > 0.1 * tol:
+            return descent, np.zeros(len(active)), True, active
+        step = step - Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (grad + H @ step))
+        mass = np.zeros(0)
+        if active:
+            mass = np.linalg.lstsq(AW.T, grad + H @ step, rcond=None)[0]
+        if not (release and active) or mass.min() >= -MASS_TOL:
+            return step, mass, False, active
+        # release the most negative mass if its cell then leaves the edge
+        k = int(np.argmin(mass))
+        freed = self._plan(H, grad, w, active[:k] + active[k + 1 :], tol, release=False)
+        if self.A[active[k]] @ freed[0] > 0:
+            return freed
+        return step, mass, False, active
+
+    def _split(self, active):
+        """Orthonormal bases of the directions that keep ``active`` at slack 0,
+        split into those the observed rows see and those they do not."""
+        Z = _null_space(self.A[active], self.A.shape[1])
+        if self.seen.shape[1] == len(self.seen):  # the observed rows span
+            return Z, Z[:, :0]
+        _, sv, vt = np.linalg.svd(self.seen.T @ Z)
+        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
+        return Z @ vt[:rank].T, Z @ vt[rank:].T
+
+    def _independent(self, rows: list, cells: np.ndarray) -> np.ndarray:
+        """Which of ``cells`` have rows outside the span of the rows of ``rows``."""
+        a = self.A[cells]
+        if not rows:
+            return np.any(a != 0, axis=1)
+        Z = _null_space(self.A[rows], a.shape[1])
+        return np.linalg.norm(a @ Z, axis=1) > 1e2 * RANK_TOL * np.linalg.norm(a, axis=1)
+
+    def solve(
+        self,
+        b: np.ndarray,
+        start: Tilt | None = None,
+        *,
+        max_iter: int,
+        tol: float,
+        tol_loglik: float = math.inf,
+        cutoff: float = -math.inf,
+    ) -> Tilt:
+        """The maximum of sum n_i log pi_i subject to G' pi = b.
+
+        Converged when the dual KKT residual, max |sum_i pi_i (1, g_i - b) -
+        (1, 0)| over the tilted masses, is at most ``tol``, the relative
+        log-likelihood change of the last step at most ``tol_loglik``, every
+        held cell's mass non-negative and every other zero cell's slack at
+        least -SLACK_TOL n.  Raises Infeasible when no table meets G' pi = b,
+        or when the dual value, an upper bound on the maximum, falls below
+        ``cutoff``; raises CertificateError after ``max_iter`` steps.
+        """
+        A, A_obs, n_obs, n = self.A, self.A_obs, self.n_obs, self.n
+        c = np.concatenate([[1.0], b])
+        if start is None:
+            w, active = np.zeros(len(c)), []
+            w[0] = n
+        else:
+            w, active = start.w.copy(), list(start.active)
+        trace: list[tuple] = []
+        ll_prev = None
+        for it in range(max_iter + 1):
+            s_obs = A_obs @ w
+            dual = float(c @ w - n_obs @ np.log(s_obs)) + self.log_const
+            if dual < cutoff:
+                raise Infeasible(f"the dual value {dual:.6g} is below the cutoff {cutoff:.6g}")
+            p_obs = n_obs / s_obs
+            grad = c - A_obs.T @ p_obs
+            H = A_obs.T @ ((p_obs / s_obs)[:, None] * A_obs)
+            step, mass, ray, active = self._plan(H, grad, w, active, tol)
+
+            total = p_obs.sum() + mass.sum()
+            ll = float(n_obs @ np.log(p_obs / abs(total)))
+            resid = float(np.max(np.abs(grad - A[active].T @ mass)))
+            free = self.zero[~np.isin(self.zero, active)]
+            s_free = A[free] @ w
+            rel = math.inf if ll_prev is None else abs(ll - ll_prev) / (1.0 + abs(ll))
+            failed = []
+            if resid > tol:
+                failed.append(f"dual KKT residual {resid:.3e} > {tol:.1e}")
+            if rel > tol_loglik:
+                failed.append(f"log-likelihood change {rel:.3e} > {tol_loglik:.1e}")
+            if mass.size and mass.min() < -MASS_TOL:
+                failed.append(f"a held zero cell has mass {mass.min():.3e}")
+            if s_free.size and s_free.min() < -SLACK_TOL * n:
+                failed.append(f"a zero cell has slack {s_free.min():.3e}")
+            trace.append((it, ll, resid, len(active), "ray" if ray else "newton"))
+            if not failed and not ray:
+                probs = np.zeros(len(A))
+                probs[self.obs] = p_obs
+                probs[active] = np.maximum(mass, 0.0)
+                Z, kernel = self._split(active)
+                curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
+                return Tilt(w, active, probs / probs.sum(), ll, it, kernel, curvature)
+            if it == max_iter:
+                raise CertificateError(
+                    f"no certificate within {max_iter} dual steps: " + "; ".join(failed),
+                    trace,
+                )
+            ll_prev = ll
+
+            # Ratio test: the first zero cell whose slack the step drives to 0.
+            # A cell whose row the held rows span keeps its slack as they do.
+            dz = A[free] @ step
+            moving = (dz < 0) & self._independent(active, free)
+            reach = np.full(len(free), np.inf)
+            reach[moving] = np.maximum(s_free[moving], 0.0) / -dz[moving]
+            t_max = float(reach.min(initial=np.inf))
+            if ray:
+                if not math.isfinite(t_max):
+                    raise Infeasible("the dual is unbounded: no table meets the moments")
+                t = t_max
+            else:
+                t = self._line_search(w, step, grad, c, min(1.0, t_max), it, trace)
+            w = w + t * step
+            if t == t_max:
+                for j in free[reach <= t_max * (1.0 + 1e-9)]:
+                    if self._independent(active, [j])[0]:
+                        active = active + [int(j)]
+        raise AssertionError("unreachable")
+
+    def _line_search(self, w, step, grad, c, t, it, trace):
+        """Backtracking step length from t with every observed slack kept
+        positive; a first trial whose predicted gain is below 1e-9 in G2
+        units is taken as it is (the dual cannot resolve it from rounding)."""
+        slope = float(grad @ step)
+        if -t * slope < 1e-9 and np.all(self.A_obs @ (w + t * step) > 0):
+            return t
+        phi0 = self._phi(w, c)
+        for _ in range(60):
+            if self._phi(w + t * step, c) <= phi0 + 1e-4 * t * slope:
+                return t
+            t *= 0.5
+        raise CertificateError(
+            f"dual line search failed at step {it}: no trial step lowers the dual", trace
+        )
+
+
+@lru_cache(maxsize=None)
+def independent_coordinates(shape: TableShape):
+    """(cols, P, q): the moment coordinates m = q + P m[cols] of any table.
+
+    With two categories a squared score is affine in the score, so those
+    columns of F repeat the others; a dual on F needs ``cols`` alone.
+    """
+    F = design.moment_basis(shape)
+    basis = np.column_stack([np.ones(len(F)), F])
+    cols: list[int] = []
+    for j in range(F.shape[1]):
+        if np.linalg.matrix_rank(basis[:, [0] + [c + 1 for c in cols + [j]]]) > len(cols) + 1:
+            cols.append(j)
+    coef = np.linalg.lstsq(basis[:, [0] + [c + 1 for c in cols]], F, rcond=None)[0]
+    return tuple(cols), _read_only(coef[1:].T.copy()), _read_only(coef[0].copy())
+
+
+def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
+    """ve or ce: (fitted tilt, steps) maximizing the profile l*(x) subject to
+    c(m(x)) = 0 over the independent moment coordinates x.
+
+    The SQP step uses l*'s Hessian plus the constraint curvature (only l*'s
+    own where the sum is not definite on the tangent space).  Where the
+    observed and held rows do not span, l* is smooth only on a face of x,
+    and the step keeps to that face (``Tilt.kernel``), while the face's
+    multipliers leave every zero-cell slack non-negative.  Otherwise, where
+    no point of the face meets the linearized constraints, or where the
+    line search would cut the SQP step below 1/16 (its model misjudges a
+    face the step crosses), the step is exact instead: to the table of
+    largest likelihood on the linearized constraints, one tilted solve with
+    G = F J', which finds the next face.  Every step is globalized by an
+    exact-penalty line search on l*, each trial one warm-started solve.
+    """
+    shape, nvec, n = counts.shape, counts.counts, counts.n
+    cols, P, q = independent_coordinates(shape)
+    F = design.moment_basis(shape)[:, cols]
+    dual = TiltedDual(nvec, F)
+    free_slack_floor = -SLACK_TOL * n
+
+    def jet(x):
+        value, grad, hess = _constraint_jet(model, shape, q + P @ x)
+        return value, grad @ P, P.T @ hess @ P
+
+    def profile(x, start=None, cutoff=-math.inf):
+        return dual.solve(x, start, max_iter=max_iter, tol=INNER_TOL, cutoff=cutoff)
+
+    def shifted_slack(tilt, psi):
+        """Smallest slack of a free zero cell under the dual w - kernel psi."""
+        free = dual.zero[~np.isin(dual.zero, tilt.active)]
+        return float(np.min(dual.A[free] @ (tilt.w - tilt.kernel @ psi), initial=np.inf))
+
+    x = F.T @ counts.proportions().probs
+    try:
+        cur = jet(x)
+    except DegenerateMarginalError:  # a constant margin: start where none is
+        x = F.T @ counts.smoothed_proportions().probs
+        cur = jet(x)
+    tilt = profile(x)
+    trace: list[tuple] = []
+    rho, ll_prev = 1.0, None
+    for it in range(max_iter + 1):
+        cval, J, Hc = cur
+        g, normals = tilt.lam, tilt.kernel[1:].T
+        m = len(cval)
+        rows = np.vstack([J, normals])
+        coef = np.linalg.lstsq(rows.T, g, rcond=None)[0]
+        stationarity = float(np.max(np.abs(g - rows.T @ coef))) / (1.0 + n)
+        hmax = float(np.max(np.abs(cval)))
+        rel = math.inf if ll_prev is None else abs(tilt.loglik - ll_prev) / (1.0 + abs(tilt.loglik))
+        trace.append((it, tilt.loglik, hmax, stationarity, len(normals)))
+        failed = []
+        if hmax > tol_constraint:
+            failed.append(f"constraint residual {hmax:.3e} > {tol_constraint:.1e}")
+        if rel > tol_loglik:
+            failed.append(f"log-likelihood change {rel:.3e} > {tol_loglik:.1e}")
+        if stationarity > STATIONARITY_TOL:
+            failed.append(f"stationarity {stationarity:.3e} > {STATIONARITY_TOL:.1e}")
+        if len(normals) and shifted_slack(tilt, coef[m:]) < free_slack_floor:
+            failed.append("a zero cell's slack is negative under every face multiplier")
+        if not failed:
+            return tilt, it
+        if it == max_iter:
+            raise CertificateError(
+                f"no convergence within {max_iter} SQP steps: " + "; ".join(failed), trace
+            )
+        ll_prev = tilt.loglik
+
+        l1 = float(np.sum(np.abs(cval)))
+
+        def sqp_plan():
+            """(step, penalty, merit slope, K) of the SQP step along the face,
+            or None where the face cannot meet the linearized constraints or
+            its multipliers would make a zero-cell slack negative."""
+            # the Lagrangian Hessian where it is definite on the tangent
+            # space, else the profile's own curvature
+            tangent = _null_space(rows, len(x))
+            B = -tilt.curvature + np.tensordot(coef[:m], Hc, axes=1)
+            try:
+                np.linalg.cholesky(tangent.T @ B @ tangent)
+            except np.linalg.LinAlgError:
+                B = -tilt.curvature
+            K = np.block([[B, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+            rhs = np.concatenate([g, -cval, np.zeros(len(normals))])
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            p, mult = sol[: len(x)], sol[len(x) :]
+            if np.max(np.abs(K @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+                return None
+            if len(normals) and shifted_slack(tilt, mult[m:]) < free_slack_floor:
+                return None
+            quad = float(p @ B @ p)
+            penalty = max(2.0 * float(np.max(np.abs(mult[:m]), initial=0.0)) + 1.0, 0.1 * rho)
+            if l1 > 0:
+                penalty = max(penalty, (float(mult[:m] @ cval) - quad) / l1 + 1.0)
+            return p, penalty, min(-quad + float(mult[:m] @ cval) - penalty * l1, 0.0), K
+
+        def linearized_plan():
+            """(step, penalty, merit slope, dual at the step) to the table of
+            largest likelihood on the linearized constraints; a linearization
+            that no table meets is followed part way."""
+            for tau in 0.5 ** np.arange(30):
+                try:
+                    lin = TiltedDual(nvec, F @ J.T).solve(
+                        J @ x - tau * cval, max_iter=max_iter, tol=INNER_TOL
+                    )
+                    break
+                except Infeasible:
+                    continue
+            else:
+                raise CertificateError(
+                    f"no table meets the linearized constraints at step {it}", trace
+                )
+            # l* is concave and at least lin.loglik at the step's end
+            gain = lin.loglik - tilt.loglik
+            penalty = max(2.0 * float(np.max(np.abs(lin.lam), initial=0.0)) + 1.0, 0.1 * rho)
+            if l1 > 0:
+                penalty = max(penalty, -2.0 * gain / (tau * l1))
+            end = Tilt(np.r_[lin.w[0], J.T @ lin.lam], lin.active, lin.probs, lin.loglik,
+                       0, lin.kernel, lin.curvature)
+            return F.T @ lin.probs - x, penalty, min(-gain - tau * penalty * l1, 0.0), end
+
+        def search(p, penalty, slope, end=None, K=None, halvings=60):
+            """(x, tilt, jet, penalty) of the first step length, from 1 by halving,
+            that lowers the exact-penalty merit enough, or None."""
+            merit0 = -tilt.loglik + penalty * l1
+
+            def attempt(x_new, t):
+                try:
+                    trial = jet(x_new)
+                except DegenerateMarginalError:
+                    return None
+                need = penalty * float(np.sum(np.abs(trial[0]))) - merit0 - 1e-4 * t * slope
+                if -slope < 1e-9:  # a gain the merit cannot resolve from rounding
+                    need = -math.inf
+                try:
+                    # at the linearized table, its own dual is the warm start
+                    new = profile(x_new, end if end is not None and t == 1.0 else tilt, need)
+                except Infeasible:
+                    return None
+                return (x_new, new, trial, penalty) if new.loglik >= need else None
+
+            t = 1.0
+            for halving in range(halvings):
+                accepted = attempt(x + t * p, t)
+                if accepted is None and halving == 0 and K is not None:
+                    # second-order correction against the Maratos effect
+                    try:
+                        rhs = np.zeros(len(K))
+                        rhs[len(x) : len(x) + m] = -jet(x + p)[0]
+                        soc = np.linalg.lstsq(K, rhs, rcond=None)[0][: len(x)]
+                        accepted = attempt(x + p + soc, 1.0)
+                    except DegenerateMarginalError:
+                        pass
+                if accepted is not None:
+                    return accepted
+                t *= 0.5
+            return None
+
+        # The SQP step, unless it must be cut below 1/16: the model then
+        # misjudges a face that the step crosses, and the exact step follows.
+        plan = sqp_plan()
+        accepted = None if plan is None else search(*plan[:3], K=plan[3], halvings=5)
+        if accepted is None:
+            accepted = search(*linearized_plan())
+        if accepted is None:
+            raise CertificateError(
+                f"SQP line search failed at step {it + 1}: no trial step lowers the merit",
+                trace,
+            )
+        x, tilt, cur, rho = accepted
+    raise AssertionError("unreachable")
+
+
+def fit(counts: CountTable, model: str, *, max_iter: int, tol_constraint: float,
+        tol_loglik: float) -> tuple[np.ndarray, int]:
+    """(fitted probabilities, steps) of a moment family's maximum likelihood."""
+    if model in (ME, ME2):
+        shape = counts.shape
+        F = design.moment_basis(shape)
+        A = _constraint_jet(model, shape, np.zeros(F.shape[1]))[1]
+        tilt = TiltedDual(counts.counts, F @ A.T).solve(
+            np.zeros(len(A)), max_iter=max_iter, tol=tol_constraint, tol_loglik=tol_loglik
+        )
+        return tilt.probs, tilt.iterations
+    if model == VE and counts.shape.r == 2:
+        return _two_category_ve(counts, max_iter, tol_constraint, tol_loglik)
+    tilt, steps = _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik)
+    return tilt.probs, steps
+
+
+def _two_category_ve(counts, max_iter, tol_constraint, tol_loglik):
+    """ve with two categories, where a variance (mu - u_1)(u_2 - mu) is a
+    function of the mean: adjacent variables have equal variances exactly
+    where their means are equal or sum to u_1 + u_2.  The model is the union
+    of these 2^(T-1) linear ones, and its fit the best of their fits."""
+    shape = counts.shape
+    T, (u1, u2) = shape.T, shape.scores
+    scores = design.score_matrix(shape)
+    best = None
+    for flips in itertools.product((False, True), repeat=T - 1):
+        A = np.zeros((T - 1, T))
+        A[np.arange(T - 1), np.arange(T - 1)] = 1.0
+        A[np.arange(T - 1), np.arange(1, T)] = np.where(flips, 1.0, -1.0)
+        tilt = TiltedDual(counts.counts, scores @ A.T).solve(
+            np.where(flips, u1 + u2, 0.0), max_iter=max_iter, tol=tol_constraint,
+            tol_loglik=tol_loglik,
+        )
+        if best is None or tilt.loglik > best.loglik:
+            best = tilt
+    return best.probs, best.iterations
+

@@ -31,3 +31,51 @@ def restart_table(seed, r, T, n, concentration):
                 if (rr, TT, nn, c) == (r, T, n, concentration):
                     return CountTable(shape, counts)
     raise ValueError("not a table of the restart sweep")
+
+
+def moment_certificate(counts: CountTable, model: str, probs: np.ndarray) -> list[str]:
+    """The first-order conditions of a moment family's MLE that the fitted
+    table ``probs`` fails, checked from that table alone; empty when it is
+    certified.
+
+    Stationarity makes n_i / pi_i = nu + eta_i on the observed cells, and 0
+    on zero cells with mass, with eta = J' mu spanned by the cells'
+    constraint gradients J; on zero cells with mass 0, nu + eta_j >= 0.
+    (nu, mu) are recovered on the support by least squares; where the
+    support leaves them undetermined, a linear program looks for a choice
+    that meets the zero cells.  Tolerances are relative to n: 1e-6 for the
+    residual on the support, 1e-8 for the zero cells.
+    """
+    from scipy.optimize import linprog
+
+    from fsym.moments import constraint_jacobian
+
+    n, nvec = counts.n, counts.counts
+    J = constraint_jacobian(model, ProbTable(counts.shape, probs))
+    basis = np.column_stack([np.ones(len(probs)), J.T])
+    support, empty = probs > 0, (nvec == 0) & (probs == 0)
+    target = np.divide(nvec, probs, out=np.zeros_like(probs), where=support)[support]
+    coef, _, _, sv = np.linalg.lstsq(basis[support], target, rcond=None)
+    value = basis @ coef
+    failed = []
+    resid = float(np.max(np.abs(value[support] - target)))
+    if resid > 1e-6 * n:
+        failed.append(f"the support fits nu + eta to {resid:.3e}")
+    held = float(np.max(np.abs(value[support & (nvec == 0)]), initial=0.0))
+    if held > 1e-8 * n:
+        failed.append(f"a zero cell with mass has slack {held:.3e}")
+    worst = float(np.min(value[empty], initial=np.inf))
+    free = np.linalg.svd(basis[support])[2][np.count_nonzero(sv > 1e-10 * sv.max()):].T
+    if free.shape[1] and worst < -1e-8 * n:
+        # the largest t <= 0 with value + D z >= t on every empty cell
+        D = basis[empty] @ free
+        res = linprog(
+            np.r_[np.zeros(free.shape[1]), -1.0],
+            A_ub=np.column_stack([-D, np.ones(len(D))]), b_ub=value[empty],
+            bounds=[(None, None)] * free.shape[1] + [(None, 0.0)],
+        )
+        if res.status == 0:
+            worst = -res.fun
+    if worst < -1e-8 * n:
+        failed.append(f"a zero cell with mass 0 has slack {worst:.3e}")
+    return failed

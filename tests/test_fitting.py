@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ from fsym.tables import (
     orbit_sums,
 )
 
-from conftest import random_count_table, restart_table
+from conftest import moment_certificate, random_count_table, restart_table
 
 
 def symmetric_counts(rng, shape, n=3000):
@@ -102,9 +104,6 @@ class TestFitHlp:
             fit_model(counts, ModelSpec("gs", pearson()), max_iter=2)
         assert err.value.trace
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="fit_hlp stops short of the me MLE"
-    )
     def test_me_reaches_a_certified_likelihood(self):
         """me maximizes a concave likelihood under linear constraints, so any
         feasible table bounds its G2 from above.  On this restart-sweep table
@@ -134,6 +133,106 @@ class TestFitHlp:
         certificate = g2(counts, counts.n * res.x)
         fit = fit_model(counts, ModelSpec("me"))
         assert fit.g2 <= certificate + 1e-6
+
+
+class TestMomentFits:
+    """The moment families through the tilted-multinomial dual, checked by
+    their certificate (``moment_certificate``) and against the KKT oracle."""
+
+    @pytest.mark.parametrize(
+        "seed,r,T,n,g2_ref",
+        [(3, 2, 3, 500, 332.907378), (7, 2, 3, 60, 116.244439),
+         (7, 2, 3, 500, 563.043186), (8, 3, 4, 60, 57.530889)],
+        ids=["s3-2^3-n500", "s7-2^3-n60", "s7-2^3-n500", "s8-3^4-n60"],
+    )
+    def test_me2_where_the_kkt_fitter_fails(self, seed, r, T, n, g2_ref):
+        # fit_hlp raises FitError on these Dirichlet(0.3) sweep tables
+        counts = restart_table(seed, r, T, n, 0.3)
+        fit = fit_model(counts, ModelSpec("me2"))
+        assert moment_certificate(counts, "me2", fit.pihat.probs) == []
+        assert fit.g2 == pytest.approx(g2_ref, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "seed,n,c,g2_ref", [(4, 60, 0.3, 33.598886), (8, 500, 1.0, 13.471730)]
+    )
+    def test_two_category_ve_takes_the_best_branch(self, seed, n, c, g2_ref):
+        # equal binary variances allow equal means or mirrored ones; a local
+        # fit from the observed table ends on the worse branch here
+        counts = restart_table(seed, 2, 3, n, c)
+        fit = fit_model(counts, ModelSpec("ve"))
+        assert moment_certificate(counts, "ve", fit.pihat.probs) == []
+        assert fit.g2 == pytest.approx(g2_ref, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "seed,r,T,n,model,oracle_g2",
+        [(3, 2, 3, 500, "ce", 339.884621), (6, 2, 3, 60, "ce", 22.722871),
+         (7, 2, 3, 60, "ce", 32.373528), (7, 2, 3, 500, "ce", 20.682673),
+         (5, 3, 4, 60, "ve", 17.571041)],
+        ids=["ce-s3-2^3-n500", "ce-s6-2^3-n60", "ce-s7-2^3-n60", "ce-s7-2^3-n500", "ve-s5-3^4-n60"],
+    )
+    def test_profile_fit_on_faces(self, seed, r, T, n, model, oracle_g2):
+        # Dirichlet(0.3) sweep tables whose observed rows do not span the
+        # moment coordinates, so that the profile likelihood has kinks
+        counts = restart_table(seed, r, T, n, 0.3)
+        fit = fit_model(counts, ModelSpec(model))
+        assert moment_certificate(counts, model, fit.pihat.probs) == []
+        assert fit.g2 <= oracle_g2 + 1e-6
+
+    def test_sweep_is_certified_and_never_above_the_oracle(self):
+        checked = 0
+        for seed in (1, 2):
+            for r, T in ((2, 3), (3, 3), (4, 3), (3, 4)):
+                for n in (60, 500):
+                    for c in (1.0, 0.3):
+                        counts = restart_table(seed, r, T, n, c)
+                        for model in ("me", "ve", "ce", "me2"):
+                            fit = fit_model(counts, ModelSpec(model))
+                            label = f"{model} seed {seed} {r}^{T} n={n} c={c}"
+                            assert moment_certificate(counts, model, fit.pihat.probs) == [], label
+                            try:
+                                oracle = fit_hlp(counts, moment_constraint(counts.shape, model))
+                            except FitError:
+                                continue
+                            checked += 1
+                            assert fit.g2 <= oracle.g2 + 1e-6, label
+        assert checked >= 120
+
+    def test_panel_zero_cells_are_exact(self):
+        # only me2 gives a sampling zero mass: cell 6 = (1, 3, 1)
+        counts = anes_party_id()
+        zero = np.flatnonzero(counts.counts == 0)
+        for model in ("me", "ve", "ce", "me2"):
+            fit = fit_model(counts, ModelSpec(model))
+            assert fit.iterations <= 10, model
+            expected = [0.000679 if (model == "me2" and i == 6) else 0.0 for i in zero]
+            assert fit.pihat.probs[zero] == pytest.approx(expected, abs=5e-7), model
+            assert moment_certificate(counts, model, fit.pihat.probs) == [], model
+
+    @pytest.mark.parametrize("model", ["me2", "ce"])
+    def test_memory_is_linear_in_the_cells(self, model):
+        """A 5^5 table of a discretized correlated normal, about 20 counts
+        per cell (variances 1 + (h - 1) / 4, correlation 0.7, cuts at the
+        standard normal's quintiles): the fit's traced peak stays below half
+        of one 3125 x 3125 float64 array."""
+        from statistics import NormalDist
+
+        r, T = 5, 5
+        rng = np.random.default_rng(1)
+        sd = np.sqrt(1.0 + 0.25 * np.arange(T))
+        corr = np.full((T, T), 0.7)
+        np.fill_diagonal(corr, 1.0)
+        z = rng.standard_normal((20 * r**T, T)) @ np.linalg.cholesky(corr * np.outer(sd, sd)).T
+        cuts = [NormalDist().inv_cdf(k / r) for k in range(1, r)]
+        flat = np.searchsorted(cuts, z) @ (r ** np.arange(T - 1, -1, -1))
+        counts = CountTable(TableShape(r, T), np.bincount(flat, minlength=r**T))
+        tracemalloc.start()
+        try:
+            fit = fit_model(counts, ModelSpec(model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert moment_certificate(counts, model, fit.pihat.probs) == []
 
 
 class TestFitModelReferenceValues:
