@@ -17,6 +17,12 @@ the FitError count, the oracle's, the fits above the oracle's G2 by more
 than 1e-6 and, for the moment families, the fits that fail the certificate.
 A shape a family cannot take (gs/els at r = 2) is skipped.
 
+On each r >= 3 table it also runs ``decompose`` under kl and compares its
+three Wald statistics and its ``ridged`` flag with the dense oracle
+(``dense_decomposition`` in ``tests/conftest.py``: the Wald kernel on
+U'F and U'J) at the report's evaluation point, and prints on stderr the
+largest relative gap and every table where ``ridged`` differs.
+
 Usage: python scripts/restart_sweep.py > sweep.jsonl
 """
 
@@ -26,12 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
-from fsym import ModelSpec, fit_model, hellinger, power
+from fsym import ModelSpec, decompose, fit_model, hellinger, kl, power
 from fsym.fitting import FitError, fit_hlp, linkform_constraint, moment_constraint
 from fsym.tables import CountTable, TableShape
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import moment_certificate  # noqa: E402
+from conftest import dense_decomposition, moment_certificate  # noqa: E402
 
 SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
 MOMENT_MODELS = ("me", "ve", "ce", "me2")
@@ -59,10 +65,23 @@ def attempt(fit, prefix=""):
     return {f"{prefix}g2": result.g2, f"{prefix}iterations": result.iterations}
 
 
+def decompose_row(key, counts):
+    """The kl decomposition's Wald statistics beside the dense oracle's."""
+    report = decompose(counts, kl())
+    observed = report.evaluation_point == "observed"
+    p = counts.proportions() if observed else counts.smoothed_proportions()
+    *dense, dense_ridged = dense_decomposition(p, kl(), counts.n)
+    blocked = [report.w_gs, report.w_me2, report.w_s]
+    gap = max(abs(b - d) / max(abs(d), 1e-300) for b, d in zip(blocked, dense))
+    return dict(key, model="decompose[kl]", w=blocked, oracle_w=dense, rel_gap=gap,
+                ridged=report.ridged, oracle_ridged=dense_ridged)
+
+
 def main():
     # [FitError, oracle FitError, fits above the oracle's G2, failed
     # certificates] per moment family and per link
     tally = {name: [0, 0, 0, 0] for name in MOMENT_MODELS + tuple(ff.name for ff in LINKS)}
+    wald_gap, ridge_mismatch = 0.0, []
     for key, counts in tables():
         specs = [ModelSpec(m) for m in MOMENT_MODELS]
         specs += [ModelSpec(f, ff) for ff in LINKS for f in LINK_FAMILIES]
@@ -91,6 +110,12 @@ def main():
                 row["g2"] > row["oracle_g2"] + 1e-6
             )
             print(json.dumps(row), flush=True)
+        if counts.shape.r >= 3:
+            row = decompose_row(key, counts)
+            wald_gap = max(wald_gap, row["rel_gap"])
+            if row["ridged"] != row["oracle_ridged"]:
+                ridge_mismatch.append(key)
+            print(json.dumps(row), flush=True)
     for name, (errors, oracle_errors, above, uncertified) in tally.items():
         line = (
             f"{name}: FitError {errors} (oracle {oracle_errors}); "
@@ -99,6 +124,10 @@ def main():
         if name in MOMENT_MODELS:
             line += f"; failed certificates: {uncertified}"
         print(line, file=sys.stderr)
+    print(f"decompose[kl]: largest relative Wald gap to the dense oracle {wald_gap:.2e}; "
+          f"ridged differs on {len(ridge_mismatch)} tables", file=sys.stderr)
+    for key in ridge_mismatch:
+        print(f"  ridged differs: {key}", file=sys.stderr)
 
 
 if __name__ == "__main__":

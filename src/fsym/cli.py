@@ -142,6 +142,8 @@ def cmd_fit(args) -> int:
     except FitError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except design_mod.ConfigurationError as exc:
+        raise CliError(str(exc), EXIT_INPUT)
     if args.json:
         print(json.dumps(_fit_report(fit, counts), indent=2))
     else:
@@ -165,6 +167,8 @@ def cmd_decompose(args) -> int:
     except FitError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except design_mod.ConfigurationError as exc:
+        raise CliError(str(exc), EXIT_INPUT)
     if args.json:
         doc = {
             "f": ff.name,

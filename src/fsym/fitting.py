@@ -17,10 +17,9 @@ dual.  Every step is O(N k^2); no N x N array is built.
 
 ``fit_hlp`` maximizes the likelihood under any smooth constraint h(pi) = 0
 by damped Newton steps on the Lagrangian stationarity system in cell log
-scales (pi = softmax(xi)), with dense (N + d)-square systems.  No fit uses
-it: on ``moment_constraint`` and ``linkform_constraint`` it is the
-independent oracle of the moment and link fits, and the gs form of
-``linkform_constraint`` is the Wald decomposition's h1.
+scales (pi = softmax(xi)), with dense (N + d)-square systems.  Nothing in
+the package calls it, nor ``moment_constraint`` and ``linkform_constraint``:
+together they are the independent test oracle of the moment and link fits.
 """
 
 from __future__ import annotations
@@ -188,8 +187,9 @@ def _link_curvature(
 
 
 def linkform_constraint(shape: TableShape, family: str, ff: FFunction) -> Constraint:
-    """U' F(pi / pi_sym) = 0 for the requested asymmetry family: for gs the
-    h1 of ``wald.decompose``, and for every family the oracle of ``fit_link``."""
+    """U' F(pi / pi_sym) = 0 for the requested asymmetry family, with U from
+    the N x N SVD of its design: the oracle of ``fit_link``, used only by
+    ``fit_hlp``."""
     ds = design.design_matrix(shape, family)
     struct = orbit_structure(shape)
     U = ds.U
@@ -869,7 +869,7 @@ def fit_moment(
     except tilted.CertificateError as exc:
         raise FitError(str(exc), exc.trace) from exc
     pihat = ProbTable(counts.shape, probs)
-    resid = float(np.max(np.abs(moment_vector(spec.family, pihat))))
+    resid = float(np.max(np.abs(moment_vector(spec.family, pihat)), initial=0.0))
     return _finish(
         spec, counts, pihat, None, degrees_of_freedom(spec.family, counts.shape), steps, resid
     )

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import design
-from .moments import ME, ME2, VE, DegenerateMarginalError, _constraint_jet
+from .moments import CE, ME, ME2, VE, DegenerateMarginalError, _constraint_jet
 from .tables import CountTable, TableShape, _read_only
 
 # A held cell whose mass falls below -MASS_TOL is released.
@@ -488,6 +488,8 @@ def fit(counts: CountTable, model: str, *, max_iter: int, tol_constraint: float,
         return tilt.probs, tilt.iterations
     if model == VE and counts.shape.r == 2:
         return _two_category_ve(counts, max_iter, tol_constraint, tol_loglik)
+    if model == CE and counts.shape.T == 2:  # one correlation, nothing to equate
+        return counts.proportions().probs, 0
     tilt, steps = _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik)
     return tilt.probs, steps
 

@@ -33,6 +33,41 @@ def restart_table(seed, r, T, n, concentration):
     raise ValueError("not a table of the restart sweep")
 
 
+def ladder_table(seed: int, r: int, T: int) -> CountTable:
+    """A table of the benchmark's size ladder: a discretized correlated
+    normal with about 20 counts per cell (variances 1 + (h - 1) / 4,
+    correlation 0.7, cuts at the standard normal's quantiles k / r)."""
+    from statistics import NormalDist
+
+    rng = np.random.default_rng(seed)
+    sd = np.sqrt(1.0 + 0.25 * np.arange(T))
+    corr = np.full((T, T), 0.7)
+    np.fill_diagonal(corr, 1.0)
+    z = rng.standard_normal((20 * r**T, T)) @ np.linalg.cholesky(corr * np.outer(sd, sd)).T
+    cuts = [NormalDist().inv_cdf(k / r) for k in range(1, r)]
+    flat = np.searchsorted(cuts, z) @ (r ** np.arange(T - 1, -1, -1))
+    return CountTable(TableShape(r, T), np.bincount(flat, minlength=r**T))
+
+
+def dense_decomposition(p: ProbTable, ff, n: float):
+    """(W_gs, W_me2, W_s, ridged) of ``wald.decompose`` from the dense N x N
+    forms: the Wald kernel on h1 = U'F(pi / pi_bar), H1 = U' f_jacobian,
+    on h2 = M pi, H2 = M, and on their stack."""
+    from fsym.design import design_matrix, moment_matrix
+    from fsym.tables import symmetric_average
+    from fsym.wald import _wald, f_jacobian
+
+    U = design_matrix(p.shape, "gs").U
+    M = moment_matrix(p.shape)
+    h1 = U.T @ np.asarray(ff.F(p.probs / symmetric_average(p).probs))
+    H1 = U.T @ f_jacobian(p, ff)
+    h2 = M @ p.probs
+    parts = [_wald(h, H, p, n) for h, H in (
+        (h1, H1), (h2, M), (np.concatenate([h1, h2]), np.vstack([H1, M]))
+    )]
+    return (*(w for w, _ in parts), any(ridged for _, ridged in parts))
+
+
 def moment_certificate(counts: CountTable, model: str, probs: np.ndarray) -> list[str]:
     """The first-order conditions of a moment family's MLE that the fitted
     table ``probs`` fails, checked from that table alone; empty when it is

@@ -115,7 +115,14 @@ class TestFit:
                   "--max-iter", "2"])
             == 3
         )
+        # two categories leave the gs and els designs rank deficient
+        binary = tmp_path / "binary.json"
+        binary.write_text(json.dumps({"r": 2, "T": 3, "counts": [9, 4, 3, 5, 2, 6, 4, 11]}))
         capsys.readouterr()
+        for argv in (["fit", "--model", "gs"], ["fit", "--model", "els"], ["decompose"]):
+            assert main(argv + ["--input", str(binary)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and "rank deficient" in err
 
 
 class TestDecompose:

@@ -38,7 +38,7 @@ from fsym.tables import (
     orbit_sums,
 )
 
-from conftest import moment_certificate, random_count_table, restart_table
+from conftest import ladder_table, moment_certificate, random_count_table, restart_table
 
 
 def symmetric_counts(rng, shape, n=3000):
@@ -197,6 +197,15 @@ class TestMomentFits:
                             assert fit.g2 <= oracle.g2 + 1e-6, label
         assert checked >= 120
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_ce_with_two_variables_is_saturated(self, rng, r):
+        # one pair of variables leaves no correlations to equate (df 0)
+        counts = random_count_table(rng, TableShape(r, 2), n=200)
+        fit = fit_model(counts, ModelSpec("ce"))
+        assert fit.df == 0 and fit.iterations == 0
+        assert fit.g2 == pytest.approx(0.0, abs=1e-10)
+        assert np.array_equal(fit.pihat.probs, counts.proportions().probs)
+
     def test_panel_zero_cells_are_exact(self):
         # only me2 gives a sampling zero mass: cell 6 = (1, 3, 1)
         counts = anes_party_id()
@@ -210,21 +219,9 @@ class TestMomentFits:
 
     @pytest.mark.parametrize("model", ["me2", "ce"])
     def test_memory_is_linear_in_the_cells(self, model):
-        """A 5^5 table of a discretized correlated normal, about 20 counts
-        per cell (variances 1 + (h - 1) / 4, correlation 0.7, cuts at the
-        standard normal's quintiles): the fit's traced peak stays below half
+        """On a 5^5 ``ladder_table`` the fit's traced peak stays below half
         of one 3125 x 3125 float64 array."""
-        from statistics import NormalDist
-
-        r, T = 5, 5
-        rng = np.random.default_rng(1)
-        sd = np.sqrt(1.0 + 0.25 * np.arange(T))
-        corr = np.full((T, T), 0.7)
-        np.fill_diagonal(corr, 1.0)
-        z = rng.standard_normal((20 * r**T, T)) @ np.linalg.cholesky(corr * np.outer(sd, sd)).T
-        cuts = [NormalDist().inv_cdf(k / r) for k in range(1, r)]
-        flat = np.searchsorted(cuts, z) @ (r ** np.arange(T - 1, -1, -1))
-        counts = CountTable(TableShape(r, T), np.bincount(flat, minlength=r**T))
+        counts = ladder_table(1, 5, 5)
         tracemalloc.start()
         try:
             fit = fit_model(counts, ModelSpec(model))

@@ -19,6 +19,7 @@ from fsym.linkspace import (
 )
 from fsym.projection import ProjectionSpec, iproject
 from fsym.tables import CountTable, TableShape, orbit_structure, orbit_sums
+from fsym.wald import decompose
 
 from conftest import restart_table
 
@@ -274,6 +275,9 @@ def test_link_fits_and_projection_are_warning_clean():
             for family in FAMILIES:
                 for ff in LINKS + [power(2.0)]:
                     fit_model(table, ModelSpec(family, ff))
+        for table in (sparse, anes_party_id()):
+            for ff in LINKS + [power(2.0)]:
+                decompose(table, ff)
         target = anes_party_id().smoothed_proportions()
         for ff in LINKS:
             iproject(ProjectionSpec(target, ff))
