@@ -23,6 +23,11 @@ three Wald statistics and its ``ridged`` flag with the dense oracle
 U'F and U'J) at the report's evaluation point, and prints on stderr the
 largest relative gap and every table where ``ridged`` differs.
 
+Last, it fits each shape's tables as one block (``fit_block``) under
+gs/els/ls with kl, pearson and hellinger, compares every G2 the block
+settles with ``fit_model``'s, and prints on stderr the largest relative gap,
+whether it is within 1e-9, and how many tables fell back to ``fit_model``.
+
 Usage: python scripts/restart_sweep.py > sweep.jsonl
 """
 
@@ -32,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fsym import ModelSpec, decompose, fit_model, hellinger, kl, power
-from fsym.fitting import FitError, fit_hlp, linkform_constraint, moment_constraint
+from fsym import ModelSpec, decompose, fit_model, hellinger, kl, pearson, power
+from fsym.fitting import FitError, fit_block, fit_hlp, linkform_constraint, moment_constraint
 from fsym.tables import CountTable, TableShape
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -43,6 +48,8 @@ SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
 MOMENT_MODELS = ("me", "ve", "ce", "me2")
 LINK_FAMILIES = ("gs", "els", "ls")
 LINKS = (power(2.0), hellinger())
+BLOCK_LINKS = (kl(), pearson(), hellinger())
+BLOCK_RTOL = 1e-9
 
 
 def tables():
@@ -77,12 +84,37 @@ def decompose_row(key, counts):
                 ridged=report.ridged, oracle_ridged=dense_ridged)
 
 
+def block_summary(by_shape):
+    """(largest relative G2 gap to fit_model, settled fits, fallbacks) of the
+    block fits of each shape's tables."""
+    gap, settled, fallbacks = 0.0, 0, 0
+    for tables in by_shape.values():
+        counts = np.array([t.counts for t in tables])
+        for ff in BLOCK_LINKS:
+            for family in LINK_FAMILIES:
+                spec = ModelSpec(family, ff)
+                try:
+                    g2 = fit_block(tables[0].shape, counts, spec)
+                except ValueError:
+                    continue  # the family has no free parameters at this shape
+                for table, stat in zip(tables, g2):
+                    if np.isnan(stat):
+                        fallbacks += 1
+                        continue
+                    want = fit_model(table, spec).g2
+                    gap = max(gap, abs(stat - want) / max(abs(want), 1e-300))
+                    settled += 1
+    return gap, settled, fallbacks
+
+
 def main():
     # [FitError, oracle FitError, fits above the oracle's G2, failed
     # certificates] per moment family and per link
     tally = {name: [0, 0, 0, 0] for name in MOMENT_MODELS + tuple(ff.name for ff in LINKS)}
     wald_gap, ridge_mismatch = 0.0, []
+    by_shape = {}
     for key, counts in tables():
+        by_shape.setdefault(key["shape"], []).append(counts)
         specs = [ModelSpec(m) for m in MOMENT_MODELS]
         specs += [ModelSpec(f, ff) for ff in LINKS for f in LINK_FAMILIES]
         for spec in specs:
@@ -128,6 +160,11 @@ def main():
           f"ridged differs on {len(ridge_mismatch)} tables", file=sys.stderr)
     for key in ridge_mismatch:
         print(f"  ridged differs: {key}", file=sys.stderr)
+    gap, settled, fallbacks = block_summary(by_shape)
+    verdict = "within" if gap <= BLOCK_RTOL else "ABOVE"
+    print(f"fit_block (kl, pearson, hellinger): largest relative G2 gap to fit_model "
+          f"{gap:.2e} over {settled} fits, {verdict} {BLOCK_RTOL:g}; "
+          f"{fallbacks} tables fell back to fit_model", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -242,10 +242,16 @@ def cmd_simulate(args) -> int:
             f"power study: {config.n_reps} replicates of n = {config.n_obs}, "
             f"alpha = {config.alpha}, seed = {config.seed}"
         )
-        print(f"{'model':<16s} {'rate':>8s} {'95% CI':>19s} {'failures':>9s}")
+        print(f"{'model':<16s} {'rate':>8s} {'95% CI':>19s} {'failures':>9s} {'fallbacks':>9s}")
         for row in result.rows:
             ci = f"[{row.ci_low:.4f}, {row.ci_high:.4f}]"
-            print(f"{row.model:<16s} {row.rate:>8.4f} {ci:>19s} {row.failures:>9d}")
+            print(
+                f"{row.model:<16s} {row.rate:>8.4f} {ci:>19s} {row.failures:>9d} "
+                f"{row.fallbacks:>9d}"
+            )
+        for row in result.rows:
+            if row.first_failure:
+                print(f"first failure of {row.model}: {row.first_failure}")
     return EXIT_OK
 
 

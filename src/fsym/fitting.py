@@ -4,7 +4,9 @@ Complete symmetry has a closed form.  The link families gs/els/ls are fitted
 in their own parameters under every power link: pi_i = S_o c_i(theta), where
 the orbit masses S_o are the observed orbit proportions and the within-orbit
 shares c_i come from the link-space engine (``linkspace``), so only theta is
-iterated (``fit_link``).
+iterated (``fit_link``).  ``fit_block`` fits one model to a stack of tables
+at once, running ``fit_link``'s interior climb on every table in lockstep,
+and leaves the tables outside that climb's case to ``fit_model``.
 
 The moment families me/ve/ce/me2 constrain a few moment coordinates,
 c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
@@ -74,6 +76,12 @@ PIN_U = 1e-3
 # this much; further over, the pinned rows cannot be met and the point is
 # treated as infeasible.
 PIN_EXCESS = 0.5
+# A G2 this far below 0 means the fitted mass does not match the total;
+# closer, it is roundoff at a perfect fit.
+G2_ROUNDOFF = 1e-8
+# ``fit_block`` trusts a block's lockstep fits when one of them matches
+# ``fit_model``'s G2 to this relative tolerance.
+BLOCK_RTOL = 1e-9
 
 
 class FitError(RuntimeError):
@@ -463,19 +471,11 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tan
     Given a basis ``tangent`` of the directions that keep the edge rows, the
     Hessian need only be definite on those.
     """
-    lam, orbits, oid = space.lam, space.orbits, space.orbits.orbit_id
-    zero = np.zeros_like(pt.g)
-    wu = np.divide(pt.w, pt.u, out=zero.copy(), where=pt.g > 0)
-    nu = np.divide(nvec, pt.u, out=zero.copy(), where=has_count)
-    nu2 = np.divide(nu, pt.u, out=zero.copy(), where=has_count)
-    W = orbits.sum(pt.w)  # 0 in a pinned orbit with no free cell
-    mu = np.divide(orbits.sum(nu), W, out=np.zeros_like(W), where=W > 0)
-    if unit_mu is not None:
-        mu = np.where(np.isnan(unit_mu), mu, unit_mu)
-    hessian = lam * nu2 + (1.0 - lam) * mu[oid] * wu
-    fisher = (orbit_counts / orbits.size)[oid] * wu
+    orbits = space.orbits
+    hessian, wu = _newton_weights(space, pt, nvec, has_count, unit_mu)
+    fisher = (orbit_counts / orbits.size)[orbits.orbit_id] * wu
     for mode, weight in (("newton", hessian), ("fisher", fisher)):
-        B = a.T @ (weight[:, None] * a)
+        B = _gram(a, weight)
         if not np.all(np.isfinite(B)):
             continue
         try:
@@ -486,6 +486,35 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tan
     if not np.all(np.isfinite(B)):
         raise np.linalg.LinAlgError("non-finite information matrix")
     return B, "fisher-pinv"
+
+
+def _newton_weights(space, pt, nvec, has_count, unit_mu=None):
+    """(weights, g / u^2) per cell, the weights those of minus the Lagrangian
+    Hessian in theta in ``_theta_information``.  A stacked point gives one
+    row of each per table."""
+    lam, orbits = space.lam, space.orbits
+    zero = np.zeros_like(pt.g)
+    wu = np.divide(pt.w, pt.u, out=zero.copy(), where=pt.g > 0)
+    nu = np.divide(nvec, pt.u, out=zero.copy(), where=has_count)
+    nu2 = np.divide(nu, pt.u, out=zero.copy(), where=has_count)
+    W = orbits.sum(pt.w)  # 0 in a pinned orbit with no free cell
+    mu = np.divide(orbits.sum(nu), W, out=np.zeros_like(W), where=W > 0)
+    if unit_mu is not None:
+        mu = np.where(np.isnan(unit_mu), mu, unit_mu)
+    return lam * nu2 + (1.0 - lam) * np.take(mu, orbits.orbit_id, axis=-1) * wu, wu
+
+
+def _gram(a, weight):
+    """sum_i weight_i a_i a_i' over the cells, one matrix per leading row."""
+    return np.swapaxes(a, -1, -2) @ (weight[..., None] * a)
+
+
+def _sufficient_decrease(merit, merit0, t, slope, quad):
+    """The backtracking test of a step of length t.  A step whose predicted
+    gain ``quad`` is below 1e-9 in G2 units is taken in full: the merit
+    cannot resolve it from rounding."""
+    slack = np.where(np.abs(quad) < 1e-9, np.inf, 1e-13 * (1.0 + np.abs(merit0)))
+    return merit <= merit0 + 1e-4 * t * slope + slack
 
 
 def _constrained_step(B, score, C, r, pinv=False, rows_lsq=False):
@@ -518,9 +547,11 @@ def _constrained_step(B, score, C, r, pinv=False, rows_lsq=False):
 
 
 def _link_score(space, pt, nvec, has_count):
-    """(dy/dtheta, score of sum_i n_i log g_i)."""
+    """(dy/dtheta, score of sum_i n_i log g_i), one of each per row of a
+    stacked point."""
     a = space.slopes(pt)
-    return a, a.T @ np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
+    nu = np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
+    return a, (np.swapaxes(a, -1, -2) @ nu[..., None])[..., 0]
 
 
 def _link_start(space, ratio: np.ndarray) -> LinkPoint | None:
@@ -648,14 +679,11 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
         """(point, loglik) of a backtracking search along p's step from pt,
         judged against a point with log likelihood ll0 and edge rows r0."""
         a, B, active, r, mu, step = p["a"], p["B"], p["active"], p["r"], p["mu"], p["step"]
-        # Exact-penalty merit; its slope along the step is negative.  A step
-        # whose predicted gain is below 1e-9 in G2 units is taken in full: the
-        # merit cannot resolve it from rounding.
+        # Exact-penalty merit; its slope along the step is negative.
         nu = 2.0 * float(np.max(np.abs(mu), initial=0.0)) + 1.0
         merit0 = -ll0 + nu * float(np.sum(np.abs(r0)))
         quad = float(step @ B @ step)
         slope = min(-quad + float(mu @ r) - nu * float(np.sum(np.abs(r))), 0.0)
-        slack = math.inf if abs(quad) < 1e-9 else 1e-13 * (1.0 + abs(merit0))
         # A free zero-count cell that the step would carry over the edge of
         # a pinned orbit (or, for lam <= 1, of any orbit) blocks it there and
         # is held from then on.  A free lam > 1 orbit's normalizer keeps its
@@ -689,7 +717,7 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
                 t *= 0.5
                 continue
             ll_new, merit = merit_at(new, nu)
-            if merit <= merit0 + 1e-4 * t * slope + slack:
+            if _sufficient_decrease(merit, merit0, t, slope, quad):
                 return new, ll_new
             t *= 0.5
         reason = (
@@ -852,6 +880,147 @@ def fit_link(
     )
 
 
+def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """G2 of the gs/els/ls model ``spec`` on each row of ``counts``, a stack
+    of tables of ``shape``.
+
+    The tables with every count positive under a link with |lam| <= 1 take
+    ``fit_link``'s climb, run on all of them in lockstep (``_link_block``).
+    A NaN marks a table outside that case (a zero count, |lam| > 1) or one
+    the lockstep climb hands over; ``fit_model`` must fit it from scratch.
+    The first table the climb settles is also fitted by ``fit_model``; if
+    the two G2 differ by more than BLOCK_RTOL, every table is handed over.
+    Otherwise a row's G2 does not depend on the rows beside it.
+    """
+    if spec.family not in design.ASYMMETRY_FAMILIES:
+        raise ValueError(f"fit_block fits gs/els/ls, not {spec.family}")
+    counts = np.asarray(counts, dtype=float)
+    out = np.full(len(counts), np.nan)
+    space = link_space(shape, spec.family, spec.ff)
+    rows = np.flatnonzero(np.all(counts > 0, axis=1))
+    if abs(space.lam) > 1.0 or not rows.size:
+        return out
+    nvec = counts[rows]
+    g, settled = _link_block(space, nvec)
+    orbits = space.orbits
+    mhat = (orbits.sum(nvec) / orbits.size)[:, orbits.orbit_id] * g
+    value, nonpositive = _g2_values(nvec, mhat)
+    settled &= ~nonpositive & (value >= -G2_ROUNDOFF)
+    out[rows[settled]] = np.maximum(value[settled], 0.0)
+    if settled.any():
+        k = rows[np.argmax(settled)]
+        try:
+            want = fit_model(CountTable(shape, counts[k]), spec).g2
+        except FitError:
+            want = math.nan
+        if not abs(out[k] - want) <= BLOCK_RTOL * (1.0 + want):
+            out[:] = np.nan
+    return out
+
+
+def _point_rows(pt: LinkPoint, k) -> LinkPoint:
+    """Rows k of a stacked point."""
+    return LinkPoint(pt.theta[k], pt.gamma[k], pt.y[k], pt.g[k], pt.u[k], pt.w[k], pt.held[k], None)
+
+
+def _set_point_rows(pt: LinkPoint, k, new: LinkPoint, j) -> None:
+    """Copy rows j of ``new`` into rows k of the stacked point ``pt``."""
+    for name in ("theta", "gamma", "y", "g", "u", "w", "held"):
+        getattr(pt, name)[k] = getattr(new, name)[j]
+
+
+def _definite_steps(B, score):
+    """(B^-1 score, mask of the rows whose B is finite and passes Cholesky);
+    the other rows' steps are void."""
+    ok = np.all(np.isfinite(B), axis=(1, 2))
+    eye = np.eye(B.shape[1])
+    B = np.where(ok[:, None, None], B, eye)
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:  # the stacked test does not say which row failed
+        for k in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(B[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        B = np.where(ok[:, None, None], B, eye)
+    return np.linalg.solve(B, np.where(ok[:, None], score, 0.0)[..., None])[..., 0], ok
+
+
+def _link_block(space, nvec):
+    """(g, settled): ``_link_ascent``'s interior climb from ``fit_link``'s
+    start, in lockstep over the rows of ``nvec``, for a link with
+    |lam| <= 1 and every count positive, so that no cell is ever held.
+
+    It takes the same start, score test SCORE_TOL * (1 + n), Newton weights,
+    merit, backtracking rule and MAX_ITER.  A row is handed over, never as a
+    partial iterate, when its start is infeasible, its Hessian fails
+    Cholesky (``_link_ascent`` would switch to Fisher scoring), its score is
+    not finite, its line search fails or it reaches MAX_ITER.  Every step
+    acts on each row alone.
+    """
+    orbits = space.orbits
+    R, N = nvec.shape
+    n = nvec.sum(axis=1)
+    g_out = np.zeros((R, N))
+    settled = np.zeros(R, dtype=bool)
+
+    p = (nvec + 0.5) / (n + 0.5 * N)[:, None]  # CountTable.smoothed_proportions
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = p * orbits.size_of_cell / orbits.sum(p)[:, orbits.orbit_id]
+        theta = space.theta_of(link(ratio, space.lam))
+    start_ok = np.all(np.isfinite(theta), axis=1)
+    # theta = 0 is the fit of a table whose centered score is already small
+    centered_score = (space.centered.T @ nvec[..., None])[..., 0]
+    theta[~start_ok | (np.max(np.abs(centered_score), axis=1) <= SCORE_TOL * (1.0 + n))] = 0.0
+    pt, feasible = space.evaluate_rows(theta)
+    row = np.flatnonzero(feasible & start_ok)  # the tables still climbing
+    pt = _point_rows(pt, row)
+    ll = _row_loglik(nvec[row], pt.g)
+
+    for it in range(MAX_ITER + 1):
+        counts = nvec[row]
+        a, score = _link_score(space, pt, counts, True)
+        done = np.all(np.abs(score) <= SCORE_TOL * (1.0 + n[row])[:, None], axis=1)
+        g_out[row[done]] = pt.g[done]
+        settled[row[done]] = True
+        live = ~done & np.all(np.isfinite(score), axis=1) & (it < MAX_ITER)
+        if not live.any():
+            break
+        row, pt, ll, counts = row[live], _point_rows(pt, live), ll[live], counts[live]
+        a, score = a[live], score[live]
+
+        B = _gram(a, _newton_weights(space, pt, counts, True)[0])
+        step, ok = _definite_steps(B, score)
+
+        # _link_ascent's line search with no edge rows: nu = 1, slope -quad
+        quad = (step[:, None, :] @ B @ step[..., None])[:, 0, 0]
+        merit0, slope = -ll, np.minimum(-quad, 0.0)
+        t = np.ones(len(row))
+        pending = ok.copy()
+        for _ in range(60):
+            k = np.flatnonzero(pending)
+            if not k.size:
+                break
+            trial, feasible = space.evaluate_rows(pt.theta[k] + t[k, None] * step[k], pt.gamma[k])
+            ll_trial = _row_loglik(counts[k], trial.g)
+            accept = feasible & _sufficient_decrease(-ll_trial, merit0[k], t[k], slope[k], quad[k])
+            _set_point_rows(pt, k[accept], trial, accept)
+            ll[k[accept]] = ll_trial[accept]
+            pending[k[accept]] = False
+            t[k[~accept]] *= 0.5
+        moved = ok & ~pending
+        row, pt, ll = row[moved], _point_rows(pt, moved), ll[moved]
+    return g_out, settled
+
+
+def _row_loglik(nvec, g):
+    """``_link_loglik`` of each row, every count positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = np.sum(nvec * np.log(g), axis=1)
+    return np.where(np.all(g > 0, axis=1), ll, -math.inf)
+
+
 def fit_moment(
     counts: CountTable,
     spec: ModelSpec,
@@ -919,19 +1088,23 @@ def fit_model(
 
 def g2(counts: CountTable, mhat: np.ndarray) -> float:
     """Likelihood-ratio statistic 2 sum n log(n / mhat), with 0 log 0 = 0."""
-    nvec = counts.counts
-    mhat = np.asarray(mhat, dtype=float)
-    pos = nvec > 0
-    if np.any(mhat[pos] <= 0):
+    value, nonpositive = _g2_values(counts.counts, np.asarray(mhat, dtype=float))
+    if nonpositive:
         raise InvalidFitError("fitted frequencies must be positive where counts are")
-    value = float(2.0 * np.sum(nvec[pos] * np.log(nvec[pos] / mhat[pos])))
-    if value < 0:
-        if value < -1e-8:
-            raise InvalidFitError(
-                f"negative statistic {value}: fitted mass does not match the total"
-            )
-        value = 0.0  # roundoff at a perfect fit
-    return value
+    if value < -G2_ROUNDOFF:
+        raise InvalidFitError(
+            f"negative statistic {value}: fitted mass does not match the total"
+        )
+    return max(float(value), 0.0)  # roundoff at a perfect fit
+
+
+def _g2_values(nvec: np.ndarray, mhat: np.ndarray):
+    """(2 sum n log(n / mhat) on the last axis, with 0 log 0 = 0, and whether
+    some mhat is not positive where its count is)."""
+    pos = nvec > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pos, nvec * np.log(nvec / mhat), 0.0)
+    return 2.0 * np.sum(terms, axis=-1), np.any(pos & (mhat <= 0), axis=-1)
 
 
 def table1_df(family: str, r: int, T: int) -> int:

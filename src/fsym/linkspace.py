@@ -136,6 +136,7 @@ class LinkSpace:
     """Orbit bookkeeping and design columns of one shape, for one f-function."""
 
     def __init__(self, shape: TableShape, ff: FFunction, X: np.ndarray):
+        self.shape = shape
         self.orbits = orbit_structure(shape)
         self.X = np.ascontiguousarray(X)
         self.lam = ff.link_lam
@@ -152,8 +153,9 @@ class LinkSpace:
         return np.linalg.pinv(self.centered)
 
     def theta_of(self, y: np.ndarray) -> np.ndarray:
-        """Least-squares theta of link values y, up to per-orbit constants."""
-        return self._lift @ y
+        """Least-squares theta of link values y, up to per-orbit constants;
+        one per row of y."""
+        return (self._lift @ y[..., None])[..., 0]
 
     def evaluate(self, theta, held=None, start=None, holdable=None) -> LinkPoint:
         """Link values at theta; held cells sit at g = 0 outside the normalizers.
@@ -199,26 +201,76 @@ class LinkSpace:
         g = np.where(held, 0.0, g)
         if not np.all(np.isfinite(g)):
             raise InfeasibleParameterError("link values overflow")
-        if self.lam == 1.0:
-            w = np.ones_like(g)
-        else:
-            w = np.divide(g, u, out=np.zeros_like(g), where=g > 0)
-        return LinkPoint(theta, gamma, y, g, u, w, held, pin)
+        return LinkPoint(theta, gamma, y, g, u, _dg_dy(g, u, self.lam), held, pin)
+
+    def evaluate_rows(self, theta, start=None) -> tuple[LinkPoint, np.ndarray]:
+        """``evaluate`` with no cell held at each row of theta, as one stacked
+        point, and the mask of its feasible rows.  A row is infeasible where
+        an orbit's normalizer has no root or the link values overflow; its
+        values are void.  The rows share one ``normalizers`` call on the
+        orbits of the stacked tables, and every operation acts on each row
+        alone, so a row's values do not depend on the rows beside it.
+        """
+        R, n_orb = len(theta), len(self.orbits.size)
+        z = (self.X @ theta[..., None])[..., 0]
+        feasible = np.ones(R, dtype=bool)
+        stacked = _stacked_orbits(self.shape, R)
+        start = None if start is None else start.ravel()
+        while True:
+            try:
+                gamma = normalizers(z.ravel(), stacked, self.lam, None, start).reshape(R, n_orb)
+                break
+            except InfeasibleParameterError as exc:
+                if exc.orbits is None:
+                    raise
+                feasible &= ~exc.orbits.reshape(R, n_orb).any(axis=1)
+                z[~feasible] = 0.0  # theta = 0 always has gamma = 0
+        y = z + gamma[:, self.orbits.orbit_id]
+        g, u = inverse_link(y, self.lam)
+        feasible &= np.all(np.isfinite(g), axis=1)
+        held = np.zeros(g.shape, dtype=bool)
+        return LinkPoint(theta, gamma, y, g, u, _dg_dy(g, u, self.lam), held, None), feasible
 
     def slopes(self, pt: LinkPoint) -> np.ndarray:
         """dy/dtheta: each X row minus its orbit's reference row.
 
         In a free orbit that is the dg/dy-weighted mean row: implicit
         differentiation of the normalizer equations eliminates gamma.  In a
-        pinned orbit it is the pin's row.
+        pinned orbit it is the pin's row.  A stacked point (``evaluate_rows``)
+        gives one slope matrix per row.
         """
         w = pt.w
         with np.errstate(invalid="ignore", divide="ignore"):  # a pinned orbit may have no free w
-            ref = self.orbits.sum_rows(w[:, None] * self.X) / self.orbits.sum(w)[:, None]
+            ref = self.orbits.sum_rows(w[..., None] * self.X) / self.orbits.sum(w)[..., None]
         if pt.pin is not None:
             pinned = pt.pin >= 0
             ref[pinned] = self.X[pt.pin[pinned]]
-        return self.X - ref[self.orbits.orbit_id]
+        return self.X - np.take(ref, self.orbits.orbit_id, axis=-2)  # C order, as matmul wants
+
+
+def _dg_dy(g, u, lam):
+    """dg/dy = g / u, with 0 where g is (a held cell's), and 1 for lam = 1."""
+    if lam == 1.0:
+        return np.ones_like(g)
+    return np.divide(g, u, out=np.zeros_like(g), where=g > 0)
+
+
+@lru_cache(maxsize=None)
+def _orbit_stack(r: int, T: int, height: int) -> Orbits:
+    orbits = orbit_structure(TableShape(r, T))
+    return Orbits.of((np.arange(height)[:, None] * len(orbits.size) + orbits.orbit_id).ravel())
+
+
+def _stacked_orbits(shape: TableShape, rows: int) -> Orbits:
+    """The orbits of ``rows`` stacked tables of ``shape``: table k's orbit o
+    is k O + o.  They lead the stack whose height is the next power of two,
+    built once."""
+    full = _orbit_stack(shape.r, shape.T, 1 << (rows - 1).bit_length())
+    cells, orbs = rows * shape.n_cells, rows * shape.n_orbits
+    return Orbits(
+        full.orbit_id[:cells], full.size[:orbs], full.order[:cells], full.starts[:orbs],
+        full.members[:orbs], full.size_of_cell[:cells],
+    )
 
 
 @lru_cache(maxsize=64)

@@ -3,6 +3,18 @@
 Each replicate draws its own generator from (seed, replicate index), so the
 aggregate is reproducible for a fixed seed no matter how replicates are
 scheduled or parallelized.
+
+The study works in blocks of BLOCK replicates: each replicate is drawn and
+binned in turn, and only the block's stack of count vectors is kept.  A
+gs/els/ls model is then fitted to the whole stack at once by
+``fitting.fit_block``, one Newton climb run on every table in lockstep.  A
+table outside that climb's case (a zero count, a link with |lam| > 1) or
+one the climb hands over (an infeasible start, a Hessian that is not
+positive definite, a failed line search, the iteration cap) falls back to
+``fitting.fit_model``, which fits it from scratch; so does the whole block
+when its first settled table's G2 disagrees with ``fit_model``'s.  Each row
+of the report counts these fallbacks.  s and the moment families are fitted
+table by table with ``fitting.fit_model``.
 """
 
 from __future__ import annotations
@@ -12,11 +24,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fitting import FitError, ModelSpec, fit_model
+from .design import ASYMMETRY_FAMILIES
+from .fitting import FitError, ModelSpec, degrees_of_freedom, fit_block, fit_model, pvalue
 from .divergences import parse_f
 from .tables import CountTable, TableShape
 
 FAILURE_BUDGET = 0.001  # studies with more failed fits than this are unusable
+BLOCK = 64  # replicates binned, then fitted together
 
 
 @dataclass(frozen=True)
@@ -122,18 +136,28 @@ def mvn_sample(config: SimConfig, replicate_id: int) -> np.ndarray:
 
 
 def discretize(samples: np.ndarray, cutpoints) -> CountTable:
-    """Bin each coordinate by the shared cutpoints and tabulate the cells."""
+    """Bin each coordinate by the shared cutpoints and tabulate the cells.
+
+    A value's category is the number of cutpoints below it, one comparison
+    per cutpoint (``searchsorted(side="left")``): a value on a cutpoint falls
+    in the lower category and +-inf in an end category.  NaN is refused.
+    """
     cutpoints = np.asarray(cutpoints, dtype=float)
     if np.any(np.diff(cutpoints) <= 0):
         raise ValueError("cutpoints must be strictly increasing")
     samples = np.asarray(samples, dtype=float)
-    n_obs, T = samples.shape
+    if np.isnan(samples).any():
+        raise ValueError("samples contain NaN")
+    _, T = samples.shape
     r = len(cutpoints) + 1
-    codes = np.searchsorted(cutpoints, samples, side="left")  # 0-based categories
-    powers = r ** np.arange(T - 1, -1, -1)
-    flat = codes @ powers
-    counts = np.bincount(flat, minlength=r**T)
-    return CountTable(TableShape(r, T), counts)
+    codes = np.zeros(samples.shape, dtype=np.int8 if r <= 127 else np.intp)
+    for c in cutpoints:
+        codes += samples > c
+    flat = codes[:, 0].astype(np.intp)
+    for j in range(1, T):
+        flat *= r
+        flat += codes[:, j]
+    return CountTable(TableShape(r, T), np.bincount(flat, minlength=r**T))
 
 
 @dataclass
@@ -145,6 +169,8 @@ class PowerRow:
     rejections: int
     n_used: int
     failures: int
+    fallbacks: int  # gs/els/ls tables that fit_block handed to fit_model
+    first_failure: str  # the FitError of the lowest failed replicate, or ""
 
 
 @dataclass
@@ -162,55 +188,60 @@ class PowerStudyResult:
         }
 
 
-def _run_replicate(config: SimConfig, replicate_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """(reject indicator, failure indicator) per model for one replicate."""
-    table = discretize(mvn_sample(config, replicate_id), config.effective_cutpoints())
-    rejects = np.zeros(len(config.models), dtype=np.int64)
-    failures = np.zeros(len(config.models), dtype=np.int64)
-    for k, spec in enumerate(config.models):
-        try:
-            fit = fit_model(table, spec)
-        except FitError:
-            failures[k] = 1
-            continue
-        rejects[k] = 1 if fit.pvalue < config.alpha else 0
-    return rejects, failures
+def _replicate_chunk(config: SimConfig, ids: range):
+    """Per-model (rejections, failures, fallbacks, first failure) over ``ids``.
 
-
-def _replicate_chunk(config: SimConfig, ids) -> tuple[np.ndarray, np.ndarray]:
-    rejects = np.zeros(len(config.models), dtype=np.int64)
-    failures = np.zeros(len(config.models), dtype=np.int64)
-    for rep in ids:
-        r, f = _run_replicate(config, rep)
-        rejects += r
-        failures += f
-    return rejects, failures
+    The first failure is (replicate id, FitError message) or None.
+    """
+    cuts = config.effective_cutpoints()
+    shape = TableShape(len(cuts) + 1, config.T)
+    n_models = len(config.models)
+    rejects, failures, fallbacks = (np.zeros(n_models, dtype=np.int64) for _ in range(3))
+    first: list = [None] * n_models
+    for lo in range(0, len(ids), BLOCK):
+        block = ids[lo : lo + BLOCK]
+        counts = np.array([discretize(mvn_sample(config, rep), cuts).counts for rep in block])
+        for k, spec in enumerate(config.models):
+            blocked = spec.family in ASYMMETRY_FAMILIES
+            stats = fit_block(shape, counts, spec) if blocked else np.full(len(block), np.nan)
+            for i in np.flatnonzero(np.isnan(stats)):
+                fallbacks[k] += blocked
+                try:
+                    stats[i] = fit_model(CountTable(shape, counts[i]), spec).g2
+                except FitError as exc:
+                    failures[k] += 1
+                    first[k] = first[k] or (block[i], str(exc))
+            df = degrees_of_freedom(spec.family, shape)
+            rejects[k] += sum(pvalue(g2, df) < config.alpha for g2 in stats if not np.isnan(g2))
+    return rejects, failures, fallbacks, first
 
 
 def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:
     """Empirical rejection rate of each model over the replicates.
 
-    The aggregate is a commutative sum of per-replicate indicators, so the
-    result is identical for any worker count.  Replicates whose fit fails are
-    excluded from that model's rate; the study errors out if failures exceed
-    0.1% of replicates for any model.
+    The aggregate is a commutative sum of per-replicate indicators, and a
+    table's G2 from ``fit_block`` does not depend on the tables blocked with
+    it, so the result is identical for any worker count.  Replicates whose fit fails are
+    excluded from that model's rate; the study errors out, quoting the first
+    failure, if failures exceed 0.1% of replicates for any model.
     """
-    ids = range(config.n_reps)
     if workers > 1:
         chunks = [range(k, config.n_reps, workers) for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_replicate_chunk, [config] * workers, chunks))
-        rejects = sum(p[0] for p in parts)
-        failures = sum(p[1] for p in parts)
     else:
-        rejects, failures = _replicate_chunk(config, ids)
+        parts = [_replicate_chunk(config, range(config.n_reps))]
+    rejects, failures, fallbacks = (sum(p[j] for p in parts) for j in range(3))
+    first = [min(filter(None, column), default=None) for column in zip(*(p[3] for p in parts))]
 
     result = PowerStudyResult(config=config)
     for k, spec in enumerate(config.models):
         fails = int(failures[k])
+        first_failure = first[k][1] if first[k] else ""
         if fails > FAILURE_BUDGET * config.n_reps:
             raise RuntimeError(
-                f"{fails} of {config.n_reps} replicates failed to fit {spec.label}"
+                f"{fails} of {config.n_reps} replicates failed to fit {spec.label}: "
+                f"{first_failure}"
             )
         used = config.n_reps - fails
         rate = rejects[k] / used if used else float("nan")
@@ -224,6 +255,8 @@ def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:
                 rejections=int(rejects[k]),
                 n_used=used,
                 failures=fails,
+                fallbacks=int(fallbacks[k]),
+                first_failure=first_failure,
             )
         )
     return result

@@ -204,10 +204,14 @@ class Orbits:
         )
 
     def sum(self, v: np.ndarray) -> np.ndarray:
-        return np.bincount(self.orbit_id, weights=v, minlength=len(self.size))
+        """Orbit totals of the cell values on v's last axis."""
+        if v.ndim == 1:
+            return np.bincount(self.orbit_id, weights=v, minlength=len(self.size))
+        return np.add.reduceat(v[..., self.order], self.starts, axis=-1)
 
     def sum_rows(self, V: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(V[self.order], self.starts, axis=0)
+        """Orbit totals of the cell rows on V's second-to-last axis."""
+        return np.add.reduceat(V[..., self.order, :], self.starts, axis=-2)
 
     def min(self, v: np.ndarray) -> np.ndarray:
         return np.minimum.reduceat(v[self.order], self.starts)

@@ -183,6 +183,33 @@ class TestSimulate:
         assert len(lines) == 2
         capsys.readouterr()
 
+    def test_fallbacks_and_first_failure_in_every_output(self, tmp_path, capsys):
+        # gs under a |lam| > 1 link always falls back to fit_model; s is not blocked
+        config = {
+            "means": [0, 0, 0],
+            "variances": [1, 1, 1],
+            "correlations": [0.2, 0.2, 0.2],
+            "n_obs": 1000,
+            "n_reps": 3,
+            "seed": 7,
+            "models": [{"family": "s"}, {"family": "gs", "f": "power:2"}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["fallbacks"], row["first_failure"]) for row in rows] == [(0, ""), (3, "")]
+
+        out = tmp_path / "rates.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *lines = out.read_text().strip().splitlines()
+        assert header.split(",")[-2:] == ["fallbacks", "first_failure"]
+        assert [line.split(",")[-2:] for line in lines] == [["0", ""], ["3", ""]]
+        text = capsys.readouterr().out
+        assert "fallbacks" in text.splitlines()[1]
+        assert text.splitlines()[3].split()[-1] == "3"
+
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"means": [0, 0]}))

@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fsym import fitting, simulate
 from fsym.datasets import data_path
-from fsym.divergences import kl
-from fsym.fitting import ModelSpec
+from fsym.divergences import hellinger, kl, pearson, power
+from fsym.fitting import FitError, ModelSpec, fit_block, fit_model
 from fsym.simulate import (
     SimConfig,
     default_cutpoints,
@@ -13,7 +16,9 @@ from fsym.simulate import (
     mvn_sample,
     power_study,
 )
-from fsym.tables import TableShape
+from fsym.tables import CountTable, TableShape
+
+SCENARIOS = ("table2_row1.json", "table2_row2.json", "table2_row3.json")
 
 
 def tiny_config(**overrides) -> SimConfig:
@@ -97,6 +102,20 @@ class TestDiscretize:
         table = discretize(x, (-0.6, 0.0, 0.6))
         assert table.n == 5000
 
+    @pytest.mark.parametrize("cuts", [(-0.6, 0.0, 0.6), tuple(np.linspace(-2.0, 2.0, 12))])
+    def test_matches_searchsorted_on_cutpoints_and_infinities(self, rng, cuts):
+        x = rng.normal(size=(3000, 2))
+        x[:40] = rng.choice(np.array(cuts), size=(40, 2))  # exactly on a cut
+        x[40:50, 0], x[50:60, 1] = np.inf, -np.inf
+        r = len(cuts) + 1
+        codes = np.searchsorted(np.array(cuts), x, side="left")
+        want = np.bincount(codes @ (r, 1), minlength=r * r)
+        assert np.array_equal(discretize(x, cuts).counts, want)
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            discretize(np.array([[0.0, np.nan, 1.0]]), (-0.6, 0.0, 0.6))
+
 
 class TestPowerStudy:
     def test_deterministic_and_order_independent(self):
@@ -128,3 +147,118 @@ class TestPowerStudy:
         for row in doc["rows"]:
             assert 0.0 <= row["rate"] <= 1.0
             assert row["failures"] == 0
+            assert row["fallbacks"] == 0
+            assert row["first_failure"] == ""
+
+    def test_failure_budget_quotes_the_first_failure(self, monkeypatch):
+        def fail(counts, spec):
+            raise FitError(f"no fit of {counts.n:.0f} counts")
+
+        # a moment family is fitted by fit_model alone
+        monkeypatch.setattr(simulate, "fit_model", fail)
+        with pytest.raises(RuntimeError, match="8 of 8 replicates failed to fit me: no fit of 2000"):
+            power_study(tiny_config(models=(ModelSpec("me"),)))
+
+
+def scenario(name: str, reps: int) -> SimConfig:
+    with data_path(name).open() as fh:
+        return replace(SimConfig.from_dict(json.load(fh)), n_reps=reps)
+
+
+def replicate_tables(config: SimConfig) -> list[CountTable]:
+    cuts = config.effective_cutpoints()
+    return [discretize(mvn_sample(config, k), cuts) for k in range(config.n_reps)]
+
+
+class TestBlockFits:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_block_fits_match_fit_model(self, name):
+        config = scenario(name, 40)
+        tables = replicate_tables(config)
+        counts = np.array([t.counts for t in tables])
+        for spec in config.models:
+            if spec.family == "s":
+                continue  # fitted table by table
+            got = fit_block(tables[0].shape, counts, spec)
+            want = np.array([fit_model(t, spec).g2 for t in tables])
+            assert not np.isnan(got).any(), spec.label
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=spec.label)
+            # split as two workers split the replicates, every G2 comes out bit for bit
+            np.testing.assert_array_equal(
+                np.concatenate([fit_block(tables[0].shape, counts[k::2], spec) for k in (0, 1)]),
+                np.concatenate([got[0::2], got[1::2]]),
+                err_msg=spec.label,
+            )
+
+    def test_a_block_that_disagrees_with_fit_model_is_handed_over(self, monkeypatch):
+        config = scenario("table2_row3.json", 4)
+        tables = replicate_tables(config)
+        counts, spec = np.array([t.counts for t in tables]), config.models[0]
+        assert not np.isnan(fit_block(tables[0].shape, counts, spec)).any()
+
+        def off(table, spec, real=fitting.fit_model):
+            return SimpleNamespace(g2=real(table, spec).g2 * (1.0 + 1e-8))
+
+        monkeypatch.setattr(fitting, "fit_model", off)
+        assert np.isnan(fit_block(tables[0].shape, counts, spec)).all()
+
+    def test_skewed_tables_match_fit_model_or_fall_back(self, rng):
+        # one plus a sparse multinomial in every cell: starts that are
+        # infeasible, indefinite Hessians and damped steps
+        settled = handed_over = 0
+        for shape in (TableShape(3, 3), TableShape(4, 3)):
+            counts = np.array([
+                rng.multinomial(200, rng.dirichlet(np.full(shape.n_cells, 0.3))) + 1
+                for _ in range(12)
+            ])
+            for ff in (kl(), pearson(), hellinger(), power(0.5), power(-1.0)):
+                for family in ("gs", "els", "ls"):
+                    spec = ModelSpec(family, ff)
+                    got = fit_block(shape, counts, spec)
+                    # a row's G2 does not depend on the rows beside it
+                    alone = np.array([fit_block(shape, row[None], spec)[0] for row in counts])
+                    np.testing.assert_array_equal(alone, got, err_msg=spec.label)
+                    for row, stat in zip(counts, got):
+                        if np.isnan(stat):
+                            handed_over += 1
+                            continue
+                        want = fit_model(CountTable(shape, row), spec).g2
+                        assert stat == pytest.approx(want, rel=1e-9, abs=0), spec.label
+                        settled += 1
+        assert settled > handed_over > 0
+
+    def test_zero_cells_and_steep_links_match_a_loop_of_fit_model(self):
+        config = tiny_config(
+            n_obs=300,
+            n_reps=12,
+            seed=11,
+            variances=(1.0, 1.2, 1.4),
+            correlations=((1.0, 0.2, 0.3), (0.2, 1.0, 0.4), (0.3, 0.4, 1.0)),
+            models=(
+                ModelSpec("s"),
+                ModelSpec("gs", kl()),
+                ModelSpec("ls", pearson()),
+                ModelSpec("els", hellinger()),
+                ModelSpec("gs", power(2.0)),
+                ModelSpec("ls", power(-1.5)),
+            ),
+        )
+        tables = replicate_tables(config)
+        zero = [bool(np.any(t.counts == 0)) for t in tables]
+        assert 0 < sum(zero) < len(tables)  # both the block and the fallback path
+        want = []
+        for spec in config.models:
+            rejections = failures = 0
+            for table in tables:
+                try:
+                    rejections += fit_model(table, spec).pvalue < config.alpha
+                except FitError:
+                    failures += 1
+            want.append((rejections, failures))
+        for workers in (1, 2):
+            rows = power_study(config, workers=workers).rows
+            assert [(row.rejections, row.failures) for row in rows] == want
+            fallbacks = {row.model: row.fallbacks for row in rows}
+            assert fallbacks["s"] == 0
+            assert fallbacks["gs[kl]"] == sum(zero)
+            assert fallbacks["gs[power(2)]"] == fallbacks["ls[power(-1.5)]"] == len(tables)
