@@ -12,7 +12,11 @@ which needs scipy).
 
 Prints one JSON line per fit, with ``g2``/``iterations`` or ``error`` for
 each fitter (``oracle_*`` for the oracle, ``certificate`` for the failed
-criteria), then on stderr one summary line per moment family and per link:
+criteria).  A row whose ``fit_model`` call returns a fit also carries
+``pihat_sha1``, the first 16 hex digits of the SHA-1 of the fitted
+probabilities' bytes: two runs whose fits agree bit for bit give the same
+rows, so a refactor that must not move any fit is checked by a ``diff`` of
+the two outputs.  Then it prints on stderr one summary line per moment family and per link:
 the FitError count, the oracle's, the fits above the oracle's G2 by more
 than 1e-6 and, for the moment families, the fits that fail the certificate.
 A shape a family cannot take (gs/els at r = 2) is skipped.
@@ -31,6 +35,7 @@ whether it is within 1e-9, and how many tables fell back to ``fit_model``.
 Usage: python scripts/restart_sweep.py > sweep.jsonl
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -62,6 +67,10 @@ def tables():
                     probs = rng.dirichlet(np.full(shape.n_cells, c))
                     key = dict(seed=seed, shape=f"{r}^{T}", n=n, concentration=c)
                     yield key, CountTable(shape, rng.multinomial(n, probs))
+
+
+def pihat_sha1(fit):
+    return hashlib.sha1(fit.pihat.probs.tobytes()).hexdigest()[:16]
 
 
 def attempt(fit, prefix=""):
@@ -121,7 +130,7 @@ def main():
             row = dict(key, model=spec.label)
             try:
                 fit = fit_model(counts, spec)
-                row.update(g2=fit.g2, iterations=fit.iterations)
+                row.update(g2=fit.g2, iterations=fit.iterations, pihat_sha1=pihat_sha1(fit))
             except FitError as exc:
                 fit = None
                 row.update(error=str(exc))

@@ -163,7 +163,7 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_MODEL)
     try:
-        report = decompose(counts, ff, fit_kwargs={"max_iter": args.max_iter})
+        report = decompose(counts, ff, max_iter=args.max_iter)
     except FitError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -213,17 +213,11 @@ def cmd_simulate(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {args.config}: {exc}", EXIT_INPUT)
+    overrides = {k: v for k, v in (("n_reps", args.reps), ("seed", args.seed)) if v is not None}
     try:
-        config = SimConfig.from_dict(doc)
+        config = replace(SimConfig.from_dict(doc), **overrides)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad simulation config: {exc}", EXIT_INPUT)
-    overrides = {}
-    if args.reps is not None:
-        overrides["n_reps"] = args.reps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
     result = power_study(config, workers=args.workers)
     doc = result.to_dict()
     if args.out:

@@ -6,7 +6,11 @@ the orbit masses S_o are the observed orbit proportions and the within-orbit
 shares c_i come from the link-space engine (``linkspace``), so only theta is
 iterated (``fit_link``).  ``fit_block`` fits one model to a stack of tables
 at once, running ``fit_link``'s interior climb on every table in lockstep,
-and leaves the tables outside that climb's case to ``fit_model``.
+and leaves the tables outside that climb's case to ``fit_model``.  The
+block starts where ``fit_link`` does (``_smoothed_start``) and evaluates its
+stack with the one-table normalizers and point builder of ``linkspace``;
+only its lockstep line search, its row log likelihood and its Cholesky
+test (``_definite_steps``) are its own.
 
 The moment families me/ve/ce/me2 constrain a few moment coordinates,
 c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
@@ -554,12 +558,31 @@ def _link_score(space, pt, nvec, has_count):
     return a, (np.swapaxes(a, -1, -2) @ nu[..., None])[..., 0]
 
 
-def _link_start(space, ratio: np.ndarray) -> LinkPoint | None:
-    """The point whose link values fit F(ratio) best in least squares, if feasible,
-    else for lam > 1 the first feasible one of 4 halvings toward 0."""
-    # F(0) = -1/lam for lam > 0; a zero share gives no start for lam <= 0
+def _share_theta(space, ratio: np.ndarray) -> np.ndarray:
+    """The theta whose link values fit F(ratio) best in least squares, one
+    per row of within-orbit shares; not finite where a zero share has no
+    link value (lam <= 0; F(0) = -1/lam for lam > 0)."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        theta = space.theta_of(link(ratio, space.lam))
+        return space.theta_of(link(ratio, space.lam))
+
+
+def _smoothed_start(space, nvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, fitted): ``fit_link``'s first start for each table on the
+    last axis of nvec.  ``fitted`` marks the tables whose centered score is
+    already within SCORE_TOL * (1 + n); theta = 0, the symmetric fit, is
+    their fit.  The others start at the ``_share_theta`` of the smoothed
+    table's within-orbit shares."""
+    n = nvec.sum(axis=-1)
+    p = (nvec + 0.5) / (n + 0.5 * nvec.shape[-1])[..., None]  # CountTable.smoothed_proportions
+    ratio = p * space.orbits.size_of_cell / orbit_sums(space.shape, p)
+    centered_score = (space.centered.T @ nvec[..., None])[..., 0]
+    fitted = np.max(np.abs(centered_score), axis=-1) <= SCORE_TOL * (1.0 + n)
+    return np.where(fitted[..., None], 0.0, _share_theta(space, ratio)), fitted
+
+
+def _link_start(space, theta: np.ndarray) -> LinkPoint | None:
+    """The point at theta, if finite and feasible, else for lam > 1 the first
+    feasible one of 4 halvings toward 0."""
     if not np.all(np.isfinite(theta)):
         return None
     for k in range(4 * (space.lam > 1.0) + 1):
@@ -784,19 +807,14 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
     return pt, ll, it
 
 
-def fit_link(
-    counts: CountTable,
-    spec: ModelSpec,
-    max_iter: int,
-    tol_constraint: float,
-) -> FitResult:
+def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
     """Maximum likelihood of a gs/els/ls model in its own parameters theta.
 
     With pi_i = S_o c_i(theta) the log likelihood separates into
     sum_o N_o log S_o + sum_i n_i log c_i(theta), so the orbit masses S_o are
     the observed orbit proportions and only theta is iterated, to a projected
     score below SCORE_TOL * (1 + n), with every cell held on the F^{-1} edge
-    within tol_constraint of it.  Links with 0 <= lam <= 1 make the second
+    within TOL_CONSTRAINT of it.  Links with 0 <= lam <= 1 make the second
     sum concave.  Steeper links can have several maxima (random sparse
     tables show them at lam = -1.1 and -1.5, never at lam = -1, Hellinger's
     -1/2 or -1/4; and at lam = 1.5, 2 and 3, where the edge's infinite dg/dy
@@ -808,32 +826,30 @@ def fit_link(
     """
     shape = counts.shape
     space = link_space(shape, spec.family, spec.ff)
-    nvec, n = counts.counts, counts.n
+    nvec = counts.counts
     orbit_counts = space.orbits.sum(nvec)
-    tol = SCORE_TOL * (1.0 + n)
 
     def climb(link, start, nvec=nvec):
         tol = SCORE_TOL * (1.0 + nvec.sum())
-        return _link_ascent(link, start, nvec, link.orbits.sum(nvec), max_iter, tol, tol_constraint)
+        return _link_ascent(link, start, nvec, link.orbits.sum(nvec), max_iter, tol, TOL_CONSTRAINT)
 
     # theta = 0 is the symmetric fit; a table it already fits takes no step.
     # Otherwise start near the saturated fit, as the constrained fitter does;
     # a link with several maxima also starts from theta = 0 and a nearby fit.
     zero = np.zeros(space.X.shape[1])
     starts = []
-    if float(np.max(np.abs(space.centered.T @ nvec))) > tol:
-        p = counts.smoothed_proportions().probs
-        ratio = p * space.orbits.size_of_cell / orbit_sums(shape, p)
-        starts.append(_link_start(space, ratio))
+    theta, fitted = _smoothed_start(space, nvec)
+    if not fitted:
+        starts.append(_link_start(space, theta))
         if space.lam < -1.0:
             kl = FFunction(KL)
             kl_space = link_space(shape, spec.family, kl)
-            kl_start = _link_start(kl_space, ratio)
+            kl_start = _link_start(kl_space, _smoothed_start(kl_space, nvec)[0])
             try:
                 if kl_start is None:
                     kl_start = kl_space.evaluate(zero)
                 kl_pt = climb(kl_space, kl_start)[0]
-                starts.append(_link_start(space, kl_pt.g))
+                starts.append(_link_start(space, _share_theta(space, kl_pt.g)))
             except FitError:
                 pass
         if abs(space.lam) > 1.0:
@@ -867,7 +883,7 @@ def fit_link(
     resid = 0.0
     if pt.held.any():
         resid = float(np.max(np.abs(_edge_rows(space, pt, None, pt.held)[1])))
-    # a pinned orbit meets its unit sum to within tol_constraint; close it
+    # a pinned orbit meets its unit sum to within TOL_CONSTRAINT; close it
     g = pt.g
     if pt.pin is not None:
         scale = np.divide(orbits.size, orbits.sum(g), out=np.ones_like(orbits.size), where=pt.pin >= 0)
@@ -959,20 +975,13 @@ def _link_block(space, nvec):
     not finite, its line search fails or it reaches MAX_ITER.  Every step
     acts on each row alone.
     """
-    orbits = space.orbits
-    R, N = nvec.shape
     n = nvec.sum(axis=1)
-    g_out = np.zeros((R, N))
-    settled = np.zeros(R, dtype=bool)
+    g_out = np.zeros(nvec.shape)
+    settled = np.zeros(len(nvec), dtype=bool)
 
-    p = (nvec + 0.5) / (n + 0.5 * N)[:, None]  # CountTable.smoothed_proportions
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = p * orbits.size_of_cell / orbits.sum(p)[:, orbits.orbit_id]
-        theta = space.theta_of(link(ratio, space.lam))
+    theta = _smoothed_start(space, nvec)[0]
     start_ok = np.all(np.isfinite(theta), axis=1)
-    # theta = 0 is the fit of a table whose centered score is already small
-    centered_score = (space.centered.T @ nvec[..., None])[..., 0]
-    theta[~start_ok | (np.max(np.abs(centered_score), axis=1) <= SCORE_TOL * (1.0 + n))] = 0.0
+    theta[~start_ok] = 0.0
     pt, feasible = space.evaluate_rows(theta)
     row = np.flatnonzero(feasible & start_ok)  # the tables still climbing
     pt = _point_rows(pt, row)
@@ -1021,19 +1030,13 @@ def _row_loglik(nvec, g):
     return np.where(np.all(g > 0, axis=1), ll, -math.inf)
 
 
-def fit_moment(
-    counts: CountTable,
-    spec: ModelSpec,
-    max_iter: int,
-    tol_constraint: float,
-    tol_loglik: float,
-) -> FitResult:
+def fit_moment(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
     """Maximum likelihood of a moment family through its tilted-multinomial
     dual (``tilted``): one dual solve for me/me2, a profile SQP for ve/ce."""
     try:
         probs, steps = tilted.fit(
             counts, spec.family, max_iter=max_iter,
-            tol_constraint=tol_constraint, tol_loglik=tol_loglik,
+            tol_constraint=TOL_CONSTRAINT, tol_loglik=TOL_LOGLIK,
         )
     except tilted.CertificateError as exc:
         raise FitError(str(exc), exc.trace) from exc
@@ -1059,31 +1062,23 @@ def fit_symmetry(counts: CountTable) -> FitResult:
     )
 
 
-def fit_model(
-    counts: CountTable,
-    spec: ModelSpec,
-    *,
-    max_iter: int = MAX_ITER,
-    tol_constraint: float = TOL_CONSTRAINT,
-    tol_loglik: float = TOL_LOGLIK,
-) -> FitResult:
+def fit_model(counts: CountTable, spec: ModelSpec, *, max_iter: int = MAX_ITER) -> FitResult:
     """Dispatch a family to its fit: closed form, theta-space link fit for
     gs/els/ls under every f-function, or tilted-dual fit for the moment
     families.
 
-    Every family takes the same keywords.  ``max_iter`` caps the iterations
-    of every fit (a moment fit's dual Newton or SQP steps) and
-    ``tol_constraint`` its constraint residual (for me/me2, the dual KKT
-    residual; for a link fit, the distance of held cells from the F^{-1}
-    edge); ``tol_loglik`` is a moment fit's relative log-likelihood change
-    over its last step, which a link fit replaces by its score test
-    (``SCORE_TOL``).
+    ``max_iter`` caps the iterations of every fit (a moment fit's dual
+    Newton or SQP steps).  Every fit meets TOL_CONSTRAINT in its constraint
+    residual (for me/me2, the dual KKT residual; for a link fit, the
+    distance of held cells from the F^{-1} edge); a moment fit also meets
+    TOL_LOGLIK in its relative log-likelihood change over its last step,
+    which a link fit replaces by its score test (``SCORE_TOL``).
     """
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
     if spec.family in MOMENT_FAMILIES:
-        return fit_moment(counts, spec, max_iter, tol_constraint, tol_loglik)
-    return fit_link(counts, spec, max_iter, tol_constraint)
+        return fit_moment(counts, spec, max_iter)
+    return fit_link(counts, spec, max_iter)
 
 
 def g2(counts: CountTable, mhat: np.ndarray) -> float:

@@ -26,7 +26,12 @@ edge:
   cell q of the orbit is tied to it (y_q = -1/lam), and the unit sum over
   the orbit's free cells becomes a constraint on theta (``pins``).
 
-The orbit type, ``Orbits``, lives in ``tables`` and is re-exported here.
+``normalizers`` solves the orbits of one table or, over leading axes, of a
+stack of tables of one shape, each orbit of each table alone.
+``LinkSpace.evaluate`` builds one table's point, with held and pinned cells;
+``evaluate_rows`` builds a stack's, with no cell held, for the lockstep fits
+of ``fitting.fit_block``.  The orbit type, ``Orbits``, lives in ``tables``
+and is re-exported here.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ NORMALIZER_TOL = 1e-13
 class InfeasibleParameterError(ValueError):
     """No per-orbit normalizer exists inside the F^{-1} domain.
 
-    ``orbits`` marks the orbits without a root, when known.
+    ``orbits`` marks the orbits without a root, when known, with the shape
+    of the normalizers: (..., O) for a stack of tables.
     """
 
     def __init__(self, message, orbits=None):
@@ -57,15 +63,18 @@ class InfeasibleParameterError(ValueError):
 def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndarray:
     """gamma_o with sum over the free cells of o of F^{-1}(z_i + gamma_o) = |o|.
 
-    Closed forms for lam = 0 (log-sum-exp) and lam = 1 (mean shift).  Otherwise
-    a Newton iteration, safeguarded by bisection inside a bracket that keeps
-    every free cell inside the F^{-1} domain and warm-started from ``start``.
-    Raises InfeasibleParameterError when some orbit has no root in the domain.
+    ``z`` and ``free`` hold the cells on their last axis, (..., N); gamma,
+    like ``start``, has shape (..., O), and each orbit of each table is
+    solved alone.  Closed forms for lam = 0 (log-sum-exp) and lam = 1 (mean
+    shift).  Otherwise a Newton iteration, safeguarded by bisection inside a
+    bracket that keeps every free cell inside the F^{-1} domain and
+    warm-started from ``start``.  Raises InfeasibleParameterError when some
+    orbit has no root in the domain.
     """
     oid, size = orbits.orbit_id, orbits.size
     zhi = orbits.max(z if free is None else np.where(free, z, -np.inf))
     if lam == 0.0:  # no edge, so nothing is ever held
-        return np.log(size / orbits.sum(np.exp(z - zhi[oid]))) - zhi
+        return np.log(size / orbits.sum(np.exp(z - zhi[..., oid]))) - zhi
     k = size if free is None else orbits.sum(free.astype(float))
     zlo = orbits.min(z if free is None else np.where(free, z, np.inf))
     if lam == 1.0:
@@ -82,7 +91,7 @@ def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndar
     with np.errstate(all="ignore"):
 
         def excess(gamma):
-            g, u = inverse_link(z + gamma[oid], lam)
+            g, u = inverse_link(z + gamma[..., oid], lam)
             if free is not None:  # held cells may lie past the edge
                 g, u = np.where(free, g, 0.0), np.where(free, u, 1.0)
             return orbits.sum(g) - size, orbits.sum(g / u)
@@ -194,42 +203,47 @@ class LinkSpace:
             at_pin = held & (z == lowest[oid])
             pin = np.where(pinned, orbits.min(np.where(at_pin, np.arange(n_cells), n_cells)), -1)
             gamma = np.where(pinned, -1.0 / self.lam - lowest, gamma)
-        y = z + gamma[oid]
-        g, u = inverse_link(y, self.lam)
-        if pinned is not None and np.any(~held & pinned[oid] & ~(u > 0)):
+        pt = self._point(theta, z, gamma, held, pin)
+        if pinned is not None and np.any(~held & pinned[oid] & ~(pt.u > 0)):
             raise InfeasibleParameterError("a free cell of a pinned orbit crosses the edge")
-        g = np.where(held, 0.0, g)
-        if not np.all(np.isfinite(g)):
+        if not np.all(np.isfinite(pt.g)):
             raise InfeasibleParameterError("link values overflow")
-        return LinkPoint(theta, gamma, y, g, u, _dg_dy(g, u, self.lam), held, pin)
+        return pt
 
     def evaluate_rows(self, theta, start=None) -> tuple[LinkPoint, np.ndarray]:
         """``evaluate`` with no cell held at each row of theta, as one stacked
         point, and the mask of its feasible rows.  A row is infeasible where
         an orbit's normalizer has no root or the link values overflow; its
         values are void.  The rows share one ``normalizers`` call on the
-        orbits of the stacked tables, and every operation acts on each row
-        alone, so a row's values do not depend on the rows beside it.
+        (rows, N) stack of design values, which solves each row alone, and
+        every other operation acts on each row alone too, so a row's values
+        do not depend on the rows beside it.
         """
-        R, n_orb = len(theta), len(self.orbits.size)
         z = (self.X @ theta[..., None])[..., 0]
-        feasible = np.ones(R, dtype=bool)
-        stacked = _stacked_orbits(self.shape, R)
-        start = None if start is None else start.ravel()
+        feasible = np.ones(len(theta), dtype=bool)
         while True:
             try:
-                gamma = normalizers(z.ravel(), stacked, self.lam, None, start).reshape(R, n_orb)
+                gamma = normalizers(z, self.orbits, self.lam, None, start)
                 break
             except InfeasibleParameterError as exc:
                 if exc.orbits is None:
                     raise
-                feasible &= ~exc.orbits.reshape(R, n_orb).any(axis=1)
+                feasible &= ~exc.orbits.any(axis=1)
                 z[~feasible] = 0.0  # theta = 0 always has gamma = 0
-        y = z + gamma[:, self.orbits.orbit_id]
+        pt = self._point(theta, z, gamma, np.zeros(z.shape, dtype=bool))
+        feasible &= np.all(np.isfinite(pt.g), axis=1)
+        return pt, feasible
+
+    def _point(self, theta, z, gamma, held, pin=None) -> LinkPoint:
+        """The point of one table or a stack with design values z and
+        normalizers gamma: y, g (0 at held cells), u and dg/dy.  The callers
+        refuse a g that overflowed."""
+        y = z + gamma[..., self.orbits.orbit_id]
         g, u = inverse_link(y, self.lam)
-        feasible &= np.all(np.isfinite(g), axis=1)
-        held = np.zeros(g.shape, dtype=bool)
-        return LinkPoint(theta, gamma, y, g, u, _dg_dy(g, u, self.lam), held, None), feasible
+        g = np.where(held, 0.0, g)
+        with np.errstate(invalid="ignore"):  # inf / inf where g overflowed
+            w = _dg_dy(g, u, self.lam)
+        return LinkPoint(theta, gamma, y, g, u, w, held, pin)
 
     def slopes(self, pt: LinkPoint) -> np.ndarray:
         """dy/dtheta: each X row minus its orbit's reference row.
@@ -253,24 +267,6 @@ def _dg_dy(g, u, lam):
     if lam == 1.0:
         return np.ones_like(g)
     return np.divide(g, u, out=np.zeros_like(g), where=g > 0)
-
-
-@lru_cache(maxsize=None)
-def _orbit_stack(r: int, T: int, height: int) -> Orbits:
-    orbits = orbit_structure(TableShape(r, T))
-    return Orbits.of((np.arange(height)[:, None] * len(orbits.size) + orbits.orbit_id).ravel())
-
-
-def _stacked_orbits(shape: TableShape, rows: int) -> Orbits:
-    """The orbits of ``rows`` stacked tables of ``shape``: table k's orbit o
-    is k O + o.  They lead the stack whose height is the next power of two,
-    built once."""
-    full = _orbit_stack(shape.r, shape.T, 1 << (rows - 1).bit_length())
-    cells, orbs = rows * shape.n_cells, rows * shape.n_orbits
-    return Orbits(
-        full.orbit_id[:cells], full.size[:orbs], full.order[:cells], full.starts[:orbs],
-        full.members[:orbs], full.size_of_cell[:cells],
-    )
 
 
 @lru_cache(maxsize=64)

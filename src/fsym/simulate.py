@@ -46,6 +46,10 @@ class SimConfig:
     models: tuple[ModelSpec, ...] = ()
 
     def __post_init__(self):
+        if self.n_obs < 1:
+            raise ValueError(f"n_obs must be at least 1, got {self.n_obs}")
+        if self.n_reps < 1:
+            raise ValueError(f"n_reps must be at least 1, got {self.n_reps}")
         T = len(self.means)
         if T < 2:
             raise ValueError("need at least two variables")

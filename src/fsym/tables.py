@@ -204,20 +204,23 @@ class Orbits:
         )
 
     def sum(self, v: np.ndarray) -> np.ndarray:
-        """Orbit totals of the cell values on v's last axis."""
+        """Orbit totals of the cell values on v's last axis.  Each row's totals
+        are added in cell order, as for that row alone."""
+        n_orb = len(self.size)
         if v.ndim == 1:
-            return np.bincount(self.orbit_id, weights=v, minlength=len(self.size))
-        return np.add.reduceat(v[..., self.order], self.starts, axis=-1)
+            return np.bincount(self.orbit_id, weights=v, minlength=n_orb)
+        ids = np.arange(v.size // v.shape[-1])[:, None] * n_orb + self.orbit_id
+        return np.bincount(ids.ravel(), weights=v.ravel()).reshape(*v.shape[:-1], n_orb)
 
     def sum_rows(self, V: np.ndarray) -> np.ndarray:
         """Orbit totals of the cell rows on V's second-to-last axis."""
         return np.add.reduceat(V[..., self.order, :], self.starts, axis=-2)
 
     def min(self, v: np.ndarray) -> np.ndarray:
-        return np.minimum.reduceat(v[self.order], self.starts)
+        return np.minimum.reduceat(v[..., self.order], self.starts, axis=-1)
 
     def max(self, v: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(v[self.order], self.starts)
+        return np.maximum.reduceat(v[..., self.order], self.starts, axis=-1)
 
     def same_orbit(self) -> np.ndarray:
         """N x N mask of cell pairs that share an orbit."""
@@ -253,9 +256,9 @@ def orbit_structure(shape: TableShape) -> Orbits:
 
 
 def orbit_sums(shape: TableShape, values: np.ndarray) -> np.ndarray:
-    """Per-cell sum of ``values`` over each cell's orbit."""
+    """Per-cell sum of ``values`` over each cell's orbit, on the last axis."""
     struct = orbit_structure(shape)
-    return struct.sum(values)[struct.orbit_id]
+    return struct.sum(values)[..., struct.orbit_id]
 
 
 def symmetric_average(p: ProbTable) -> ProbTable:

@@ -225,12 +225,15 @@ class WaldReport:
     g2_gap: float = float("nan")
 
 
-def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
+def decompose(counts: CountTable, ff: FFunction, max_iter: int | None = None) -> WaldReport:
     """Wald decomposition of complete symmetry plus the likelihood-ratio partition.
 
     The Wald statistics are plug-in quantities at the observed proportions;
     tables with sampling zeros fall back to additively smoothed proportions
     (flagged in the report) because the link values are unbounded at zero cells.
+    Each partition fit is ``fitting.fit_model`` with ``max_iter``, by default
+    ``fitting.MAX_ITER`` (``fitting`` imports this module, so the default is
+    read at the call).
     """
     from . import fitting  # deferred to avoid an import cycle
 
@@ -267,7 +270,8 @@ def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
         ridged=ridged,
     )
 
-    fit_kwargs = fit_kwargs or {}
+    if max_iter is None:
+        max_iter = fitting.MAX_ITER
     partition_specs = [
         fitting.ModelSpec("s"),
         fitting.ModelSpec(design.GS, ff),
@@ -278,7 +282,7 @@ def decompose(counts: CountTable, ff: FFunction, fit_kwargs=None) -> WaldReport:
     ]
     fits = {}
     for spec in partition_specs:
-        fit = fitting.fit_model(counts, spec, **fit_kwargs)
+        fit = fitting.fit_model(counts, spec, max_iter=max_iter)
         fits[spec.family] = fit
         report.g2_partition.append(
             PartitionRow(family=spec.label, g2=fit.g2, df=fit.df, pvalue=fit.pvalue)

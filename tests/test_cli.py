@@ -216,6 +216,27 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "n_obs,reps", [(1000, "0"), (1000, "-3"), (0, None)], ids=["reps0", "reps-3", "n_obs0"]
+    )
+    def test_counts_below_one_exit_2_with_one_error_line(self, tmp_path, capsys, n_obs, reps):
+        config = {
+            "means": [0, 0, 0],
+            "variances": [1, 1, 1],
+            "correlations": [0.2, 0.2, 0.2],
+            "n_obs": n_obs,
+            "n_reps": 3,
+            "models": [{"family": "s"}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["simulate", "--config", str(cfg)] + (["--reps", reps] if reps else [])
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad simulation config") and err.count("\n") == 1
+
 
 class TestDesign:
     def test_dump(self, tmp_path, capsys):

@@ -79,6 +79,37 @@ class TestNormalizers:
             normalizers(z, Orbits.of(oid), 1.0)
         assert err.value.orbits.tolist() == [False, True]
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, 0.5])
+    def test_a_stack_equals_each_row_alone(self, rng, lam):
+        orbits = orbit_structure(TableShape(3, 3))
+        z = rng.normal(size=(4, 27)) * 0.3
+        gamma = normalizers(z, orbits, lam)
+        assert gamma.shape == (4, 10)
+        for k in range(4):
+            assert np.array_equal(gamma[k], normalizers(z[k], orbits, lam))
+        # warm-started from the solution, each row still matches its own call
+        warm = normalizers(z, orbits, lam, start=gamma)
+        for k in range(4):
+            assert np.array_equal(warm[k], normalizers(z[k], orbits, lam, start=gamma[k]))
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_a_stack_names_the_row_without_a_root(self, rng, lam):
+        # row 2's cell 1 is far below the rest of its orbit: every normalizer
+        # that keeps it in the domain leaves the orbit's sum above |o|
+        orbits = orbit_structure(TableShape(3, 3))
+        z = rng.normal(size=(4, 27)) * 0.1
+        o = orbits.orbit_id[1]
+        z[2, orbits.members[o][0]] = -50.0
+        with pytest.raises(InfeasibleParameterError) as err:
+            normalizers(z, orbits, lam)
+        bad = err.value.orbits
+        assert bad.shape == (4, 10)
+        assert np.flatnonzero(bad.any(axis=1)).tolist() == [2]
+        assert np.flatnonzero(bad[2]).tolist() == [o]
+        with pytest.raises(InfeasibleParameterError) as alone:
+            normalizers(z[2], orbits, lam)
+        assert np.array_equal(alone.value.orbits, bad[2])
+
 
 def assert_model_point(counts, fit):
     """The fit is a point of its model: observed orbit masses, zero shares
@@ -204,11 +235,10 @@ class TestLinkFit:
 
     @pytest.mark.parametrize("ff", [kl(), power(2.0)], ids=lambda f: f.name)
     def test_both_link_routes_take_the_constrained_fit_keywords(self, ff):
-        # decompose passes one keyword set to the link and the moment fits
-        fit = fit_model(
-            anes_party_id(), ModelSpec("gs", ff), max_iter=100, tol_constraint=1e-8, tol_loglik=1e-9
-        )
-        assert fit.converged
+        # max_iter reaches the one-start climb and the lam > 1 multi-start one
+        assert fit_model(anes_party_id(), ModelSpec("gs", ff), max_iter=100).converged
+        with pytest.raises(FitError, match="within 1 iterations"):
+            fit_model(anes_party_id(), ModelSpec("gs", ff), max_iter=1)
 
     def test_iteration_cap_names_the_score_norm(self):
         with pytest.raises(FitError, match="within 2 iterations; final score norm") as err:

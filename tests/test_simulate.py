@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(cutpoints=(0.5, 0.5, 1.0))
 
+    @pytest.mark.parametrize("name", ["n_obs", "n_reps"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_below_one_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: value})
+
 
 class TestSampling:
     def test_deterministic_replay(self):

@@ -17,6 +17,7 @@ from fsym.tables import (
     orbit,
     orbit_representative,
     orbit_structure,
+    orbit_sums,
     symmetric_average,
 )
 
@@ -94,6 +95,20 @@ class TestOrbits:
             assert np.all(np.diff(members) > 0)
             assert all(tuple(sorted(cells[i])) == rep for i in members)
         assert len(reps) == len(struct.members) == shape.n_orbits
+
+    @pytest.mark.parametrize("r,T", [(3, 3), (3, 4)])
+    def test_reductions_of_a_stack_equal_each_row_alone(self, rng, r, T):
+        shape = TableShape(r, T)
+        struct = orbit_structure(shape)
+        stack = rng.normal(size=(5, shape.n_cells))
+        for reduce in (struct.min, struct.max, struct.sum):
+            rows = reduce(stack)
+            assert rows.shape == (5, shape.n_orbits)
+            for k in range(5):
+                np.testing.assert_array_equal(rows[k], reduce(stack[k]))
+        np.testing.assert_array_equal(
+            orbit_sums(shape, stack), struct.sum(stack)[:, struct.orbit_id]
+        )
 
 
 class TestSymmetricAverage:

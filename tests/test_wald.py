@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fsym import fitting
 from fsym.datasets import anes_party_id
 from fsym.design import design_matrix, moment_matrix
 from fsym.divergences import hellinger, kl, pearson, power
+from fsym.fitting import FitError, fit_model
 from fsym.tables import ProbTable, TableShape, symmetric_average
 from fsym.wald import (
     decompose,
@@ -163,15 +165,22 @@ class TestDecompose:
         report = decompose(counts, power(0.5))
         assert report.w_s >= max(report.w_gs, report.w_me2) - 1e-9
 
-    def test_fit_tolerances_reach_every_partition_fit(self):
+    def test_max_iter_reaches_every_partition_fit(self, monkeypatch):
         table = anes_party_id()
-        default = decompose(table, kl())
-        tight = decompose(
-            table, kl(), fit_kwargs={"max_iter": 300, "tol_constraint": 1e-10, "tol_loglik": 1e-11}
-        )
-        for a, b in zip(default.g2_partition, tight.g2_partition):
-            assert a.family == b.family and a.df == b.df
-            assert b.g2 == pytest.approx(a.g2, abs=1e-6)
+        with pytest.raises(FitError):
+            decompose(table, kl(), max_iter=1)
+        caps = []
+
+        def spy(counts, spec, *, max_iter):
+            caps.append(max_iter)
+            return fit_model(counts, spec, max_iter=max_iter)
+
+        monkeypatch.setattr(fitting, "fit_model", spy)
+        decompose(table, kl(), max_iter=150)
+        assert caps == [150] * 6
+        caps.clear()
+        decompose(table, kl())
+        assert caps == [fitting.MAX_ITER] * 6
 
     def test_orthogonality_residual_at_symmetric_tables(self, rng):
         shape = TableShape(3, 3)
