@@ -4,11 +4,12 @@
 Tables: for seed s in 1..8, ``rng = default_rng(s)`` draws, for the shapes
 2^3, 3^3, 4^3 and 3^4, for n in (60, 500) and Dirichlet concentration in
 (1, 0.3), one table ``rng.multinomial(n, rng.dirichlet(full(N, c)))``.
-Models: me/ve/ce/me2 and gs/els/ls under power(2) and Hellinger.  Each model
-is fitted by ``fit_model`` and by the KKT oracle, ``fit_hlp`` on
-``moment_constraint`` or ``linkform_constraint``; a moment fit is also
-checked by its certificate (``moment_certificate`` in ``tests/conftest.py``,
-which needs scipy).
+Models: s, me/ve/ce/me2 and gs/els/ls under power(2), Hellinger and
+power(-1.5).  Each model but s is fitted by ``fit_model`` and by the KKT
+oracle, ``fit_hlp`` on ``moment_constraint`` or ``linkform_constraint``; a
+moment fit is also checked by its certificate (``moment_certificate`` in
+``tests/conftest.py``, which needs scipy).  Every model contains complete
+symmetry, so no fit may end above the table's s G2.
 
 Prints one JSON line per fit, with ``g2``/``iterations`` or ``error`` for
 each fitter (``oracle_*`` for the oracle, ``certificate`` for the failed
@@ -18,7 +19,8 @@ probabilities' bytes: two runs whose fits agree bit for bit give the same
 rows, so a refactor that must not move any fit is checked by a ``diff`` of
 the two outputs.  Then it prints on stderr one summary line per moment family and per link:
 the FitError count, the oracle's, the fits above the oracle's G2 by more
-than 1e-6 and, for the moment families, the fits that fail the certificate.
+than 1e-6, the fits above s's G2 by more than 1e-6 and, for the moment
+families, the fits that fail the certificate.
 A shape a family cannot take (gs/els at r = 2) is skipped.
 
 On each r >= 3 table it also runs ``decompose`` under kl and compares its
@@ -52,7 +54,7 @@ from conftest import dense_decomposition, moment_certificate  # noqa: E402
 SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
 MOMENT_MODELS = ("me", "ve", "ce", "me2")
 LINK_FAMILIES = ("gs", "els", "ls")
-LINKS = (power(2.0), hellinger())
+LINKS = (power(2.0), hellinger(), power(-1.5))
 BLOCK_LINKS = (kl(), pearson(), hellinger())
 BLOCK_RTOL = 1e-9
 
@@ -118,12 +120,14 @@ def block_summary(by_shape):
 
 def main():
     # [FitError, oracle FitError, fits above the oracle's G2, failed
-    # certificates] per moment family and per link
-    tally = {name: [0, 0, 0, 0] for name in MOMENT_MODELS + tuple(ff.name for ff in LINKS)}
+    # certificates, fits above s's G2] per moment family and per link
+    tally = {name: [0, 0, 0, 0, 0] for name in MOMENT_MODELS + tuple(ff.name for ff in LINKS)}
     wald_gap, ridge_mismatch = 0.0, []
     by_shape = {}
     for key, counts in tables():
         by_shape.setdefault(key["shape"], []).append(counts)
+        symmetry = fit_model(counts, ModelSpec("s"))
+        print(json.dumps(dict(key, model="s", g2=symmetry.g2, pihat_sha1=pihat_sha1(symmetry))), flush=True)
         specs = [ModelSpec(m) for m in MOMENT_MODELS]
         specs += [ModelSpec(f, ff) for ff in LINKS for f in LINK_FAMILIES]
         for spec in specs:
@@ -138,6 +142,7 @@ def main():
                 continue  # the family has no free parameters at this shape
             counter = tally[spec.family if spec.ff is None else spec.ff.name]
             counter[0] += fit is None
+            counter[4] += fit is not None and fit.g2 > symmetry.g2 + 1e-6
             if spec.ff is None:
                 oracle = moment_constraint(counts.shape, spec.family)
                 if fit is not None:
@@ -157,10 +162,11 @@ def main():
             if row["ridged"] != row["oracle_ridged"]:
                 ridge_mismatch.append(key)
             print(json.dumps(row), flush=True)
-    for name, (errors, oracle_errors, above, uncertified) in tally.items():
+    for name, (errors, oracle_errors, above, uncertified, above_s) in tally.items():
         line = (
             f"{name}: FitError {errors} (oracle {oracle_errors}); "
-            f"fits above the oracle's G2 by more than 1e-6: {above}"
+            f"fits above the oracle's G2 by more than 1e-6: {above}; "
+            f"above s's G2: {above_s}"
         )
         if name in MOMENT_MODELS:
             line += f"; failed certificates: {uncertified}"

@@ -7,10 +7,12 @@ shares c_i come from the link-space engine (``linkspace``), so only theta is
 iterated (``fit_link``).  ``fit_block`` fits one model to a stack of tables
 at once, running ``fit_link``'s interior climb on every table in lockstep,
 and leaves the tables outside that climb's case to ``fit_model``.  The
-block starts where ``fit_link`` does (``_smoothed_start``) and evaluates its
-stack with the one-table normalizers and point builder of ``linkspace``;
-only its lockstep line search, its row log likelihood and its Cholesky
-test (``_definite_steps``) are its own.
+block starts where ``fit_link`` does (``_smoothed_start``), evaluates its
+stack with the one-table normalizers and point builder of ``linkspace``,
+and takes only full Newton steps that pass ``fit_link``'s sufficient
+decrease test; a table whose step would be cut is handed over.  Only its
+row log likelihood and its per-row Cholesky test (``_definite_steps``) are
+its own.
 
 The moment families me/ve/ce/me2 constrain a few moment coordinates,
 c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
@@ -633,7 +635,7 @@ def _reach(dy, u, lam):
         return np.where(dy < 0, u / (-lam * dy), np.inf)
 
 
-def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
+def _link_ascent(space, pt, nvec, max_iter):
     """Climb sum_i n_i log g_i from ``pt``; returns (point, loglik, iterations).
 
     Damped Newton (Fisher scoring where the Hessian is indefinite) with a
@@ -641,10 +643,12 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
     link, a zero-count cell whose share reaches 0 is held on the domain edge
     as an active constraint (``_edge_rows``; for lam > 1 it pins its orbit),
     and released when its multiplier turns negative.  Converged when the
-    projected score is below ``tol`` and every edge row is met within
-    ``tol_edge``.
+    projected score is below SCORE_TOL * (1 + n) and every edge row is met
+    within TOL_CONSTRAINT.
     """
     lam, n = space.lam, float(nvec.sum())
+    orbit_counts = space.orbits.sum(nvec)
+    tol = SCORE_TOL * (1.0 + n)
     has_count = nvec > 0
     holdable = ~has_count & (lam > 0)
     # The cell or orbit that a released row frees.
@@ -762,7 +766,7 @@ def _link_ascent(space, pt, nvec, orbit_counts, max_iter, tol, tol_edge):
             break
         p = plan(pt, it, a, score)
         trace.append((it, ll, p["kkt"], p["resid"], p["mode"]))
-        if p["kkt"] <= tol and p["resid"] <= tol_edge and np.array_equal(p["active"], pt.held):
+        if p["kkt"] <= tol and p["resid"] <= TOL_CONSTRAINT and np.array_equal(p["active"], pt.held):
             break
         if it == max_iter:
             raise FitError(
@@ -823,15 +827,16 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
     lam > 1 its theta halved toward 0 until feasible), theta = 0, for
     lam < -1 the KL fit, and for lam > 1 the fit of the table plus t in
     every cell, followed from t = 0.5 down to 0.02.
+
+    theta = 0 lies in every link model and has within-orbit log likelihood
+    (``_link_loglik``) exactly 0, so a start whose climb ends below
+    -G2_ROUNDOFF / 2 has stopped short (on a flat part of a lam < 0 tail,
+    say) and counts as failed.
     """
     shape = counts.shape
     space = link_space(shape, spec.family, spec.ff)
     nvec = counts.counts
     orbit_counts = space.orbits.sum(nvec)
-
-    def climb(link, start, nvec=nvec):
-        tol = SCORE_TOL * (1.0 + nvec.sum())
-        return _link_ascent(link, start, nvec, link.orbits.sum(nvec), max_iter, tol, TOL_CONSTRAINT)
 
     # theta = 0 is the symmetric fit; a table it already fits takes no step.
     # Otherwise start near the saturated fit, as the constrained fitter does;
@@ -848,7 +853,7 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
             try:
                 if kl_start is None:
                     kl_start = kl_space.evaluate(zero)
-                kl_pt = climb(kl_space, kl_start)[0]
+                kl_pt = _link_ascent(kl_space, kl_start, nvec, max_iter)[0]
                 starts.append(_link_start(space, _share_theta(space, kl_pt.g)))
             except FitError:
                 pass
@@ -861,7 +866,7 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
             try:
                 pt = space.evaluate(zero)
                 for t in (0.5, 0.1, 0.02):
-                    pt = climb(space, pt, nvec + t)[0]
+                    pt = _link_ascent(space, pt, nvec + t, max_iter)[0]
                 starts.append(pt)
             except FitError:
                 pass
@@ -869,7 +874,12 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
     best, error = None, None
     for start in starts:
         try:
-            result = climb(space, start)
+            result = _link_ascent(space, start, nvec, max_iter)
+            if result[1] < -0.5 * G2_ROUNDOFF:
+                raise FitError(
+                    f"climb ended below the symmetric fit (theta = 0): within-orbit "
+                    f"log likelihood {result[1]:.6g} < -G2_ROUNDOFF / 2"
+                )
         except FitError as exc:
             error = error or exc
             continue
@@ -901,9 +911,10 @@ def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndar
     of tables of ``shape``.
 
     The tables with every count positive under a link with |lam| <= 1 take
-    ``fit_link``'s climb, run on all of them in lockstep (``_link_block``).
-    A NaN marks a table outside that case (a zero count, |lam| > 1) or one
-    the lockstep climb hands over; ``fit_model`` must fit it from scratch.
+    ``fit_link``'s climb, run on all of them in lockstep (``_link_block``)
+    with full Newton steps only.  A NaN marks a table outside that case (a
+    zero count, |lam| > 1) or one the lockstep climb hands over (a step that
+    would be cut, say); ``fit_model`` must fit it from scratch.
     The first table the climb settles is also fitted by ``fit_model``; if
     the two G2 differ by more than BLOCK_RTOL, every table is handed over.
     Otherwise a row's G2 does not depend on the rows beside it.
@@ -939,12 +950,6 @@ def _point_rows(pt: LinkPoint, k) -> LinkPoint:
     return LinkPoint(pt.theta[k], pt.gamma[k], pt.y[k], pt.g[k], pt.u[k], pt.w[k], pt.held[k], None)
 
 
-def _set_point_rows(pt: LinkPoint, k, new: LinkPoint, j) -> None:
-    """Copy rows j of ``new`` into rows k of the stacked point ``pt``."""
-    for name in ("theta", "gamma", "y", "g", "u", "w", "held"):
-        getattr(pt, name)[k] = getattr(new, name)[j]
-
-
 def _definite_steps(B, score):
     """(B^-1 score, mask of the rows whose B is finite and passes Cholesky);
     the other rows' steps are void."""
@@ -969,31 +974,32 @@ def _link_block(space, nvec):
     |lam| <= 1 and every count positive, so that no cell is ever held.
 
     It takes the same start, score test SCORE_TOL * (1 + n), Newton weights,
-    merit, backtracking rule and MAX_ITER.  A row is handed over, never as a
-    partial iterate, when its start is infeasible, its Hessian fails
-    Cholesky (``_link_ascent`` would switch to Fisher scoring), its score is
-    not finite, its line search fails or it reaches MAX_ITER.  Every step
-    acts on each row alone.
+    full step, sufficient decrease test at t = 1 and MAX_ITER, and settles
+    a row only where ``fit_link`` would accept its climb (log likelihood at
+    least -G2_ROUNDOFF / 2).  A row is handed over, never as a partial
+    iterate, when its start is infeasible, its Hessian fails Cholesky
+    (``_link_ascent`` would switch to Fisher scoring), its score is not
+    finite, its full step is infeasible or fails the test (``_link_ascent``
+    would cut it), it ends below the symmetric fit or it reaches MAX_ITER.
+    Every step acts on each row alone.
     """
     n = nvec.sum(axis=1)
     g_out = np.zeros(nvec.shape)
     settled = np.zeros(len(nvec), dtype=bool)
 
-    theta = _smoothed_start(space, nvec)[0]
-    start_ok = np.all(np.isfinite(theta), axis=1)
-    theta[~start_ok] = 0.0
-    pt, feasible = space.evaluate_rows(theta)
-    row = np.flatnonzero(feasible & start_ok)  # the tables still climbing
+    pt, feasible = space.evaluate_rows(_smoothed_start(space, nvec)[0])
+    row = np.flatnonzero(feasible)  # the tables still climbing
     pt = _point_rows(pt, row)
     ll = _row_loglik(nvec[row], pt.g)
 
     for it in range(MAX_ITER + 1):
         counts = nvec[row]
         a, score = _link_score(space, pt, counts, True)
-        done = np.all(np.abs(score) <= SCORE_TOL * (1.0 + n[row])[:, None], axis=1)
+        stationary = np.all(np.abs(score) <= SCORE_TOL * (1.0 + n[row])[:, None], axis=1)
+        done = stationary & (ll >= -0.5 * G2_ROUNDOFF)
         g_out[row[done]] = pt.g[done]
         settled[row[done]] = True
-        live = ~done & np.all(np.isfinite(score), axis=1) & (it < MAX_ITER)
+        live = ~stationary & np.all(np.isfinite(score), axis=1) & (it < MAX_ITER)
         if not live.any():
             break
         row, pt, ll, counts = row[live], _point_rows(pt, live), ll[live], counts[live]
@@ -1002,24 +1008,12 @@ def _link_block(space, nvec):
         B = _gram(a, _newton_weights(space, pt, counts, True)[0])
         step, ok = _definite_steps(B, score)
 
-        # _link_ascent's line search with no edge rows: nu = 1, slope -quad
+        # _link_ascent's test of its full step with no edge rows: nu = 1, slope -quad
         quad = (step[:, None, :] @ B @ step[..., None])[:, 0, 0]
-        merit0, slope = -ll, np.minimum(-quad, 0.0)
-        t = np.ones(len(row))
-        pending = ok.copy()
-        for _ in range(60):
-            k = np.flatnonzero(pending)
-            if not k.size:
-                break
-            trial, feasible = space.evaluate_rows(pt.theta[k] + t[k, None] * step[k], pt.gamma[k])
-            ll_trial = _row_loglik(counts[k], trial.g)
-            accept = feasible & _sufficient_decrease(-ll_trial, merit0[k], t[k], slope[k], quad[k])
-            _set_point_rows(pt, k[accept], trial, accept)
-            ll[k[accept]] = ll_trial[accept]
-            pending[k[accept]] = False
-            t[k[~accept]] *= 0.5
-        moved = ok & ~pending
-        row, pt, ll = row[moved], _point_rows(pt, moved), ll[moved]
+        trial, feasible = space.evaluate_rows(pt.theta + step, pt.gamma)
+        ll_trial = _row_loglik(counts, trial.g)
+        moved = ok & feasible & _sufficient_decrease(-ll_trial, -ll, 1.0, np.minimum(-quad, 0.0), quad)
+        row, pt, ll = row[moved], _point_rows(trial, moved), ll_trial[moved]
     return g_out, settled
 
 
@@ -1172,12 +1166,7 @@ def potential_params(fit: FitResult) -> dict[tuple[int, ...], float]:
     return {cell: float(theta[i]) for i, cell in enumerate(all_cells(shape))}
 
 
-def discrepancy_measure(
-    fit: FitResult,
-    cell_a: tuple[int, ...],
-    cell_b: tuple[int, ...],
-    ff: FFunction | None = None,
-) -> float:
+def discrepancy_measure(fit: FitResult, cell_a: tuple[int, ...], cell_b: tuple[int, ...]) -> float:
     """Fitted conditional-probability comparison between two symmetric cells.
 
     Ratio c_a / c_b for the KL link (lam = 0), else the power difference
@@ -1187,7 +1176,7 @@ def discrepancy_measure(
     """
     if sorted(cell_a) != sorted(cell_b):
         raise ValueError(f"cells {cell_a} and {cell_b} are not in the same orbit")
-    ff = ff or (fit.spec.ff if fit.spec else None)
+    ff = fit.spec.ff if fit.spec else None
     if ff is None:
         raise ValueError("no f-function available to pick the measure")
     # only this orbit needs mass: the link fits leave empty orbits at exactly 0

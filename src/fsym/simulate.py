@@ -10,7 +10,7 @@ gs/els/ls model is then fitted to the whole stack at once by
 ``fitting.fit_block``, one Newton climb run on every table in lockstep.  A
 table outside that climb's case (a zero count, a link with |lam| > 1) or
 one the climb hands over (an infeasible start, a Hessian that is not
-positive definite, a failed line search, the iteration cap) falls back to
+positive definite, a step that would be cut, the iteration cap) falls back to
 ``fitting.fit_model``, which fits it from scratch; so does the whole block
 when its first settled table's G2 disagrees with ``fit_model``'s.  Each row
 of the report counts these fallbacks.  s and the moment families are fitted

@@ -272,6 +272,23 @@ class TestLinkFit:
         X = design_matrix(shape, "gs").X
         assert np.max(np.abs((X @ fit.theta_prime)[live] - link) / (1.0 + np.abs(link))) < 1e-9
 
+    def test_no_fit_below_the_symmetric_fit(self):
+        # On this restart-sweep table the smoothed and theta = 0 starts reach
+        # the iteration cap, and the climb from the KL fit stops on a flat
+        # part of the lam < 0 tail at G2 6343.5, where s gives 91.7; theta = 0
+        # is in the model.  (power(-2) does the same, at G2 7127.2.)
+        counts = restart_table(7, 3, 3, 60, 0.3)
+        with pytest.raises(FitError):
+            fit_model(counts, ModelSpec("gs", power(-1.5)))
+
+    def test_a_climb_below_the_symmetric_fit_is_named(self, monkeypatch):
+        def below(space, pt, nvec, max_iter):
+            return pt, -1.0, 0
+
+        monkeypatch.setattr(fitting, "_link_ascent", below)
+        with pytest.raises(FitError, match="climb ended below the symmetric fit"):
+            fit_model(anes_party_id(), ModelSpec("gs", kl()))
+
     def test_infeasible_line_search_is_named(self, monkeypatch):
         evaluate = LinkSpace.evaluate
 

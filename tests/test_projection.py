@@ -3,8 +3,10 @@ import pytest
 
 from fsym.design import design_matrix, moment_matrix, recover_coefficients
 from fsym.divergences import divergence, hellinger, kl, pearson, power
+from fsym.linkspace import LinkSpace
 from fsym.projection import (
     InfeasibleParameterError,
+    ProjectionError,
     ProjectionSpec,
     forward_model,
     iproject,
@@ -214,3 +216,50 @@ class TestIProject:
         probs[:3] = 1 / 3
         with pytest.raises(ValueError):
             ProjectionSpec(ProbTable(TableShape(3, 3), probs), kl())
+
+
+def skewed_targets():
+    """Ten skewed 3^3 targets: Dirichlet(0.3) plus 1e-4 in every cell."""
+    rng = np.random.default_rng(3)
+    targets = []
+    for _ in range(10):
+        p = rng.dirichlet(np.full(27, 0.3)) + 1e-4
+        targets.append(ProbTable(TableShape(3, 3), p / p.sum()))
+    return targets
+
+
+class TestIProjectBacktracking:
+    @pytest.mark.parametrize(
+        ("ff", "k", "cuts"),
+        [(power(2.0), 3, ["infeasible"] * 3), (power(-1.5), 6, ["residual"] * 2)],
+        ids=["power(2)-infeasible", "power(-1.5)-residual"],
+    )
+    def test_cut_steps_converge(self, monkeypatch, ff, k, cuts):
+        # A trial that is cut is retried from the same normalizers (start),
+        # so each evaluation at the previous one's start follows a cut: of
+        # an infeasible trial, or of a feasible one whose residual is too big.
+        evaluate = LinkSpace.evaluate
+        calls = []
+
+        def recording(self, theta, held=None, start=None, holdable=None):
+            try:
+                pt = evaluate(self, theta, held, start, holdable)
+            except InfeasibleParameterError:
+                calls.append((start, "infeasible"))
+                raise
+            calls.append((start, "residual"))
+            return pt
+
+        monkeypatch.setattr(LinkSpace, "evaluate", recording)
+        target = skewed_targets()[k]
+        proj = iproject(ProjectionSpec(target, ff))
+        cut = [a[1] for a, b in zip(calls, calls[1:]) if b[0] is not None and b[0] is a[0]]
+        assert cut == cuts
+        shape = target.shape
+        assert np.max(np.abs(orbit_sums(shape, proj.probs) - orbit_sums(shape, target.probs))) < 1e-9
+        assert np.max(np.abs(moment_matrix(shape) @ (proj.probs - target.probs))) < 1e-9
+
+    def test_no_convergence_is_named_with_its_trace(self):
+        with pytest.raises(ProjectionError, match="no convergence in 500 iterations") as err:
+            iproject(ProjectionSpec(skewed_targets()[1], pearson()))
+        assert len(err.value.trace) == 500
