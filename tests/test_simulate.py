@@ -212,6 +212,7 @@ class TestBlockFits:
         config = scenario("table2_row3.json", 4)
         tables = replicate_tables(config)
         counts, spec = np.array([t.counts for t in tables]), config.models[0]
+        assert not np.isnan(fit_block(tables[0].shape, counts, spec)).any()
 
         def shifted(nvec, g, real=fitting._row_loglik):
             return real(nvec, g) - 1e6
