@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Seeded sweep of sparse random tables: every fit against the KKT oracle.
 
-Tables: for seed s in 1..8, ``rng = default_rng(s)`` draws, for the shapes
-2^3, 3^3, 4^3 and 3^4, for n in (60, 500) and Dirichlet concentration in
-(1, 0.3), one table ``rng.multinomial(n, rng.dirichlet(full(N, c)))``.
+Tables: for seed s in 1..8, the 16 tables that ``restart_tables(s)`` in
+``tests/conftest.py`` draws from ``default_rng(s)``: for the shapes 2^3,
+3^3, 4^3 and 3^4, for n in (60, 500) and Dirichlet concentration in (1, 0.3),
+one table ``rng.multinomial(n, rng.dirichlet(full(N, c)))``.
 Models: s, me/ve/ce/me2 and gs/els/ls under power(2), Hellinger and
 power(-1.5).  Each model but s is fitted by ``fit_model`` and by the KKT
 oracle, ``fit_hlp`` on ``moment_constraint`` or ``linkform_constraint``; a
@@ -46,12 +47,10 @@ import numpy as np
 
 from fsym import ModelSpec, decompose, fit_model, hellinger, kl, pearson, power
 from fsym.fitting import FitError, fit_block, fit_hlp, linkform_constraint, moment_constraint
-from fsym.tables import CountTable, TableShape
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import dense_decomposition, moment_certificate  # noqa: E402
+from conftest import dense_decomposition, moment_certificate, restart_tables  # noqa: E402
 
-SHAPES = ((2, 3), (3, 3), (4, 3), (3, 4))
 MOMENT_MODELS = ("me", "ve", "ce", "me2")
 LINK_FAMILIES = ("gs", "els", "ls")
 LINKS = (power(2.0), hellinger(), power(-1.5))
@@ -61,14 +60,8 @@ BLOCK_RTOL = 1e-9
 
 def tables():
     for seed in range(1, 9):
-        rng = np.random.default_rng(seed)
-        for r, T in SHAPES:
-            shape = TableShape(r, T)
-            for n in (60, 500):
-                for c in (1.0, 0.3):
-                    probs = rng.dirichlet(np.full(shape.n_cells, c))
-                    key = dict(seed=seed, shape=f"{r}^{T}", n=n, concentration=c)
-                    yield key, CountTable(shape, rng.multinomial(n, probs))
+        for (r, T, n, c), counts in restart_tables(seed):
+            yield dict(seed=seed, shape=f"{r}^{T}", n=n, concentration=c), counts
 
 
 def pihat_sha1(fit):

@@ -21,7 +21,6 @@ from .datasets import load_table_document
 from .divergences import parse_f
 from .fitting import (
     FAMILIES,
-    MAX_ITER,
     FitError,
     FitResult,
     ModelSpec,
@@ -138,10 +137,7 @@ def cmd_fit(args) -> int:
     counts = _read_table(args.input, args.scores)
     spec = _model_spec(args.model, args.f)
     try:
-        fit = fit_model(counts, spec, max_iter=args.max_iter)
-    except FitError as exc:
-        print(f"fit did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        fit = fit_model(counts, spec)
     except design_mod.ConfigurationError as exc:
         raise CliError(str(exc), EXIT_INPUT)
     if args.json:
@@ -163,10 +159,7 @@ def cmd_decompose(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_MODEL)
     try:
-        report = decompose(counts, ff, max_iter=args.max_iter)
-    except FitError as exc:
-        print(f"fit did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        report = decompose(counts, ff)
     except design_mod.ConfigurationError as exc:
         raise CliError(str(exc), EXIT_INPUT)
     if args.json:
@@ -296,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", required=True, help=", ".join(FAMILIES))
     p_fit.add_argument("--f", help="kl, pearson, hellinger, or power:LAMBDA")
     p_fit.add_argument("--scores", help="comma-separated category scores")
-    p_fit.add_argument("--max-iter", type=int, default=MAX_ITER)
     p_fit.add_argument("--json", action="store_true", help="machine-readable report")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -304,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--f", help="f-function for the asymmetry component")
     p_dec.add_argument("--scores", help="comma-separated category scores")
-    p_dec.add_argument("--max-iter", type=int, default=MAX_ITER)
     p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -335,6 +326,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except FitError as exc:
+        print(f"fit did not converge: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

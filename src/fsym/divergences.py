@@ -11,9 +11,9 @@ of formulas in lam serves them all,
 
 with their limits at the removable singularities lam = 0 (x log x - x + 1,
 log x, exp y) and lam = -1 (x - 1 - log x).  Each f is standardized so that
-f(1) = 0, f'(1) = 0 and f''(1) = 1.  F acts as the model link; its inverse
-is only defined on an interval, exposed through ``F_inv_domain`` so that
-solvers can keep their iterates feasible.
+f(1) = 0, f'(1) = 0 and f''(1) = 1.  F is the model link.  ``F_inv`` refuses
+arguments outside its domain, ``F_inv_domain``; the fits call ``inverse_link``
+unchecked, kept inside by ``linkspace``'s normalizer brackets and held cells.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ stack with the one-table normalizers and point builder of ``linkspace``,
 and takes only full Newton steps that pass ``fit_link``'s sufficient
 decrease test; a table whose step would be cut is handed over.  Only its
 row log likelihood and its per-row Cholesky test (``_definite_steps``) are
-its own.
+its own.  The link, block and moment fits share one iteration cap,
+MAX_ITER, which they read from this module when they run.
 
 The moment families me/ve/ce/me2 constrain a few moment coordinates,
 c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
@@ -635,7 +636,7 @@ def _reach(dy, u, lam):
         return np.where(dy < 0, u / (-lam * dy), np.inf)
 
 
-def _link_ascent(space, pt, nvec, max_iter):
+def _link_ascent(space, pt, nvec):
     """Climb sum_i n_i log g_i from ``pt``; returns (point, loglik, iterations).
 
     Damped Newton (Fisher scoring where the Hessian is indefinite) with a
@@ -644,7 +645,7 @@ def _link_ascent(space, pt, nvec, max_iter):
     as an active constraint (``_edge_rows``; for lam > 1 it pins its orbit),
     and released when its multiplier turns negative.  Converged when the
     projected score is below SCORE_TOL * (1 + n) and every edge row is met
-    within TOL_CONSTRAINT.
+    within TOL_CONSTRAINT; raises FitError after MAX_ITER steps.
     """
     lam, n = space.lam, float(nvec.sum())
     orbit_counts = space.orbits.sum(nvec)
@@ -759,7 +760,7 @@ def _link_ascent(space, pt, nvec, max_iter):
         )
 
     ll = _link_loglik(nvec, has_count, pt)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         a, score = _link_score(space, pt, nvec, has_count)
         if not pt.held.any() and np.all(np.abs(score) <= tol):
             trace.append((it, ll, float(np.max(np.abs(score))), 0.0, "stationary"))
@@ -768,9 +769,9 @@ def _link_ascent(space, pt, nvec, max_iter):
         trace.append((it, ll, p["kkt"], p["resid"], p["mode"]))
         if p["kkt"] <= tol and p["resid"] <= TOL_CONSTRAINT and np.array_equal(p["active"], pt.held):
             break
-        if it == max_iter:
+        if it == MAX_ITER:
             raise FitError(
-                f"no convergence within {max_iter} iterations; "
+                f"no convergence within {MAX_ITER} iterations; "
                 f"final score norm {p['kkt']:.3e}",
                 trace,
             )
@@ -811,7 +812,7 @@ def _link_ascent(space, pt, nvec, max_iter):
     return pt, ll, it
 
 
-def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
+def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
     """Maximum likelihood of a gs/els/ls model in its own parameters theta.
 
     With pi_i = S_o c_i(theta) the log likelihood separates into
@@ -853,7 +854,7 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
             try:
                 if kl_start is None:
                     kl_start = kl_space.evaluate(zero)
-                kl_pt = _link_ascent(kl_space, kl_start, nvec, max_iter)[0]
+                kl_pt = _link_ascent(kl_space, kl_start, nvec)[0]
                 starts.append(_link_start(space, _share_theta(space, kl_pt.g)))
             except FitError:
                 pass
@@ -866,7 +867,7 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
             try:
                 pt = space.evaluate(zero)
                 for t in (0.5, 0.1, 0.02):
-                    pt = _link_ascent(space, pt, nvec + t, max_iter)[0]
+                    pt = _link_ascent(space, pt, nvec + t)[0]
                 starts.append(pt)
             except FitError:
                 pass
@@ -874,7 +875,7 @@ def fit_link(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
     best, error = None, None
     for start in starts:
         try:
-            result = _link_ascent(space, start, nvec, max_iter)
+            result = _link_ascent(space, start, nvec)
             if result[1] < -0.5 * G2_ROUNDOFF:
                 raise FitError(
                     f"climb ended below the symmetric fit (theta = 0): within-orbit "
@@ -1024,12 +1025,12 @@ def _row_loglik(nvec, g):
     return np.where(np.all(g > 0, axis=1), ll, -math.inf)
 
 
-def fit_moment(counts: CountTable, spec: ModelSpec, max_iter: int) -> FitResult:
+def fit_moment(counts: CountTable, spec: ModelSpec) -> FitResult:
     """Maximum likelihood of a moment family through its tilted-multinomial
     dual (``tilted``): one dual solve for me/me2, a profile SQP for ve/ce."""
     try:
         probs, steps = tilted.fit(
-            counts, spec.family, max_iter=max_iter,
+            counts, spec.family, max_iter=MAX_ITER,
             tol_constraint=TOL_CONSTRAINT, tol_loglik=TOL_LOGLIK,
         )
     except tilted.CertificateError as exc:
@@ -1056,23 +1057,23 @@ def fit_symmetry(counts: CountTable) -> FitResult:
     )
 
 
-def fit_model(counts: CountTable, spec: ModelSpec, *, max_iter: int = MAX_ITER) -> FitResult:
+def fit_model(counts: CountTable, spec: ModelSpec) -> FitResult:
     """Dispatch a family to its fit: closed form, theta-space link fit for
     gs/els/ls under every f-function, or tilted-dual fit for the moment
     families.
 
-    ``max_iter`` caps the iterations of every fit (a moment fit's dual
-    Newton or SQP steps).  Every fit meets TOL_CONSTRAINT in its constraint
-    residual (for me/me2, the dual KKT residual; for a link fit, the
-    distance of held cells from the F^{-1} edge); a moment fit also meets
-    TOL_LOGLIK in its relative log-likelihood change over its last step,
-    which a link fit replaces by its score test (``SCORE_TOL``).
+    A fit that reaches MAX_ITER steps (Newton, dual Newton or SQP) raises
+    FitError.  Every fit meets TOL_CONSTRAINT in its constraint residual
+    (for me/me2, the dual KKT residual; for a link fit, the distance of held
+    cells from the F^{-1} edge); a moment fit also meets TOL_LOGLIK in its
+    relative log-likelihood change over its last step, which a link fit
+    replaces by its score test (``SCORE_TOL``).
     """
     if spec.family == SYMMETRY:
         return fit_symmetry(counts)
     if spec.family in MOMENT_FAMILIES:
-        return fit_moment(counts, spec, max_iter)
-    return fit_link(counts, spec, max_iter)
+        return fit_moment(counts, spec)
+    return fit_link(counts, spec)
 
 
 def g2(counts: CountTable, mhat: np.ndarray) -> float:

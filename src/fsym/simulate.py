@@ -111,16 +111,16 @@ class SimConfig:
             for m in doc["models"]
         )
         cuts = doc.get("cutpoints")
+        # a key the document leaves out keeps its dataclass default
+        casts = {"n_obs": int, "n_reps": int, "alpha": float, "seed": int}
+        given = {key: cast(doc[key]) for key, cast in casts.items() if key in doc}
         return cls(
             means=means,
             variances=variances,
             correlations=tuple(map(tuple, corr)),
-            n_obs=int(doc.get("n_obs", 10_000)),
-            n_reps=int(doc.get("n_reps", 1_000)),
             cutpoints=tuple(cuts) if cuts is not None else None,
-            alpha=float(doc.get("alpha", 0.05)),
-            seed=int(doc.get("seed", 20260808)),
             models=models,
+            **given,
         )
 
 
@@ -226,8 +226,8 @@ def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:
     The aggregate is a commutative sum of per-replicate indicators, and a
     table's G2 from ``fit_block`` does not depend on the tables blocked with
     it, so the result is identical for any worker count.  Replicates whose fit fails are
-    excluded from that model's rate; the study errors out, quoting the first
-    failure, if failures exceed 0.1% of replicates for any model.
+    excluded from that model's rate; the study raises FitError, quoting the
+    first failure, if failures exceed 0.1% of replicates for any model.
     """
     if workers > 1:
         chunks = [range(k, config.n_reps, workers) for k in range(workers)]
@@ -243,7 +243,7 @@ def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:
         fails = int(failures[k])
         first_failure = first[k][1] if first[k] else ""
         if fails > FAILURE_BUDGET * config.n_reps:
-            raise RuntimeError(
+            raise FitError(
                 f"{fails} of {config.n_reps} replicates failed to fit {spec.label}: "
                 f"{first_failure}"
             )

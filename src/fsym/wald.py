@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import design
+from . import design, fitting
 from .chi2 import chi2_sf
 from .divergences import FFunction
 from .tables import (
@@ -225,18 +225,15 @@ class WaldReport:
     g2_gap: float = float("nan")
 
 
-def decompose(counts: CountTable, ff: FFunction, max_iter: int | None = None) -> WaldReport:
+def decompose(counts: CountTable, ff: FFunction) -> WaldReport:
     """Wald decomposition of complete symmetry plus the likelihood-ratio partition.
 
     The Wald statistics are plug-in quantities at the observed proportions;
     tables with sampling zeros fall back to additively smoothed proportions
     (flagged in the report) because the link values are unbounded at zero cells.
-    Each partition fit is ``fitting.fit_model`` with ``max_iter``, by default
-    ``fitting.MAX_ITER`` (``fitting`` imports this module, so the default is
-    read at the call).
+    Each partition fit is ``fitting.fit_model``, and the Wald degrees of
+    freedom are those of the gs and me2 fits (``fitting.degrees_of_freedom``).
     """
-    from . import fitting  # deferred to avoid an import cycle
-
     shape = counts.shape
     p_obs = counts.proportions()
     if p_obs.is_interior:
@@ -249,8 +246,8 @@ def decompose(counts: CountTable, ff: FFunction, max_iter: int | None = None) ->
     if not sym.is_interior:
         sym = symmetric_average(counts.smoothed_proportions())
 
-    df_gs = shape.n_cells - design.design_matrix(shape, design.GS).n_columns
-    df_me2 = len(design.moment_matrix(shape))
+    df_gs = fitting.degrees_of_freedom(design.GS, shape)
+    df_me2 = fitting.degrees_of_freedom("me2", shape)
     report = WaldReport(
         shape=shape,
         ff=ff,
@@ -270,8 +267,6 @@ def decompose(counts: CountTable, ff: FFunction, max_iter: int | None = None) ->
         ridged=ridged,
     )
 
-    if max_iter is None:
-        max_iter = fitting.MAX_ITER
     partition_specs = [
         fitting.ModelSpec("s"),
         fitting.ModelSpec(design.GS, ff),
@@ -282,7 +277,7 @@ def decompose(counts: CountTable, ff: FFunction, max_iter: int | None = None) ->
     ]
     fits = {}
     for spec in partition_specs:
-        fit = fitting.fit_model(counts, spec, max_iter=max_iter)
+        fit = fitting.fit_model(counts, spec)
         fits[spec.family] = fit
         report.g2_partition.append(
             PartitionRow(family=spec.label, g2=fit.g2, df=fit.df, pvalue=fit.pvalue)

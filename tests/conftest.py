@@ -18,18 +18,26 @@ def random_count_table(rng, shape: TableShape, n: int = 500) -> CountTable:
     return CountTable(shape, rng.multinomial(n, probs))
 
 
-def restart_table(seed, r, T, n, concentration):
-    """One table of the restart sweep (``scripts/restart_sweep.py``): its
-    draws replayed from ``default_rng(seed)`` in the sweep's order."""
+def restart_tables(seed):
+    """The 16 tables of the restart sweep (``scripts/restart_sweep.py``) for
+    one seed, as ((r, T, n, concentration), table) in draw order: for the
+    shapes 2^3, 3^3, 4^3 and 3^4, for n in (60, 500) and concentration c in
+    (1, 0.3), ``rng.multinomial(n, rng.dirichlet(full(N, c)))`` with
+    ``rng = default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    for rr, TT in ((2, 3), (3, 3), (4, 3), (3, 4)):
-        shape = TableShape(rr, TT)
-        for nn in (60, 500):
+    for r, T in ((2, 3), (3, 3), (4, 3), (3, 4)):
+        shape = TableShape(r, T)
+        for n in (60, 500):
             for c in (1.0, 0.3):
                 probs = rng.dirichlet(np.full(shape.n_cells, c))
-                counts = rng.multinomial(nn, probs)
-                if (rr, TT, nn, c) == (r, T, n, concentration):
-                    return CountTable(shape, counts)
+                yield (r, T, n, c), CountTable(shape, rng.multinomial(n, probs))
+
+
+def restart_table(seed, r, T, n, concentration):
+    """One table of the restart sweep."""
+    for key, counts in restart_tables(seed):
+        if key == (r, T, n, concentration):
+            return counts
     raise ValueError("not a table of the restart sweep")
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fsym import fitting, simulate
 from fsym.cli import main
 from fsym.datasets import anes_party_id, data_path, load_table_document
 from fsym.tables import TableShape, orbit_structure
@@ -104,17 +105,15 @@ class TestFit:
         assert all(doc["pihat"][i] == 0 for i in empty)
         assert doc["discrepancies"]
 
-    def test_exit_codes(self, tmp_path, anes_path, capsys):
+    def test_exit_codes(self, tmp_path, anes_path, capsys, monkeypatch):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["fit", "--input", str(bad), "--model", "s"]) == 2
         assert main(["fit", "--input", anes_path, "--model", "nope"]) == 4
         assert main(["fit", "--input", anes_path, "--model", "gs", "--f", "power:x"]) == 4
-        assert (
-            main(["fit", "--input", anes_path, "--model", "gs", "--f", "pearson",
-                  "--max-iter", "2"])
-            == 3
-        )
+        with monkeypatch.context() as m:
+            m.setattr(fitting, "MAX_ITER", 2)
+            assert main(["fit", "--input", anes_path, "--model", "gs", "--f", "pearson"]) == 3
         # two categories leave the gs and els designs rank deficient
         binary = tmp_path / "binary.json"
         binary.write_text(json.dumps({"r": 2, "T": 3, "counts": [9, 4, 3, 5, 2, 6, 4, 11]}))
@@ -209,6 +208,27 @@ class TestSimulate:
         text = capsys.readouterr().out
         assert "fallbacks" in text.splitlines()[1]
         assert text.splitlines()[3].split()[-1] == "3"
+
+    def test_failed_fits_exit_3_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def failing(counts, spec):
+            raise fitting.FitError("test")
+
+        monkeypatch.setattr(simulate, "fit_model", failing)
+        config = {
+            "means": [0, 0, 0],
+            "variances": [1, 1, 1],
+            "correlations": [0.2, 0.2, 0.2],
+            "n_obs": 100,
+            "n_reps": 2,
+            "models": [{"family": "me"}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "fit did not converge: 2 of 2 replicates failed to fit me: test\n"
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

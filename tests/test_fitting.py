@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fsym import fitting, tilted
 from fsym.datasets import anes_party_id
 from fsym.design import cell_predictor, design_matrix, moment_matrix, score_matrix
 from fsym.divergences import hellinger, kl, pearson, power
@@ -29,6 +31,7 @@ from fsym.fitting import (
 )
 from fsym.tables import (
     CountTable,
+    DegenerateOrbitError,
     TableShape,
     all_cells,
     cell_index,
@@ -98,10 +101,11 @@ class TestFitHlp:
         assert fit.mhat.sum() == pytest.approx(counts.n, abs=1e-8)
         assert np.all(fit.mhat > 0)
 
-    def test_nonconvergence_raises_with_trace(self, rng):
+    def test_nonconvergence_raises_with_trace(self, rng, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 2)
         counts = random_count_table(rng, TableShape(3, 3))
         with pytest.raises(FitError) as err:
-            fit_model(counts, ModelSpec("gs", pearson()), max_iter=2)
+            fit_model(counts, ModelSpec("gs", pearson()))
         assert err.value.trace
 
     def test_me_reaches_a_certified_likelihood(self):
@@ -205,6 +209,14 @@ class TestMomentFits:
         assert fit.df == 0 and fit.iterations == 0
         assert fit.g2 == pytest.approx(0.0, abs=1e-10)
         assert np.array_equal(fit.pihat.probs, counts.proportions().probs)
+
+    def test_iteration_cap_keeps_the_dual_trace(self, monkeypatch):
+        # the panel's ce fit takes 5 SQP steps; the cap also reaches its dual solves
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
+        with pytest.raises(FitError, match="no certificate within 1 dual steps") as err:
+            fit_model(anes_party_id(), ModelSpec("ce"))
+        assert isinstance(err.value.__cause__, tilted.CertificateError)
+        assert err.value.trace and err.value.trace == err.value.__cause__.trace
 
     def test_panel_zero_cells_are_exact(self):
         # only me2 gives a sampling zero mass: cell 6 = (1, 3, 1)
@@ -426,6 +438,11 @@ class TestPotentialParams:
         with pytest.raises(ValueError):
             potential_params(fit)
 
+    def test_requires_recovered_parameters(self):
+        fit = fit_model(anes_party_id(), ModelSpec("gs", kl()))
+        with pytest.raises(ValueError, match="no recovered parameters"):
+            linear_coefficients(replace(fit, theta_prime=None))
+
 
 class TestDiscrepancyMeasures:
     def test_reference_pair(self):
@@ -439,6 +456,20 @@ class TestDiscrepancyMeasures:
         fit = fit_model(anes_party_id(), ModelSpec("gs", kl()))
         with pytest.raises(ValueError):
             discrepancy_measure(fit, (1, 1, 3), (1, 2, 3))
+
+    def test_requires_an_f_function(self):
+        with pytest.raises(ValueError, match="no f-function"):
+            discrepancy_measure(fit_symmetry(anes_party_id()), (1, 1, 3), (1, 3, 1))
+
+    def test_orbit_without_fitted_mass_is_refused(self):
+        table = anes_party_id()
+        empty = orbit_structure(table.shape).members[1]
+        counts = table.counts.copy()
+        counts[empty] = 0
+        fit = fit_model(CountTable(table.shape, counts), ModelSpec("gs", kl()))
+        cells = list(all_cells(table.shape))
+        with pytest.raises(DegenerateOrbitError, match="zero fitted probability"):
+            discrepancy_measure(fit, cells[empty[0]], cells[empty[1]])
 
 
 class TestDegreesOfFreedom:

@@ -234,15 +234,18 @@ class TestLinkFit:
                 assert len(fitting.potential_params(fit)) == 27
 
     @pytest.mark.parametrize("ff", [kl(), power(2.0)], ids=lambda f: f.name)
-    def test_both_link_routes_take_the_constrained_fit_keywords(self, ff):
-        # max_iter reaches the one-start climb and the lam > 1 multi-start one
-        assert fit_model(anes_party_id(), ModelSpec("gs", ff), max_iter=100).converged
+    def test_both_link_routes_stop_at_the_iteration_cap(self, ff, monkeypatch):
+        # MAX_ITER reaches the one-start climb and the lam > 1 multi-start one
+        monkeypatch.setattr(fitting, "MAX_ITER", 100)
+        assert fit_model(anes_party_id(), ModelSpec("gs", ff)).converged
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
         with pytest.raises(FitError, match="within 1 iterations"):
-            fit_model(anes_party_id(), ModelSpec("gs", ff), max_iter=1)
+            fit_model(anes_party_id(), ModelSpec("gs", ff))
 
-    def test_iteration_cap_names_the_score_norm(self):
+    def test_iteration_cap_names_the_score_norm(self, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 2)
         with pytest.raises(FitError, match="within 2 iterations; final score norm") as err:
-            fit_model(anes_party_id(), ModelSpec("gs", pearson()), max_iter=2)
+            fit_model(anes_party_id(), ModelSpec("gs", pearson()))
         assert len(err.value.trace) == 3
 
     def test_singular_information_is_named(self, monkeypatch):
@@ -282,7 +285,7 @@ class TestLinkFit:
             fit_model(counts, ModelSpec("gs", power(-1.5)))
 
     def test_a_climb_below_the_symmetric_fit_is_named(self, monkeypatch):
-        def below(space, pt, nvec, max_iter):
+        def below(space, pt, nvec):
             return pt, -1.0, 0
 
         monkeypatch.setattr(fitting, "_link_ascent", below)

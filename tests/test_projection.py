@@ -259,6 +259,12 @@ class TestIProjectBacktracking:
         assert np.max(np.abs(orbit_sums(shape, proj.probs) - orbit_sums(shape, target.probs))) < 1e-9
         assert np.max(np.abs(moment_matrix(shape) @ (proj.probs - target.probs))) < 1e-9
 
+    def test_singular_jacobian_is_named(self, monkeypatch):
+        monkeypatch.setattr(LinkSpace, "slopes", lambda self, pt: np.zeros((27, self.X.shape[1])))
+        with pytest.raises(ProjectionError, match="singular projection Jacobian") as err:
+            iproject(ProjectionSpec(skewed_targets()[0], kl()))
+        assert len(err.value.trace) == 1
+
     def test_no_convergence_is_named_with_its_trace(self):
         with pytest.raises(ProjectionError, match="no convergence in 500 iterations") as err:
             iproject(ProjectionSpec(skewed_targets()[1], pearson()))

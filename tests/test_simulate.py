@@ -44,6 +44,15 @@ class TestConfig:
         assert config.correlations[1][2] == 0.4
         assert config.models[0].label == "gs[kl]"
 
+    def test_from_dict_keys_left_out_keep_their_defaults(self):
+        doc = {"means": [0, 0, 0], "variances": [1, 1, 1], "correlations": [0.2, 0.2, 0.2],
+               "models": [{"family": "s"}]}
+        config = SimConfig.from_dict(doc)
+        for name in ("n_obs", "n_reps", "alpha", "seed"):
+            assert getattr(config, name) == SimConfig.__dataclass_fields__[name].default
+        given = SimConfig.from_dict(dict(doc, n_obs="30", n_reps=5.0, alpha="0.1", seed=3))
+        assert (given.n_obs, given.n_reps, given.alpha, given.seed) == (30, 5, 0.1, 3)
+
     def test_non_positive_definite_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(
@@ -206,6 +215,22 @@ class TestBlockFits:
             return SimpleNamespace(g2=real(table, spec).g2 * (1.0 + 1e-8))
 
         monkeypatch.setattr(fitting, "fit_model", off)
+        assert np.isnan(fit_block(tables[0].shape, counts, spec)).all()
+
+    @pytest.mark.parametrize("family", ["s", "me", "ce"])
+    def test_only_link_families_are_blocked(self, family):
+        with pytest.raises(ValueError, match="fit_block fits gs/els/ls"):
+            fit_block(TableShape(3, 3), np.ones((2, 27)), ModelSpec(family))
+
+    def test_a_block_whose_check_fit_fails_is_handed_over(self, monkeypatch):
+        config = scenario("table2_row3.json", 4)
+        tables = replicate_tables(config)
+        counts, spec = np.array([t.counts for t in tables]), config.models[0]
+
+        def failing(table, spec):
+            raise FitError("test")
+
+        monkeypatch.setattr(fitting, "fit_model", failing)
         assert np.isnan(fit_block(tables[0].shape, counts, spec)).all()
 
     def test_a_row_below_the_symmetric_fit_is_handed_over(self, monkeypatch):
