@@ -35,18 +35,32 @@ gs/els/ls with kl, pearson and hellinger, compares every G2 the block
 settles with ``fit_model``'s, and prints on stderr the largest relative gap,
 whether it is within 1e-9, and how many tables fell back to ``fit_model``.
 
+The oracle's stationary points depend on the BLAS thread count, so the
+script pins BLAS to one thread before it imports numpy, whatever the
+environment says, and prints that setting on stderr first.
+
 Usage: python scripts/restart_sweep.py > sweep.jsonl
 """
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+os.environ.update(BLAS_THREADS)
 
-from fsym import ModelSpec, decompose, fit_model, hellinger, kl, pearson, power
-from fsym.fitting import FitError, fit_block, fit_hlp, linkform_constraint, moment_constraint
+import numpy as np  # noqa: E402
+
+from fsym import ModelSpec, decompose, fit_model, hellinger, kl, pearson, power  # noqa: E402
+from fsym.fitting import (  # noqa: E402
+    FitError,
+    fit_block,
+    fit_hlp,
+    linkform_constraint,
+    moment_constraint,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import dense_decomposition, moment_certificate, restart_tables  # noqa: E402
@@ -112,6 +126,7 @@ def block_summary(by_shape):
 
 
 def main():
+    print("BLAS threads: " + " ".join(f"{k}={v}" for k, v in BLAS_THREADS.items()), file=sys.stderr)
     # [FitError, oracle FitError, fits above the oracle's G2, failed
     # certificates, fits above s's G2] per moment family and per link
     tally = {name: [0, 0, 0, 0, 0] for name in MOMENT_MODELS + tuple(ff.name for ff in LINKS)}

@@ -5,15 +5,16 @@ in their own parameters under every power link: pi_i = S_o c_i(theta), where
 the orbit masses S_o are the observed orbit proportions and the within-orbit
 shares c_i come from the link-space engine (``linkspace``), so only theta is
 iterated (``fit_link``).  ``fit_block`` fits one model to a stack of tables
-at once, running ``fit_link``'s interior climb on every table in lockstep,
-and leaves the tables outside that climb's case to ``fit_model``.  The
-block starts where ``fit_link`` does (``_smoothed_start``), evaluates its
-stack with the one-table normalizers and point builder of ``linkspace``,
-and takes only full Newton steps that pass ``fit_link``'s sufficient
-decrease test; a table whose step would be cut is handed over.  Only its
-row log likelihood and its per-row Cholesky test (``_definite_steps``) are
-its own.  The link, block and moment fits share one iteration cap,
-MAX_ITER, which they read from this module when they run.
+at once: s in closed form, a link family by running ``fit_link``'s interior
+climb on every table in lockstep, leaving the tables outside that climb's
+case to ``fit_model``.  The block climb starts where ``fit_link`` does
+(``_smoothed_start``), evaluates its stack with the one-table normalizers
+and point builder of ``linkspace``, and takes only full Newton steps that
+pass ``fit_link``'s sufficient decrease test; a table whose step would be
+cut is handed over.  Only its row log likelihood and its per-row Cholesky
+test (``_definite_steps``) are its own.  The link, block and moment fits
+share one iteration cap, MAX_ITER, which they read from this module when
+they run.
 
 The moment families me/ve/ce/me2 constrain a few moment coordinates,
 c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
@@ -908,10 +909,12 @@ def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
 
 
 def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndarray:
-    """G2 of the gs/els/ls model ``spec`` on each row of ``counts``, a stack
+    """G2 of the s/gs/els/ls model ``spec`` on each row of ``counts``, a stack
     of tables of ``shape``.
 
-    The tables with every count positive under a link with |lam| <= 1 take
+    s takes its closed form on every row in ``fit_symmetry``'s arithmetic,
+    so each row's G2 is ``fit_model``'s bit for bit.  Under gs/els/ls, the
+    tables with every count positive under a link with |lam| <= 1 take
     ``fit_link``'s climb, run on all of them in lockstep (``_link_block``)
     with full Newton steps only.  A NaN marks a table outside that case (a
     zero count, |lam| > 1) or one the lockstep climb hands over (a step that
@@ -920,9 +923,14 @@ def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndar
     the two G2 differ by more than BLOCK_RTOL, every table is handed over.
     Otherwise a row's G2 does not depend on the rows beside it.
     """
-    if spec.family not in design.ASYMMETRY_FAMILIES:
-        raise ValueError(f"fit_block fits gs/els/ls, not {spec.family}")
+    if spec.family not in (SYMMETRY,) + design.ASYMMETRY_FAMILIES:
+        raise ValueError(f"fit_block fits s/gs/els/ls, not {spec.family}")
     counts = np.asarray(counts, dtype=float)
+    if spec.family == SYMMETRY:
+        orbits = orbit_structure(shape)
+        mhat = (orbits.sum(counts) / orbits.size)[:, orbits.orbit_id]
+        value, nonpositive = _g2_values(counts, mhat)
+        return np.where(nonpositive | (value < -G2_ROUNDOFF), np.nan, np.maximum(value, 0.0))
     out = np.full(len(counts), np.nan)
     space = link_space(shape, spec.family, spec.ff)
     rows = np.flatnonzero(np.all(counts > 0, axis=1))

@@ -5,32 +5,41 @@ aggregate is reproducible for a fixed seed no matter how replicates are
 scheduled or parallelized.
 
 The study works in blocks of BLOCK replicates: each replicate is drawn and
-binned in turn, and only the block's stack of count vectors is kept.  A
-gs/els/ls model is then fitted to the whole stack at once by
-``fitting.fit_block``, one Newton climb run on every table in lockstep.  A
-table outside that climb's case (a zero count, a link with |lam| > 1) or
-one the climb hands over (an infeasible start, a Hessian that is not
-positive definite, a step that would be cut, the iteration cap) falls back to
-``fitting.fit_model``, which fits it from scratch; so does the whole block
-when its first settled table's G2 disagrees with ``fit_model``'s.  Each row
-of the report counts these fallbacks.  s and the moment families are fitted
-table by table with ``fitting.fit_model``.
+binned in turn, into two sample buffers that a worker allocates once and
+reuses, and only the block's stack of count vectors is kept.  Each s, gs,
+els or ls model is then fitted to the whole stack at once by
+``fitting.fit_block``: s in closed form, a link family by one Newton climb
+run on every table in lockstep.  A table outside that climb's case (a zero
+count, a link with |lam| > 1) or one the climb hands over (an infeasible
+start, a Hessian that is not positive definite, a step that would be cut,
+the iteration cap) falls back to ``fitting.fit_model``, which fits it from
+scratch; so does the whole block when its first settled table's G2
+disagrees with ``fit_model``'s.  Each row of the report counts these
+fallbacks.  The moment families are fitted table by table with
+``fitting.fit_model``.  A block's rejections are counted on its sorted G2
+values by bisection, so ``pvalue`` is evaluated a few times per block
+rather than once per table.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .design import ASYMMETRY_FAMILIES
-from .fitting import FitError, ModelSpec, degrees_of_freedom, fit_block, fit_model, pvalue
 from .divergences import parse_f
+from .fitting import FitError, ModelSpec, degrees_of_freedom, fit_block, fit_model, pvalue
+from .moments import MOMENT_FAMILIES
 from .tables import CountTable, TableShape
 
 FAILURE_BUDGET = 0.001  # studies with more failed fits than this are unusable
 BLOCK = 64  # replicates binned, then fitted together
+# Relative width of the G2 band around a block's bisected rejection boundary
+# whose values are decided one by one: chi2_sf is monotone only beyond its
+# roundoff, a few ulps wide at the critical value.
+BISECT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ class SimConfig:
         if not np.allclose(corr, corr.T) or not np.allclose(np.diag(corr), 1.0):
             raise ValueError("correlation matrix must be symmetric with unit diagonal")
         try:
-            np.linalg.cholesky(self.covariance())
+            self.cholesky  # cached for mvn_sample; only a positive definite matrix has one
         except np.linalg.LinAlgError as exc:
             raise ValueError("correlation matrix is not positive definite") from exc
         cuts = self.cutpoints
@@ -81,6 +90,11 @@ class SimConfig:
     def covariance(self) -> np.ndarray:
         sd = np.sqrt(np.asarray(self.variances))
         return np.asarray(self.correlations) * np.outer(sd, sd)
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor of the covariance, computed once per config."""
+        return np.linalg.cholesky(self.covariance())
 
     def effective_cutpoints(self) -> tuple[float, ...]:
         if self.cutpoints is not None:
@@ -129,14 +143,22 @@ def default_cutpoints(mu1: float, sigma1: float) -> tuple[float, float, float]:
     return (mu1 - 0.6 * sigma1, mu1, mu1 + 0.6 * sigma1)
 
 
-def mvn_sample(config: SimConfig, replicate_id: int) -> np.ndarray:
-    """n_obs x T normal draws, deterministic in (seed, replicate_id)."""
+def mvn_sample(config: SimConfig, replicate_id: int, out=None, work=None) -> np.ndarray:
+    """n_obs x T normal draws, deterministic in (seed, replicate_id).
+
+    The draws are written to ``out`` and the standard normals they come from
+    to ``work``, two distinct float arrays of shape (n_obs, T), each
+    allocated when not given; the draws do not depend on which are given.
+    Returns the draws.
+    """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(replicate_id,))
     )
-    chol = np.linalg.cholesky(config.covariance())
-    z = rng.standard_normal((config.n_obs, config.T))
-    return np.asarray(config.means) + z @ chol.T
+    z = rng.standard_normal((config.n_obs, config.T), out=work)
+    x = np.matmul(z, config.cholesky.T, out=out)
+    for j, mean in enumerate(config.means):  # by column: a broadcast add loops over T per row
+        np.add(mean, x[:, j], out=x[:, j])
+    return x
 
 
 def discretize(samples: np.ndarray, cutpoints) -> CountTable:
@@ -173,7 +195,7 @@ class PowerRow:
     rejections: int
     n_used: int
     failures: int
-    fallbacks: int  # gs/els/ls tables that fit_block handed to fit_model
+    fallbacks: int  # gs/els/ls tables that fit_block handed to fit_model; s never falls back
     first_failure: str  # the FitError of the lowest failed replicate, or ""
 
 
@@ -202,11 +224,14 @@ def _replicate_chunk(config: SimConfig, ids: range):
     n_models = len(config.models)
     rejects, failures, fallbacks = (np.zeros(n_models, dtype=np.int64) for _ in range(3))
     first: list = [None] * n_models
+    out, work = np.empty((config.n_obs, config.T)), np.empty((config.n_obs, config.T))
     for lo in range(0, len(ids), BLOCK):
         block = ids[lo : lo + BLOCK]
-        counts = np.array([discretize(mvn_sample(config, rep), cuts).counts for rep in block])
+        counts = np.array(
+            [discretize(mvn_sample(config, rep, out, work), cuts).counts for rep in block]
+        )
         for k, spec in enumerate(config.models):
-            blocked = spec.family in ASYMMETRY_FAMILIES
+            blocked = spec.family not in MOMENT_FAMILIES
             stats = fit_block(shape, counts, spec) if blocked else np.full(len(block), np.nan)
             for i in np.flatnonzero(np.isnan(stats)):
                 fallbacks[k] += blocked
@@ -215,9 +240,30 @@ def _replicate_chunk(config: SimConfig, ids: range):
                 except FitError as exc:
                     failures[k] += 1
                     first[k] = first[k] or (block[i], str(exc))
-            df = degrees_of_freedom(spec.family, shape)
-            rejects[k] += sum(pvalue(g2, df) < config.alpha for g2 in stats if not np.isnan(g2))
+            rejects[k] += _rejections(stats, degrees_of_freedom(spec.family, shape), config.alpha)
     return rejects, failures, fallbacks, first
+
+
+def _rejections(stats: np.ndarray, df: int, alpha: float) -> int:
+    """``sum(pvalue(g2, df) < alpha)`` over the G2 values in ``stats`` that
+    are not NaN, with a few ``pvalue`` calls.
+
+    Bisection on the sorted values finds the first that ``pvalue`` rejects.
+    The values within BISECT_RTOL of the two either side of it, where the
+    computed tail probability need not fall as G2 grows, are decided one by
+    one; every value above that band is rejected, every value below is not.
+    """
+    g2 = np.sort(stats[~np.isnan(stats)])
+    lo, hi = 0, len(g2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pvalue(g2[mid], df) < alpha:
+            hi = mid
+        else:
+            lo = mid + 1
+    start = np.searchsorted(g2, g2[lo - 1] * (1.0 - BISECT_RTOL)) if lo > 0 else lo
+    stop = np.searchsorted(g2, g2[lo] * (1.0 + BISECT_RTOL), "right") if lo < len(g2) else lo
+    return len(g2) - stop + sum(pvalue(v, df) < alpha for v in g2[start:stop])
 
 
 def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:

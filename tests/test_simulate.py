@@ -8,7 +8,7 @@ import pytest
 from fsym import fitting, simulate
 from fsym.datasets import data_path
 from fsym.divergences import hellinger, kl, pearson, power
-from fsym.fitting import FitError, ModelSpec, fit_block, fit_model
+from fsym.fitting import FitError, ModelSpec, degrees_of_freedom, fit_block, fit_model, pvalue
 from fsym.simulate import (
     SimConfig,
     default_cutpoints,
@@ -82,6 +82,19 @@ class TestSampling:
         assert np.array_equal(a, b)
         c = mvn_sample(config, 4)
         assert not np.array_equal(a, c)
+
+    def test_buffers_receive_the_allocated_draws(self):
+        config = tiny_config(means=(0.5, -1.0, 2.0), variances=(1.0, 2.5, 0.5))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(5,)))
+        z = rng.standard_normal((config.n_obs, config.T))
+        want = np.asarray(config.means) + z @ np.linalg.cholesky(config.covariance()).T
+        np.testing.assert_array_equal(mvn_sample(config, 5), want)
+        out, work = np.full_like(want, np.nan), np.full_like(want, np.nan)
+        for args in ((out,), (out, work), (None, work)):
+            got = mvn_sample(config, 5, *args)
+            if args[0] is not None:
+                assert got is out
+            np.testing.assert_array_equal(got, want)
 
     def test_moments_large_sample(self):
         config = tiny_config(
@@ -192,12 +205,13 @@ class TestBlockFits:
         tables = replicate_tables(config)
         counts = np.array([t.counts for t in tables])
         for spec in config.models:
-            if spec.family == "s":
-                continue  # fitted table by table
             got = fit_block(tables[0].shape, counts, spec)
             want = np.array([fit_model(t, spec).g2 for t in tables])
             assert not np.isnan(got).any(), spec.label
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=spec.label)
+            if spec.family == "s":  # the closed form, bit for bit
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=spec.label)
             # split as two workers split the replicates, every G2 comes out bit for bit
             np.testing.assert_array_equal(
                 np.concatenate([fit_block(tables[0].shape, counts[k::2], spec) for k in (0, 1)]),
@@ -217,10 +231,19 @@ class TestBlockFits:
         monkeypatch.setattr(fitting, "fit_model", off)
         assert np.isnan(fit_block(tables[0].shape, counts, spec)).all()
 
-    @pytest.mark.parametrize("family", ["s", "me", "ce"])
+    @pytest.mark.parametrize("family", ["me", "ce"])
     def test_only_link_families_are_blocked(self, family):
-        with pytest.raises(ValueError, match="fit_block fits gs/els/ls"):
+        with pytest.raises(ValueError, match="fit_block fits s/gs/els/ls"):
             fit_block(TableShape(3, 3), np.ones((2, 27)), ModelSpec(family))
+
+    def test_stacked_symmetry_is_fit_model_bit_for_bit_with_zero_counts(self, rng):
+        for shape in (TableShape(2, 3), TableShape(3, 3), TableShape(4, 3), TableShape(3, 4)):
+            counts = np.array([
+                rng.multinomial(60, rng.dirichlet(np.full(shape.n_cells, 0.3))) for _ in range(64)
+            ])
+            assert (counts == 0).any()
+            want = [fit_model(CountTable(shape, row), ModelSpec("s")).g2 for row in counts]
+            np.testing.assert_array_equal(fit_block(shape, counts, ModelSpec("s")), want)
 
     def test_a_block_whose_check_fit_fails_is_handed_over(self, monkeypatch):
         config = scenario("table2_row3.json", 4)
@@ -309,3 +332,111 @@ class TestBlockFits:
             assert fallbacks["s"] == 0
             assert fallbacks["gs[kl]"] == sum(zero)
             assert fallbacks["gs[power(2)]"] == fallbacks["ls[power(-1.5)]"] == len(tables)
+
+
+def study_tables(monkeypatch, config: SimConfig) -> np.ndarray:
+    """The count vectors ``power_study`` bins, in replicate order."""
+    seen = []
+
+    def recording(samples, cutpoints, real=simulate.discretize):
+        table = real(samples, cutpoints)
+        seen.append(table.counts)
+        return table
+
+    monkeypatch.setattr(simulate, "discretize", recording)
+    power_study(replace(config, models=(ModelSpec("s"),)))
+    return np.array(seen)
+
+
+class TestStudyTables:
+    """The study bins, into buffers it reuses, the tables the allocating
+    sampler gives."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("seed", [20260808, 5])
+    def test_bundled_scenarios(self, monkeypatch, name, seed):
+        config = replace(scenario(name, 200), seed=seed)
+        want = np.array([t.counts for t in replicate_tables(config)])
+        np.testing.assert_array_equal(study_tables(monkeypatch, config), want)
+
+    def test_four_variables_with_means_and_unequal_variances(self, monkeypatch):
+        config = tiny_config(
+            means=(0.5, -0.3, 1.2, 0.0),
+            variances=(1.0, 2.0, 0.5, 1.5),
+            correlations=(
+                (1.0, 0.3, 0.1, 0.2),
+                (0.3, 1.0, 0.4, 0.0),
+                (0.1, 0.4, 1.0, -0.2),
+                (0.2, 0.0, -0.2, 1.0),
+            ),
+            n_obs=5000,
+            n_reps=130,
+        )
+        want = np.array([t.counts for t in replicate_tables(config)])
+        assert want.shape == (130, 4**4)
+        np.testing.assert_array_equal(study_tables(monkeypatch, config), want)
+
+
+def bundled_dfs() -> set[int]:
+    return {
+        degrees_of_freedom(spec.family, shape)
+        for config in (scenario(name, 1) for name in SCENARIOS)
+        for shape in [TableShape(len(config.effective_cutpoints()) + 1, config.T)]
+        for spec in config.models
+    }
+
+
+def critical_value(df: int, alpha: float) -> float:
+    """Where pvalue(., df) crosses alpha, by bisection down to adjacent floats."""
+    lo, hi = 0.0, 10.0 * df + 100.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if pvalue(mid, df) < alpha else (mid, hi)
+    return hi
+
+
+class TestRejectionCount:
+    """The bisected count is the loop of pvalue over the block."""
+
+    @staticmethod
+    def loop(stats, df, alpha):
+        return sum(pvalue(g2, df) < alpha for g2 in stats if not np.isnan(g2))
+
+    @pytest.mark.parametrize("df", sorted(bundled_dfs()))
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_dense_grid_around_the_critical_value(self, rng, df, alpha):
+        c = critical_value(df, alpha)
+        ulps = c + np.arange(-400, 401) * np.spacing(c)  # nextafter neighbours
+        near = c * (1.0 + np.concatenate([-np.logspace(-15, -2, 60), np.logspace(-15, -2, 60)]))
+        grid = np.concatenate([ulps, near, [0.0, c / 2, 2 * c]])
+        assert simulate._rejections(grid, df, alpha) == self.loop(grid, df, alpha)
+        for _ in range(100):
+            block = rng.choice(grid, size=64)  # ties too
+            block[rng.random(64) < 0.1] = np.nan
+            assert simulate._rejections(block, df, alpha) == self.loop(block, df, alpha)
+        for k in range(0, len(ulps) - 64, 16):  # runs of consecutive floats
+            run = ulps[k : k + 64]
+            assert simulate._rejections(run, df, alpha) == self.loop(run, df, alpha)
+
+    def test_pvalue_is_not_monotone_at_the_ulp_scale(self):
+        # why the values beside the bisected boundary are decided one by one
+        c = critical_value(44, 0.05)
+        decisions = [pvalue(g2, 44) < 0.05 for g2 in c + np.arange(-400, 401) * np.spacing(c)]
+        assert not decisions[0] and decisions[-1]
+        assert np.count_nonzero(np.diff(decisions)) > 1
+
+    def test_empty_and_nan_blocks(self):
+        assert simulate._rejections(np.array([]), 44, 0.05) == 0
+        assert simulate._rejections(np.full(64, np.nan), 44, 0.05) == 0
+
+    def test_a_few_pvalue_calls_per_block(self, rng, monkeypatch):
+        calls = []
+
+        def counting(stat, df, real=simulate.pvalue):
+            calls.append(stat)
+            return real(stat, df)
+
+        monkeypatch.setattr(simulate, "pvalue", counting)
+        block = rng.chisquare(44, size=64)
+        assert simulate._rejections(block, 44, 0.05) == self.loop(block, 44, 0.05)
+        assert len(calls) <= 9  # 7 bisection steps and the two values beside the boundary
