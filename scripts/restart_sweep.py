@@ -54,13 +54,8 @@ os.environ.update(BLAS_THREADS)
 import numpy as np  # noqa: E402
 
 from fsym import ModelSpec, decompose, fit_model, hellinger, kl, pearson, power  # noqa: E402
-from fsym.fitting import (  # noqa: E402
-    FitError,
-    fit_block,
-    fit_hlp,
-    linkform_constraint,
-    moment_constraint,
-)
+from fsym.fitting import FitError, fit_block  # noqa: E402
+from fsym.oracle import fit_hlp, linkform_constraint, moment_constraint  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import dense_decomposition, moment_certificate, restart_tables  # noqa: E402

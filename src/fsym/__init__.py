@@ -21,7 +21,6 @@ from .fitting import (
     ModelSpec,
     degrees_of_freedom,
     discrepancy_measure,
-    fit_hlp,
     fit_model,
     fit_symmetry,
     g2,
@@ -29,11 +28,23 @@ from .fitting import (
     pvalue,
 )
 from .projection import ProjectionSpec, forward_model, iproject, normalize_gamma
-from .wald import WaldReport, decompose, f_jacobian, sigma, wald_statistic
+from .wald import WaldReport, decompose
 from .simulate import SimConfig, discretize, default_cutpoints, mvn_sample, power_study
 from .datasets import anes_party_id
 
 __version__ = "0.1.0"
+
+# The dense oracles (``oracle``) load on first access to these names.
+_ORACLE_NAMES = frozenset(("fit_hlp", "f_jacobian", "sigma", "wald_statistic"))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Cell",

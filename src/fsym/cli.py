@@ -37,6 +37,10 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BAD_MODEL = 4
 
+# ``fsym design`` writes U, whose full SVD holds an N x N float64 array; it
+# refuses shapes where that array would take more than this many bytes.
+DESIGN_MAX_BYTES = 2**30
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -211,6 +215,8 @@ def cmd_simulate(args) -> int:
         config = replace(SimConfig.from_dict(doc), **overrides)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"bad simulation config: {exc}", EXIT_INPUT)
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}", EXIT_INPUT)
     result = power_study(config, workers=args.workers)
     doc = result.to_dict()
     if args.out:
@@ -252,6 +258,13 @@ def cmd_design(args) -> int:
     scores = tuple(float(s) for s in args.scores.split(",")) if args.scores else None
     try:
         shape = TableShape(args.r, args.T, scores)
+        n = shape.n_cells
+        if 8 * n * n > DESIGN_MAX_BYTES:
+            raise CliError(
+                f"U of {n} cells needs an {n} x {n} float64 array "
+                f"({8 * n * n / 2**30:.1f} GiB; the limit is {DESIGN_MAX_BYTES / 2**30:g} GiB)",
+                EXIT_INPUT,
+            )
         ds = design_mod.design_matrix(shape, spec.family)
     except (ValueError, design_mod.ConfigurationError) as exc:
         raise CliError(str(exc), EXIT_INPUT)

@@ -7,8 +7,7 @@ Each is written once as a function c(m) of the moment coordinates m = F' pi,
 where F = ``design.moment_basis`` holds the scores s_h and their products
 s_a s_b (a <= b).  ME and ME2 are linear in m; VE and CE difference the
 variances and correlations built from the covariances m_ab - mu_a mu_b.  The
-cell derivatives follow by the chain rule: Jacobian grad c(m)' F', weighted
-curvature F (sum_j w_j hess c_j(m)) F'.
+cell Jacobian follows by the chain rule: grad c(m)' F'.
 """
 
 from __future__ import annotations
@@ -144,11 +143,3 @@ def constraint_jacobian(model: str, p: ProbTable) -> np.ndarray:
     grad = _constraint_jet(model, p.shape, _coordinates(p))[1]
     return grad @ design.moment_basis(p.shape).T
 
-
-def constraint_curvature(model: str, p: ProbTable, weights: np.ndarray):
-    """sum_j w_j d2 h_j / dpi dpi' of :func:`constraint_vector`; 0.0 for a linear model."""
-    hess = _constraint_jet(model, p.shape, _coordinates(p))[2]
-    if hess is None:
-        return 0.0
-    F = design.moment_basis(p.shape)
-    return F @ np.tensordot(weights, hess, axes=1) @ F.T

@@ -271,10 +271,14 @@ def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:
 
     The aggregate is a commutative sum of per-replicate indicators, and a
     table's G2 from ``fit_block`` does not depend on the tables blocked with
-    it, so the result is identical for any worker count.  Replicates whose fit fails are
-    excluded from that model's rate; the study raises FitError, quoting the
-    first failure, if failures exceed 0.1% of replicates for any model.
+    it, so the result is identical for any worker count; at most ``n_reps``
+    worker processes start.  Replicates whose fit fails are excluded from
+    that model's rate; the study raises FitError, quoting the first failure,
+    if failures exceed 0.1% of replicates for any model.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, config.n_reps)
     if workers > 1:
         chunks = [range(k, config.n_reps, workers) for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -24,7 +24,9 @@ import numpy as np
 
 Cell = tuple[int, ...]
 
-# Dense storage throughout; reject configurations whose cell count exceeds this.
+# Tables are length-N vectors; reject configurations whose cell count exceeds
+# this.  Only ``DesignSystem.U`` and the test oracles (``oracle``) build
+# N x N arrays, and ``fsym design`` refuses shapes too large for U.
 INDEX_CAP = 10**7
 
 
@@ -221,10 +223,6 @@ class Orbits:
 
     def max(self, v: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(v[..., self.order], self.starts, axis=-1)
-
-    def same_orbit(self) -> np.ndarray:
-        """N x N mask of cell pairs that share an orbit."""
-        return self.orbit_id[:, None] == self.orbit_id[None, :]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Wald statistics of the symmetry decomposition, and their dense oracles.
+"""Wald statistics of the symmetry decomposition.
 
 The decomposition tests three hypotheses at a table pi: the gs link-form
 asymmetry h1 = U'g, with g = F(pi / pi_bar) and U a basis of the complement
@@ -26,9 +26,6 @@ a matrix with only M's d2 columns (``decomposition_statistics``).  Whitening
 by the QR factor instead of solving with X'V^{-1}X keeps the statistics
 accurate where V is badly conditioned, as it is for power links far from
 lambda = 0 on sparse tables.
-
-``sigma``, ``f_jacobian``, ``orbit_averaging_matrix`` and ``wald_statistic``
-are the dense forms, kept as the test oracles of these statistics.
 """
 
 from __future__ import annotations
@@ -57,52 +54,6 @@ CONDITION_LIMIT = 1e12
 
 class SingularCovarianceError(np.linalg.LinAlgError):
     """Middle matrix numerically singular even after the ridge."""
-
-
-def sigma(p: ProbTable) -> np.ndarray:
-    """Multinomial covariance kernel diag(pi) - pi pi'."""
-    return np.diag(p.probs) - np.outer(p.probs, p.probs)
-
-
-def f_jacobian(p: ProbTable, ff: FFunction) -> np.ndarray:
-    """Jacobian of the link values F(pi / pi_sym) with respect to the cells.
-
-    Nonzero only within orbits: moving mass inside an orbit shifts both the
-    cell ratio and the shared orbit average.
-    """
-    if not p.is_interior:
-        raise ValueError("link Jacobian needs a strictly positive table")
-    shape = p.shape
-    struct = orbit_structure(shape)
-    pi = p.probs
-    pi_s = orbit_sums(shape, pi) / struct.size_of_cell
-    fpp = np.asarray(ff.f_second(pi / pi_s))
-    # Column value shared by every cell of the row's orbit.
-    spill = -pi * fpp / (struct.size_of_cell * pi_s**2)
-    out = np.where(struct.same_orbit(), spill[:, None], 0.0)
-    out[np.diag_indices_from(out)] += fpp / pi_s
-    return out
-
-
-def orbit_averaging_matrix(shape: TableShape) -> np.ndarray:
-    """Projector J onto orbit-constant vectors, J_ij = 1/|D(i)| within orbits."""
-    struct = orbit_structure(shape)
-    return np.where(struct.same_orbit(), 1.0 / struct.size_of_cell[:, None], 0.0)
-
-
-def wald_statistic(h: np.ndarray, H: np.ndarray, p: ProbTable, n: float) -> float:
-    """n h' (H Sigma H')^{-1} h evaluated at p."""
-    value, _ = _wald(h, H, p, n)
-    return value
-
-
-def _wald(h: np.ndarray, H: np.ndarray, p: ProbTable, n: float) -> tuple[float, bool]:
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    if h.size == 0:
-        return 0.0, False
-    solution, ridged = _solve(H @ sigma(p) @ H.T, h)
-    return float(n * h @ solution), ridged
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -286,3 +237,15 @@ def decompose(counts: CountTable, ff: FFunction) -> WaldReport:
         fits["s"].g2 - fits[design.GS].g2 - fits["me2"].g2
     )
     return report
+
+
+# The dense forms' names that code outside the package still reads here.
+_ORACLE_NAMES = frozenset(("sigma", "f_jacobian", "orbit_averaging_matrix", "wald_statistic"))
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -63,7 +63,7 @@ def dense_decomposition(p: ProbTable, ff, n: float):
     on h2 = M pi, H2 = M, and on their stack."""
     from fsym.design import design_matrix, moment_matrix
     from fsym.tables import symmetric_average
-    from fsym.wald import _wald, f_jacobian
+    from fsym.oracle import _wald, f_jacobian
 
     U = design_matrix(p.shape, "gs").U
     M = moment_matrix(p.shape)

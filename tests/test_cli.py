@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fsym import fitting, simulate
+from fsym import design, fitting, simulate
 from fsym.cli import main
 from fsym.datasets import anes_party_id, data_path, load_table_document
 from fsym.tables import TableShape, orbit_structure
@@ -257,6 +257,24 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: bad simulation config") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_exits_2_with_one_error_line(self, tmp_path, capsys, workers):
+        config = {
+            "means": [0, 0, 0],
+            "variances": [1, 1, 1],
+            "correlations": [0.2, 0.2, 0.2],
+            "n_obs": 100,
+            "n_reps": 3,
+            "models": [{"family": "s"}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--workers", workers]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
+
 
 class TestDesign:
     def test_dump(self, tmp_path, capsys):
@@ -275,3 +293,17 @@ class TestDesign:
         assert main(["design", "--r", "3", "--T", "3", "--model", "me2",
                      "--out", str(tmp_path)]) == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("r,T", [(4, 7), (108, 2)])
+    def test_shapes_too_large_for_u_exit_2_before_the_build(self, tmp_path, capsys, monkeypatch, r, T):
+        def refuse(*args, **kwargs):
+            raise AssertionError("design_matrix was called")
+
+        monkeypatch.setattr(design, "design_matrix", refuse)
+        out = tmp_path / "design"
+        capsys.readouterr()
+        assert main(["design", "--r", str(r), "--T", str(T), "--model", "gs", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"error: U of {r**T} cells needs an ") and err.count("\n") == 1
+        assert not out.exists()

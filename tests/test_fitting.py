@@ -10,24 +10,26 @@ from fsym.design import cell_predictor, design_matrix, moment_matrix, score_matr
 from fsym.divergences import hellinger, kl, pearson, power
 from fsym.fitting import (
     FitError,
-    Constraint,
     InvalidFitError,
     ModelSpec,
-    _lagrangian_curvature,
-    _softmax,
     degrees_of_freedom,
     discrepancy_measure,
-    fit_hlp,
     fit_model,
     fit_symmetry,
     g2,
     linear_coefficients,
-    linkform_constraint,
-    moment_constraint,
     potential_params,
     pvalue,
-    symmetry_constraint,
     table1_df,
+)
+from fsym.oracle import (
+    Constraint,
+    _lagrangian_curvature,
+    _softmax,
+    fit_hlp,
+    linkform_constraint,
+    moment_constraint,
+    symmetry_constraint,
 )
 from fsym.tables import (
     CountTable,

@@ -9,7 +9,7 @@ import fsym.fitting as fitting
 from fsym.datasets import anes_party_id
 from fsym.design import design_matrix
 from fsym.divergences import hellinger, kl, pearson, power
-from fsym.fitting import FitError, ModelSpec, fit_hlp, fit_model, linkform_constraint
+from fsym.fitting import FitError, ModelSpec, fit_model
 from fsym.linkspace import (
     InfeasibleParameterError,
     LinkSpace,
@@ -17,6 +17,7 @@ from fsym.linkspace import (
     inverse_link,
     normalizers,
 )
+from fsym.oracle import fit_hlp, linkform_constraint
 from fsym.projection import ProjectionSpec, iproject
 from fsym.tables import CountTable, TableShape, orbit_structure, orbit_sums
 from fsym.wald import decompose

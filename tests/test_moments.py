@@ -101,7 +101,8 @@ class TestConstraints:
         # both directions of the equivalence, realized by actual fits: the
         # joint second-moment fit satisfies the three component hypotheses,
         # and the stacked component fit satisfies the joint one
-        from fsym.fitting import Constraint, fit_hlp, fit_model, ModelSpec, moment_constraint
+        from fsym.fitting import fit_model, ModelSpec
+        from fsym.oracle import Constraint, fit_hlp, moment_constraint
         from conftest import random_count_table
 
         shape = TableShape(3, 3)

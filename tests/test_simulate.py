@@ -159,6 +159,37 @@ class TestPowerStudy:
         parallel = power_study(config, workers=2)
         assert [r.rejections for r in serial.rows] == [r.rejections for r in parallel.rows]
 
+    @pytest.mark.parametrize("workers,pools", [(1, []), (2, [2]), (5000, [8])])
+    def test_no_more_worker_processes_than_replicates(self, monkeypatch, workers, pools):
+        started = []
+
+        class RecordingPool:
+            """Records max_workers and runs the chunks in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        config = tiny_config()  # 8 replicates
+        rows = power_study(config, workers=workers).rows
+        assert started == pools
+        serial = power_study(config, workers=1).rows
+        assert [r.rejections for r in rows] == [r.rejections for r in serial]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            power_study(tiny_config(), workers=workers)
+
     def test_symmetric_scenario_rarely_rejects(self):
         # a smoke-scale calibration check; the full-scale band lives in the
         # acceptance suite

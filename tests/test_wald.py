@@ -6,14 +6,9 @@ from fsym.datasets import anes_party_id
 from fsym.design import design_matrix, moment_matrix
 from fsym.divergences import hellinger, kl, pearson, power
 from fsym.fitting import FitError
+from fsym.oracle import f_jacobian, orbit_averaging_matrix, sigma, wald_statistic
 from fsym.tables import ProbTable, TableShape, symmetric_average
-from fsym.wald import (
-    decompose,
-    f_jacobian,
-    orbit_averaging_matrix,
-    sigma,
-    wald_statistic,
-)
+from fsym.wald import decompose
 
 from conftest import random_prob_table
 
