@@ -13,11 +13,12 @@ cell Jacobian follows by the chain rule: grad c(m)' F'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import design
-from .tables import ProbTable, TableShape
+from .tables import ProbTable, TableShape, _read_only
 
 ME = "me"
 VE = "ve"
@@ -108,6 +109,12 @@ def _power(x, e: float):
     )
 
 
+@lru_cache(maxsize=None)
+def _pair_chain_index(T: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based first and second variables of ``design.pair_chain(T)``."""
+    return tuple(_read_only(np.array(side) - 1) for side in zip(*design.pair_chain(T)))
+
+
 def _constraint_jet(model: str, shape: TableShape, m: np.ndarray):
     """Values, gradients and Hessians in m of a model's constraints.
 
@@ -126,7 +133,7 @@ def _constraint_jet(model: str, shape: TableShape, m: np.ndarray):
     if model == VE:
         terms = var
     else:
-        a, b = (np.array(side) - 1 for side in zip(*design.pair_chain(T)))
+        a, b = _pair_chain_index(T)
         var_a, var_b = (tuple(t[side] for t in var) for side in (a, b))
         scale = _power(_product(var_a, var_b), -0.5)
         terms = _product(_covariances(m, T, a, b), scale)

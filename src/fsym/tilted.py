@@ -14,7 +14,10 @@ only where its slack is exactly 0; the mass is that row's multiplier.  At the
 solution nu = n.  ``TiltedDual.solve`` takes damped Newton steps on phi,
 O(N d^2) each, with an active set of zero cells held at slack 0, and returns
 only a certified point (``Tilt``).  It stores v as w = (nu - lam'b, lam), so
-that the slacks, and with them a warm start, do not depend on b.
+that the slacks, and with them a warm start, do not depend on b.  The bases
+of the directions that keep an active set at slack 0 depend on the active
+set alone, so a ``TiltedDual`` computes them once per active set; one dual
+serves every solve of a fit, so they are computed once per fit.
 
 The moment families use it in two ways (``fit``):
 
@@ -114,18 +117,15 @@ class TiltedDual:
         self.n_obs = nvec[self.obs]
         self.A_obs = self.A[self.obs]
         self.zero = np.flatnonzero(~self.obs)
+        self.A_zero = self.A[self.zero]
         self.n = float(self.n_obs.sum())
         # The span of the observed rows: along a direction outside it phi is
         # linear, and the zero-cell slacks alone bound it.
         _, sv, vt = np.linalg.svd(self.A_obs, full_matrices=False)
         self.seen = vt[: np.count_nonzero(sv > RANK_TOL * sv.max())].T
+        self.spans = self.seen.shape[1] == len(self.seen)
         self.log_const = float(self.n_obs @ np.log(self.n_obs)) - self.n
-
-    def _phi(self, w, c):
-        s = self.A_obs @ w
-        if np.any(s <= 0):
-            return math.inf
-        return float(c @ w - self.n_obs @ np.log(s))
+        self._bases_cache: dict[tuple, tuple] = {}
 
     def _plan(self, H, grad, w, active, tol, release=True):
         """(step, masses, ray, active) of the Newton step at w that keeps
@@ -137,15 +137,17 @@ class TiltedDual:
         it): where phi falls along it by more than tol / 10, the step is that
         direction, to be taken until a zero cell blocks it.
         """
-        dim = len(w)
+        if not active and self.spans:  # Z = I and no ray: the plain Newton step
+            return -np.linalg.solve(H, grad), np.zeros(0), False, active
         AW = self.A[active]
-        Z, kernel = self._split(active)
-        step = np.zeros(dim)
+        _, Z, kernel = self._bases(active)
+        step = np.zeros(len(w))
         if active:  # restore the held slacks to exactly 0
             step = -np.linalg.lstsq(AW, AW @ w, rcond=None)[0]
-        descent = -kernel @ (kernel.T @ grad)
-        if np.max(np.abs(descent), initial=0.0) > 0.1 * tol:
-            return descent, np.zeros(len(active)), True, active
+        if kernel.shape[1]:
+            descent = -kernel @ (kernel.T @ grad)
+            if np.max(np.abs(descent)) > 0.1 * tol:
+                return descent, np.zeros(len(active)), True, active
         step = step - Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (grad + H @ step))
         mass = np.zeros(0)
         if active:
@@ -159,22 +161,31 @@ class TiltedDual:
             return freed
         return step, mass, False, active
 
-    def _split(self, active):
-        """Orthonormal bases of the directions that keep ``active`` at slack 0,
-        split into those the observed rows see and those they do not."""
-        Z = _null_space(self.A[active], self.A.shape[1])
-        if self.seen.shape[1] == len(self.seen):  # the observed rows span
-            return Z, Z[:, :0]
-        _, sv, vt = np.linalg.svd(self.seen.T @ Z)
-        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
-        return Z @ vt[:rank].T, Z @ vt[rank:].T
+    def _bases(self, active):
+        """(Z, seen, unseen): an orthonormal basis Z of the directions that keep
+        ``active`` at slack 0, and Z's split into the directions the observed
+        rows see and those they do not; computed once per active set."""
+        key = tuple(active)
+        bases = self._bases_cache.get(key)
+        if bases is None:
+            Z = _null_space(self.A[active], self.A.shape[1])
+            if self.spans:
+                bases = Z, Z, Z[:, :0]
+            else:
+                _, sv, vt = np.linalg.svd(self.seen.T @ Z)
+                rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
+                bases = Z, Z @ vt[:rank].T, Z @ vt[rank:].T
+            bases = tuple(_read_only(b) for b in bases)
+            self._bases_cache[key] = bases
+        return bases
 
-    def _independent(self, rows: list, cells: np.ndarray) -> np.ndarray:
-        """Which of ``cells`` have rows outside the span of the rows of ``rows``."""
-        a = self.A[cells]
+    def _independent(self, rows: list, cells) -> np.ndarray:
+        """Which of ``cells`` have rows outside the span of the rows of ``rows``
+        (with no rows, all of them: every row of A starts with a 1)."""
         if not rows:
-            return np.any(a != 0, axis=1)
-        Z = _null_space(self.A[rows], a.shape[1])
+            return np.ones(len(cells), dtype=bool)
+        a = self.A[cells]
+        Z = self._bases(rows)[0]
         return np.linalg.norm(a @ Z, axis=1) > 1e2 * RANK_TOL * np.linalg.norm(a, axis=1)
 
     def solve(
@@ -206,9 +217,14 @@ class TiltedDual:
             w, active = start.w.copy(), list(start.active)
         trace: list[tuple] = []
         ll_prev = None
+        # the observed slacks at w and phi(w), where the line search left them
+        s_obs = phi = None
         for it in range(max_iter + 1):
-            s_obs = A_obs @ w
-            dual = float(c @ w - n_obs @ np.log(s_obs)) + self.log_const
+            if s_obs is None:
+                s_obs = A_obs @ w
+            if phi is None:
+                phi = float(c @ w - n_obs @ np.log(s_obs))
+            dual = phi + self.log_const
             if dual < cutoff:
                 raise Infeasible(f"the dual value {dual:.6g} is below the cutoff {cutoff:.6g}")
             p_obs = n_obs / s_obs
@@ -218,9 +234,14 @@ class TiltedDual:
 
             total = p_obs.sum() + mass.sum()
             ll = float(n_obs @ np.log(p_obs / abs(total)))
-            resid = float(np.max(np.abs(grad - A[active].T @ mass)))
-            free = self.zero[~np.isin(self.zero, active)]
-            s_free = A[free] @ w
+            if active:
+                resid = float(np.max(np.abs(grad - A[active].T @ mass)))
+                free = self.zero[~np.isin(self.zero, active)]
+                A_free = A[free]
+            else:
+                resid = float(np.max(np.abs(grad)))
+                free, A_free = self.zero, self.A_zero
+            s_free = A_free @ w
             rel = math.inf if ll_prev is None else abs(ll - ll_prev) / (1.0 + abs(ll))
             failed = []
             if resid > tol:
@@ -236,8 +257,11 @@ class TiltedDual:
                 probs = np.zeros(len(A))
                 probs[self.obs] = p_obs
                 probs[active] = np.maximum(mass, 0.0)
-                Z, kernel = self._split(active)
-                curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
+                _, Z, kernel = self._bases(active)
+                if active or not self.spans:
+                    curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
+                else:  # Z = I
+                    curvature = -np.linalg.solve(H, Z[:, 1:])[1:]
                 return Tilt(w, active, probs / probs.sum(), ll, it, kernel, curvature)
             if it == max_iter:
                 raise CertificateError(
@@ -248,7 +272,7 @@ class TiltedDual:
 
             # Ratio test: the first zero cell whose slack the step drives to 0.
             # A cell whose row the held rows span keeps its slack as they do.
-            dz = A[free] @ step
+            dz = A_free @ step
             moving = (dz < 0) & self._independent(active, free)
             reach = np.full(len(free), np.inf)
             reach[moving] = np.maximum(s_free[moving], 0.0) / -dz[moving]
@@ -256,9 +280,10 @@ class TiltedDual:
             if ray:
                 if not math.isfinite(t_max):
                     raise Infeasible("the dual is unbounded: no table meets the moments")
-                t = t_max
+                t, s_obs, phi = t_max, None, None
             else:
-                t = self._line_search(w, step, grad, c, min(1.0, t_max), it, trace)
+                t, s_obs, phi = self._line_search(w, step, grad, c, phi, min(1.0, t_max),
+                                                  it, trace)
             w = w + t * step
             if t == t_max:
                 for j in free[reach <= t_max * (1.0 + 1e-9)]:
@@ -266,17 +291,22 @@ class TiltedDual:
                         active = active + [int(j)]
         raise AssertionError("unreachable")
 
-    def _line_search(self, w, step, grad, c, t, it, trace):
-        """Backtracking step length from t with every observed slack kept
-        positive; a first trial whose predicted gain is below 1e-9 in G2
-        units is taken as it is (the dual cannot resolve it from rounding)."""
+    def _line_search(self, w, step, grad, c, phi0, t, it, trace):
+        """(t, observed slacks, phi) at the backtracking step length from t
+        with every observed slack kept positive, phi0 being phi(w); a first
+        trial whose predicted gain is below 1e-9 in G2 units is taken as it
+        is (the dual cannot resolve it from rounding), and its phi is None."""
         slope = float(grad @ step)
-        if -t * slope < 1e-9 and np.all(self.A_obs @ (w + t * step) > 0):
-            return t
-        phi0 = self._phi(w, c)
+        if -t * slope < 1e-9:
+            s = self.A_obs @ (w + t * step)
+            if np.all(s > 0):
+                return t, s, None
         for _ in range(60):
-            if self._phi(w + t * step, c) <= phi0 + 1e-4 * t * slope:
-                return t
+            trial = w + t * step
+            s = self.A_obs @ trial
+            phi = math.inf if np.any(s <= 0) else float(c @ trial - self.n_obs @ np.log(s))
+            if phi <= phi0 + 1e-4 * t * slope:
+                return t, s, phi
             t *= 0.5
         raise CertificateError(
             f"dual line search failed at step {it}: no trial step lowers the dual", trace
@@ -379,15 +409,19 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
             # the Lagrangian Hessian where it is definite on the tangent
             # space, else the profile's own curvature
             tangent = _null_space(rows, len(x))
-            B = -tilt.curvature + np.tensordot(coef[:m], Hc, axes=1)
+            k = len(x)
+            B = -tilt.curvature + (coef[:m] @ Hc.reshape(m, -1)).reshape(k, k)
             try:
                 np.linalg.cholesky(tangent.T @ B @ tangent)
             except np.linalg.LinAlgError:
                 B = -tilt.curvature
-            K = np.block([[B, rows.T], [rows, np.zeros((len(rows), len(rows)))]])
+            K = np.zeros((k + len(rows), k + len(rows)))
+            K[:k, :k] = B
+            K[:k, k:] = rows.T
+            K[k:, :k] = rows
             rhs = np.concatenate([g, -cval, np.zeros(len(normals))])
             sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            p, mult = sol[: len(x)], sol[len(x) :]
+            p, mult = sol[:k], sol[k:]
             if np.max(np.abs(K @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
                 return None
             if len(normals) and shifted_slack(tilt, mult[m:]) < free_slack_floor:
