@@ -162,6 +162,11 @@ class DesignSystem:
         return self.n_columns - self.Xs.shape[1]
 
     @cached_property
+    def Q(self) -> np.ndarray:
+        """Orthonormal basis of X's columns (the reduced QR factor, an N x p array)."""
+        return _read_only(np.linalg.qr(self.X)[0])
+
+    @cached_property
     def U(self) -> np.ndarray:
         """Orthonormal basis of the complement of X's columns (an N x N SVD, run on first read)."""
         q, s, _ = np.linalg.svd(self.X, full_matrices=True)

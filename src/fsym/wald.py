@@ -138,10 +138,9 @@ def orthogonality_residual(sym: ProbTable, ff: FFunction) -> float:
     P_X the orthogonal projector onto the gs design's columns: zero exactly
     where h1 Sigma h2' = U'C vanishes, and never below max |U'C| for an
     orthonormal U."""
-    X = design.design_matrix(sym.shape, design.GS).X
+    Q = design.design_matrix(sym.shape, design.GS).Q
     _, e, a = _link_jacobian(sym, ff)
     C = _cross_covariance(sym, e, a)
-    Q = np.linalg.qr(X)[0]
     resid = C - Q @ (Q.T @ C)
     return float(np.max(np.linalg.norm(resid, axis=0)))
 
