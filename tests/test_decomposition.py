@@ -5,8 +5,7 @@ import tracemalloc
 
 import pytest
 
-import fsym.fitting as fitting
-from fsym import design, wald
+from fsym import design, oracle, wald
 from fsym.datasets import anes_party_id
 from fsym.divergences import hellinger, kl, pearson, power
 from fsym.tables import TableShape
@@ -59,8 +58,8 @@ def test_no_dense_helper_on_the_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decompose reached a dense helper")
 
-    for module, name in ((wald, "sigma"), (wald, "f_jacobian"), (fitting, "linkform_constraint")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("sigma", "f_jacobian", "linkform_constraint", "fit_hlp"):
+        monkeypatch.setattr(oracle, name, refuse)
     monkeypatch.setattr(design.DesignSystem, "U", property(refuse))
     report = wald.decompose(anes_party_id(), kl())
     assert report.w_gs == pytest.approx(7.551355560095297, rel=1e-10)
