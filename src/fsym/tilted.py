@@ -318,7 +318,8 @@ def independent_coordinates(shape: TableShape):
     """(cols, P, q): the moment coordinates m = q + P m[cols] of any table.
 
     With two categories a squared score is affine in the score, so those
-    columns of F repeat the others; a dual on F needs ``cols`` alone.
+    columns of F repeat the others; a dual on F needs ``cols`` alone.  With
+    more, every column is independent, and P is exactly I and q exactly 0.
     """
     F = design.moment_basis(shape)
     basis = np.column_stack([np.ones(len(F)), F])
@@ -326,6 +327,8 @@ def independent_coordinates(shape: TableShape):
     for j in range(F.shape[1]):
         if np.linalg.matrix_rank(basis[:, [0] + [c + 1 for c in cols + [j]]]) > len(cols) + 1:
             cols.append(j)
+    if len(cols) == F.shape[1]:
+        return tuple(cols), _read_only(np.eye(len(cols))), _read_only(np.zeros(len(cols)))
     coef = np.linalg.lstsq(basis[:, [0] + [c + 1 for c in cols]], F, rcond=None)[0]
     return tuple(cols), _read_only(coef[1:].T.copy()), _read_only(coef[0].copy())
 
@@ -353,6 +356,8 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     free_slack_floor = -SLACK_TOL * n
 
     def jet(x):
+        if len(cols) == len(q):  # the identity map: m = x
+            return _constraint_jet(model, shape, x)
         value, grad, hess = _constraint_jet(model, shape, q + P @ x)
         return value, grad @ P, P.T @ hess @ P
 
