@@ -14,10 +14,8 @@ only where its slack is exactly 0; the mass is that row's multiplier.  At the
 solution nu = n.  ``TiltedDual.solve`` takes damped Newton steps on phi,
 O(N d^2) each, with an active set of zero cells held at slack 0, and returns
 only a certified point (``Tilt``).  It stores v as w = (nu - lam'b, lam), so
-that the slacks, and with them a warm start, do not depend on b.  The bases
-of the directions that keep an active set at slack 0 depend on the active
-set alone, so a ``TiltedDual`` computes them once per active set; one dual
-serves every solve of a fit, so they are computed once per fit.
+that the slacks, and with them a warm start, do not depend on b.  With no
+cell held and observed rows that span, the step is the plain Newton step.
 
 The moment families use it in two ways (``fit``):
 
@@ -125,7 +123,6 @@ class TiltedDual:
         self.seen = vt[: np.count_nonzero(sv > RANK_TOL * sv.max())].T
         self.spans = self.seen.shape[1] == len(self.seen)
         self.log_const = float(self.n_obs @ np.log(self.n_obs)) - self.n
-        self._bases_cache: dict[tuple, tuple] = {}
 
     def _plan(self, H, grad, w, active, tol, release=True):
         """(step, masses, ray, active) of the Newton step at w that keeps
@@ -139,15 +136,15 @@ class TiltedDual:
         """
         if not active and self.spans:  # Z = I and no ray: the plain Newton step
             return -np.linalg.solve(H, grad), np.zeros(0), False, active
+        dim = len(w)
         AW = self.A[active]
-        _, Z, kernel = self._bases(active)
-        step = np.zeros(len(w))
+        Z, kernel = self._split(active)
+        step = np.zeros(dim)
         if active:  # restore the held slacks to exactly 0
             step = -np.linalg.lstsq(AW, AW @ w, rcond=None)[0]
-        if kernel.shape[1]:
-            descent = -kernel @ (kernel.T @ grad)
-            if np.max(np.abs(descent)) > 0.1 * tol:
-                return descent, np.zeros(len(active)), True, active
+        descent = -kernel @ (kernel.T @ grad)
+        if np.max(np.abs(descent), initial=0.0) > 0.1 * tol:
+            return descent, np.zeros(len(active)), True, active
         step = step - Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (grad + H @ step))
         mass = np.zeros(0)
         if active:
@@ -161,31 +158,23 @@ class TiltedDual:
             return freed
         return step, mass, False, active
 
-    def _bases(self, active):
-        """(Z, seen, unseen): an orthonormal basis Z of the directions that keep
-        ``active`` at slack 0, and Z's split into the directions the observed
-        rows see and those they do not; computed once per active set."""
-        key = tuple(active)
-        bases = self._bases_cache.get(key)
-        if bases is None:
-            Z = _null_space(self.A[active], self.A.shape[1])
-            if self.spans:
-                bases = Z, Z, Z[:, :0]
-            else:
-                _, sv, vt = np.linalg.svd(self.seen.T @ Z)
-                rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
-                bases = Z, Z @ vt[:rank].T, Z @ vt[rank:].T
-            bases = tuple(_read_only(b) for b in bases)
-            self._bases_cache[key] = bases
-        return bases
+    def _split(self, active):
+        """Orthonormal bases of the directions that keep ``active`` at slack 0,
+        split into those the observed rows see and those they do not."""
+        Z = _null_space(self.A[active], self.A.shape[1])
+        if self.spans:
+            return Z, Z[:, :0]
+        _, sv, vt = np.linalg.svd(self.seen.T @ Z)
+        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
+        return Z @ vt[:rank].T, Z @ vt[rank:].T
 
-    def _independent(self, rows: list, cells) -> np.ndarray:
+    def _independent(self, rows: list, cells: np.ndarray) -> np.ndarray:
         """Which of ``cells`` have rows outside the span of the rows of ``rows``
         (with no rows, all of them: every row of A starts with a 1)."""
         if not rows:
             return np.ones(len(cells), dtype=bool)
         a = self.A[cells]
-        Z = self._bases(rows)[0]
+        Z = _null_space(self.A[rows], a.shape[1])
         return np.linalg.norm(a @ Z, axis=1) > 1e2 * RANK_TOL * np.linalg.norm(a, axis=1)
 
     def solve(
@@ -257,11 +246,8 @@ class TiltedDual:
                 probs = np.zeros(len(A))
                 probs[self.obs] = p_obs
                 probs[active] = np.maximum(mass, 0.0)
-                _, Z, kernel = self._bases(active)
-                if active or not self.spans:
-                    curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
-                else:  # Z = I
-                    curvature = -np.linalg.solve(H, Z[:, 1:])[1:]
+                Z, kernel = self._split(active)
+                curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
                 return Tilt(w, active, probs / probs.sum(), ll, it, kernel, curvature)
             if it == max_iter:
                 raise CertificateError(

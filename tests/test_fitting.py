@@ -212,48 +212,6 @@ class TestMomentFits:
         assert fit.g2 == pytest.approx(0.0, abs=1e-10)
         assert np.array_equal(fit.pihat.probs, counts.proportions().probs)
 
-    @pytest.mark.parametrize(
-        "seed,r,T,n,model",
-        [(3, 2, 3, 500, "ce"), (6, 2, 3, 60, "ce"), (7, 2, 3, 60, "ce"), (7, 2, 3, 500, "ce"),
-         (5, 3, 4, 60, "ve"), (None, 3, 3, None, "ce")],
-        ids=["ce-s3-2^3-n500", "ce-s6-2^3-n60", "ce-s7-2^3-n60", "ce-s7-2^3-n500",
-             "ve-s5-3^4-n60", "ce-panel"],
-    )
-    def test_cached_bases_change_no_bit(self, monkeypatch, seed, r, T, n, model):
-        # the face tables hold cells and have unseen directions, so every
-        # branch of TiltedDual._bases runs; a cache that keeps nothing must
-        # give the same fit bit for bit
-        counts = anes_party_id() if seed is None else restart_table(seed, r, T, n, 0.3)
-        cached = fit_model(counts, ModelSpec(model))
-
-        class NeverKept(dict):
-            def __setitem__(self, key, value):
-                pass
-
-        init = tilted.TiltedDual.__init__
-
-        def uncached_init(self, *args):
-            init(self, *args)
-            self._bases_cache = NeverKept()
-
-        monkeypatch.setattr(tilted.TiltedDual, "__init__", uncached_init)
-        fresh = fit_model(counts, ModelSpec(model))
-        np.testing.assert_array_equal(fresh.pihat.probs, cached.pihat.probs)
-        assert fresh.g2 == cached.g2 and fresh.iterations == cached.iterations
-
-    def test_null_space_once_per_active_set(self, monkeypatch):
-        # the panel's ce fit: no call of _null_space repeats an earlier one
-        seen = []
-        null_space = tilted._null_space
-
-        def counted(M, dim):
-            seen.append((M.shape, M.tobytes(), dim))
-            return null_space(M, dim)
-
-        monkeypatch.setattr(tilted, "_null_space", counted)
-        fit_model(anes_party_id(), ModelSpec("ce"))
-        assert seen and len(set(seen)) == len(seen)
-
     def test_iteration_cap_keeps_the_dual_trace(self, monkeypatch):
         # the panel's ce fit takes 5 SQP steps; the cap also reaches its dual solves
         monkeypatch.setattr(fitting, "MAX_ITER", 1)
