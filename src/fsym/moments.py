@@ -8,6 +8,11 @@ where F = ``design.moment_basis`` holds the scores s_h and their products
 s_a s_b (a <= b).  ME and ME2 are linear in m; VE and CE difference the
 variances and correlations built from the covariances m_ab - mu_a mu_b.  The
 cell Jacobian follows by the chain rule: grad c(m)' F'.
+
+Each VE or CE constraint's value, gradient and Hessian (its jet) lives in
+that constraint's own coordinates, (mu_h, m_hh) for a variance and (mu_a,
+mu_b, m_aa, m_bb, m_ab) for a correlation, and is scattered into the k
+moment coordinates once, before adjacent constraints are differenced.
 """
 
 from __future__ import annotations
@@ -66,26 +71,27 @@ def moments(p: ProbTable) -> MomentSet:
 
 
 # A "jet" is (values, gradients, Hessians) of several functions of m, stacked
-# along the first axis: shapes (P,), (P, k) and (P, k, k).
+# along the first axis: shapes (P,), (P, w) and (P, w, w), with w = 2 or 5
+# local coordinates (``_frames``) until ``_scatter`` widens them to w = k.
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, :, None] * y[:, None, :]
 
 
-def _covariances(m: np.ndarray, T: int, a: np.ndarray, b: np.ndarray):
-    """Jet of cov(s_a, s_b) = m_ab - mu_a mu_b (0-based a, b; a == b: a variance)."""
+def _covariances(m: np.ndarray, T: int, a: np.ndarray, b: np.ndarray, at):
+    """Jet of cov(s_a, s_b) = m_ab - mu_a mu_b (0-based a, b; a == b: a variance)
+    in a local frame: ``at`` = (width, positions of mu_a, mu_b and m_ab)."""
+    width, ia, ib, iab = at
     mu = m[:T]
-    cols = design.product_index(T)[a, b]
-    rows = np.arange(len(a))
-    grad = np.zeros((len(a), len(m)))
-    grad[rows, cols] = 1.0
-    grad[rows, a] -= mu[b]
-    grad[rows, b] -= mu[a]
-    hess = np.zeros((len(a), len(m), len(m)))
-    hess[rows, a, b] -= 1.0
-    hess[rows, b, a] -= 1.0
-    return m[cols] - mu[a] * mu[b], grad, hess
+    grad = np.zeros((len(a), width))
+    grad[:, iab] = 1.0
+    grad[:, ia] -= mu[b]
+    grad[:, ib] -= mu[a]
+    hess = np.zeros((len(a), width, width))
+    hess[:, ia, ib] -= 1.0
+    hess[:, ib, ia] -= 1.0
+    return m[design.product_index(T)[a, b]] - mu[a] * mu[b], grad, hess
 
 
 def _product(x, y):
@@ -115,6 +121,29 @@ def _pair_chain_index(T: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_read_only(np.array(side) - 1) for side in zip(*design.pair_chain(T)))
 
 
+@lru_cache(maxsize=None)
+def _frames(model: str, T: int) -> np.ndarray:
+    """(P, w) moment coordinates of each ve or ce constraint's local frame."""
+    idx = design.product_index(T)
+    if model == VE:
+        h = np.arange(T)
+        return _read_only(np.column_stack([h, idx[h, h]]))
+    a, b = _pair_chain_index(T)
+    return _read_only(np.column_stack([a, b, idx[a, a], idx[b, b], idx[a, b]]))
+
+
+def _scatter(terms, frames: np.ndarray, k: int):
+    """A local-frame jet with its gradients and Hessians in the k coordinates."""
+    value, grad, hess = terms
+    P = len(frames)
+    rows = np.arange(P)[:, None]
+    full_grad = np.zeros((P, k))
+    full_grad[rows, frames] = grad
+    full_hess = np.zeros((P, k, k))
+    full_hess[rows[:, :, None], frames[:, :, None], frames[:, None, :]] = hess
+    return value, full_grad, full_hess
+
+
 def _constraint_jet(model: str, shape: TableShape, m: np.ndarray):
     """Values, gradients and Hessians in m of a model's constraints.
 
@@ -128,16 +157,17 @@ def _constraint_jet(model: str, shape: TableShape, m: np.ndarray):
     if model not in (VE, CE):
         raise ValueError(f"unknown moment model {model!r}")
     h = np.arange(T)
-    var = _covariances(m, T, h, h)
+    var = _covariances(m, T, h, h, (2, 0, 0, 1))
     _check_variances(var[0])
     if model == VE:
         terms = var
     else:
         a, b = _pair_chain_index(T)
-        var_a, var_b = (tuple(t[side] for t in var) for side in (a, b))
+        var_a = _covariances(m, T, a, a, (5, 0, 0, 2))
+        var_b = _covariances(m, T, b, b, (5, 1, 1, 3))
         scale = _power(_product(var_a, var_b), -0.5)
-        terms = _product(_covariances(m, T, a, b), scale)
-    return tuple(t[:-1] - t[1:] for t in terms)
+        terms = _product(_covariances(m, T, a, b, (5, 0, 1, 4)), scale)
+    return tuple(t[:-1] - t[1:] for t in _scatter(terms, _frames(model, T), len(m)))
 
 
 def constraint_vector(model: str, p: ProbTable) -> np.ndarray:

@@ -14,8 +14,13 @@ only where its slack is exactly 0; the mass is that row's multiplier.  At the
 solution nu = n.  ``TiltedDual.solve`` takes damped Newton steps on phi,
 O(N d^2) each, with an active set of zero cells held at slack 0, and returns
 only a certified point (``Tilt``).  It stores v as w = (nu - lam'b, lam), so
-that the slacks, and with them a warm start, do not depend on b.  With no
-cell held and observed rows that span, the step is the plain Newton step.
+that the slacks, and with them a warm start, do not depend on b; a tilt also
+carries the slacks, masses and dual Hessian at w, which a solve of the same
+dual warm-started there uses for its first step.  With no cell held and
+observed rows that span, the step is the plain Newton step, computed only
+once the certificate fails.  A dual is built with the singular values of
+the observed rows alone, for its rank; the basis of their span is computed
+only where they do not span.
 
 The moment families use it in two ways (``fit``):
 
@@ -25,11 +30,15 @@ The moment families use it in two ways (``fit``):
   solve with G = F and b = m, subject to c(m) = 0, by sequential quadratic
   programming in the moment coordinates (``_profile_fit``).  The gradient
   of l* is lam and its Hessian follows from the dual stationarity by
-  implicit differentiation.  Where the observed and held rows do not span,
-  l* has a kink, and the step either keeps to the face on which l* is
-  smooth or goes to the table of largest likelihood on the linearized
-  constraints, one solve with G = F J'.  With two categories ve is a union
-  of linear models instead (``_two_category_ve``).
+  implicit differentiation.  Each SQP step solves its KKT system in the
+  null-space form from one SVD of the constraint rows: the least-squares
+  range step, then the tangent step on the reduced Hessian Z'BZ, then the
+  multipliers; the second-order correction reuses the same factors.  Where
+  the observed and held rows do not span, l* has a kink, and the step
+  either keeps to the face on which l* is smooth or goes to the table of
+  largest likelihood on the linearized constraints, one solve with
+  G = F J'.  With two categories ve is a union of linear models instead
+  (``_two_category_ve``).
 
 No step builds an N x N array: the largest is N x (d + 1), with d <= k.
 """
@@ -39,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,6 +100,9 @@ class Tilt:
     # -E'Z (Z'HZ)^-1 Z'E with Z the seen directions that keep the held rows,
     # H the dual Hessian and E' dropping the intercept
     curvature: np.ndarray
+    # (dual, observed slacks, observed masses, dual Hessian) at w, which a
+    # solve of that same dual warm-started here takes instead of recomputing
+    point: tuple | None = None
 
     @property
     def lam(self) -> np.ndarray:
@@ -117,12 +129,17 @@ class TiltedDual:
         self.zero = np.flatnonzero(~self.obs)
         self.A_zero = self.A[self.zero]
         self.n = float(self.n_obs.sum())
-        # The span of the observed rows: along a direction outside it phi is
+        # Along a direction outside the span of the observed rows phi is
         # linear, and the zero-cell slacks alone bound it.
-        _, sv, vt = np.linalg.svd(self.A_obs, full_matrices=False)
-        self.seen = vt[: np.count_nonzero(sv > RANK_TOL * sv.max())].T
-        self.spans = self.seen.shape[1] == len(self.seen)
+        sv = np.linalg.svd(self.A_obs, compute_uv=False)
+        self.spans = np.count_nonzero(sv > RANK_TOL * sv.max()) == self.A.shape[1]
         self.log_const = float(self.n_obs @ np.log(self.n_obs)) - self.n
+
+    @cached_property
+    def seen(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the span of the observed rows."""
+        _, sv, vt = np.linalg.svd(self.A_obs, full_matrices=False)
+        return vt[: np.count_nonzero(sv > RANK_TOL * sv.max())].T
 
     def _plan(self, H, grad, w, active, tol, release=True):
         """(step, masses, ray, active) of the Newton step at w that keeps
@@ -199,15 +216,18 @@ class TiltedDual:
         """
         A, A_obs, n_obs, n = self.A, self.A_obs, self.n_obs, self.n
         c = np.concatenate([[1.0], b])
+        # the observed slacks at w and phi(w), where the line search left
+        # them, and the masses and Hessian there, where the warm start has them
+        s_obs = phi = p_obs = H = None
         if start is None:
             w, active = np.zeros(len(c)), []
             w[0] = n
         else:
             w, active = start.w.copy(), list(start.active)
+            if start.point is not None and start.point[0] is self:
+                s_obs, p_obs, H = start.point[1:]
         trace: list[tuple] = []
         ll_prev = None
-        # the observed slacks at w and phi(w), where the line search left them
-        s_obs = phi = None
         for it in range(max_iter + 1):
             if s_obs is None:
                 s_obs = A_obs @ w
@@ -216,10 +236,14 @@ class TiltedDual:
             dual = phi + self.log_const
             if dual < cutoff:
                 raise Infeasible(f"the dual value {dual:.6g} is below the cutoff {cutoff:.6g}")
-            p_obs = n_obs / s_obs
+            if p_obs is None:
+                p_obs = n_obs / s_obs
+                H = A_obs.T @ ((p_obs / s_obs)[:, None] * A_obs)
             grad = c - A_obs.T @ p_obs
-            H = A_obs.T @ ((p_obs / s_obs)[:, None] * A_obs)
-            step, mass, ray, active = self._plan(H, grad, w, active, tol)
+            if not active and self.spans:  # the plain Newton step, once the certificate fails
+                step, mass, ray = None, np.zeros(0), False
+            else:
+                step, mass, ray, active = self._plan(H, grad, w, active, tol)
 
             total = p_obs.sum() + mass.sum()
             ll = float(n_obs @ np.log(p_obs / abs(total)))
@@ -248,13 +272,16 @@ class TiltedDual:
                 probs[active] = np.maximum(mass, 0.0)
                 Z, kernel = self._split(active)
                 curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
-                return Tilt(w, active, probs / probs.sum(), ll, it, kernel, curvature)
+                return Tilt(w, active, probs / probs.sum(), ll, it, kernel, curvature,
+                            (self, s_obs, p_obs, H))
             if it == max_iter:
                 raise CertificateError(
                     f"no certificate within {max_iter} dual steps: " + "; ".join(failed),
                     trace,
                 )
             ll_prev = ll
+            if step is None:
+                step = -np.linalg.solve(H, grad)
 
             # Ratio test: the first zero cell whose slack the step drives to 0.
             # A cell whose row the held rows span keeps its slack as they do.
@@ -270,6 +297,7 @@ class TiltedDual:
             else:
                 t, s_obs, phi = self._line_search(w, step, grad, c, phi, min(1.0, t_max),
                                                   it, trace)
+            p_obs = None
             w = w + t * step
             if t == t_max:
                 for j in free[reach <= t_max * (1.0 + 1e-9)]:
@@ -369,7 +397,13 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
         g, normals = tilt.lam, tilt.kernel[1:].T
         m = len(cval)
         rows = np.vstack([J, normals])
-        coef = np.linalg.lstsq(rows.T, g, rcond=None)[0]
+        # One SVD of the rows per step, cut at RANK_TOL: V spans the rows, the
+        # tangent directions are its orthogonal complement, and every
+        # least-squares solve with the rows or their transpose uses U, sv, V.
+        U, sv, vt = np.linalg.svd(rows)
+        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0))
+        U, sv, V, tangent = U[:, :rank], sv[:rank], vt[:rank].T, vt[rank:].T
+        coef = U @ ((V.T @ g) / sv)
         stationarity = float(np.max(np.abs(g - rows.T @ coef))) / (1.0 + n)
         hmax = float(np.max(np.abs(cval)))
         rel = math.inf if ll_prev is None else abs(tilt.loglik - ll_prev) / (1.0 + abs(tilt.loglik))
@@ -394,26 +428,39 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
         l1 = float(np.sum(np.abs(cval)))
 
         def sqp_plan():
-            """(step, penalty, merit slope, K) of the SQP step along the face,
-            or None where the face cannot meet the linearized constraints or
-            its multipliers would make a zero-cell slack negative."""
+            """(step, penalty, merit slope, KKT solver) of the SQP step along
+            the face, or None where the face cannot meet the linearized
+            constraints or its multipliers would make a zero-cell slack
+            negative."""
             # the Lagrangian Hessian where it is definite on the tangent
             # space, else the profile's own curvature
-            tangent = _null_space(rows, len(x))
             k = len(x)
             B = -tilt.curvature + (coef[:m] @ Hc.reshape(m, -1)).reshape(k, k)
+            reduced = tangent.T @ B @ tangent
             try:
-                np.linalg.cholesky(tangent.T @ B @ tangent)
+                np.linalg.cholesky(reduced)
+                definite = True
             except np.linalg.LinAlgError:
                 B = -tilt.curvature
-            K = np.zeros((k + len(rows), k + len(rows)))
-            K[:k, :k] = B
-            K[:k, k:] = rows.T
-            K[k:, :k] = rows
-            rhs = np.concatenate([g, -cval, np.zeros(len(normals))])
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            p, mult = sol[:k], sol[k:]
-            if np.max(np.abs(K @ sol - rhs)) > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+                reduced = tangent.T @ B @ tangent
+                definite = False
+
+            def kkt(top, bottom):
+                """The step p of the KKT system [B rows'; rows 0] (p, mult) =
+                (top, bottom) in the null-space form: the least-squares range
+                step y of rows y = bottom, then Z'BZ u = Z'(top - B y)."""
+                y = V @ ((U.T @ bottom) / sv)
+                rhs = tangent.T @ (top - B @ y)
+                u = (np.linalg.solve(reduced, rhs) if definite
+                     else np.linalg.lstsq(reduced, rhs, rcond=None)[0])
+                return y + tangent @ u
+
+            bottom = np.concatenate([-cval, np.zeros(len(normals))])
+            p = kkt(g, bottom)
+            mult = U @ ((V.T @ (g - B @ p)) / sv)
+            resid = max(np.max(np.abs(rows @ p - bottom)),
+                        np.max(np.abs(B @ p + rows.T @ mult - g)))
+            if resid > 1e-8 * (1.0 + max(np.max(np.abs(g)), np.max(np.abs(bottom)))):
                 return None
             if len(normals) and shifted_slack(tilt, mult[m:]) < free_slack_floor:
                 return None
@@ -421,7 +468,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
             penalty = max(2.0 * float(np.max(np.abs(mult[:m]), initial=0.0)) + 1.0, 0.1 * rho)
             if l1 > 0:
                 penalty = max(penalty, (float(mult[:m] @ cval) - quad) / l1 + 1.0)
-            return p, penalty, min(-quad + float(mult[:m] @ cval) - penalty * l1, 0.0), K
+            return p, penalty, min(-quad + float(mult[:m] @ cval) - penalty * l1, 0.0), kkt
 
         def linearized_plan():
             """(step, penalty, merit slope, dual at the step) to the table of
@@ -448,7 +495,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
                        0, lin.kernel, lin.curvature)
             return F.T @ lin.probs - x, penalty, min(-gain - tau * penalty * l1, 0.0), end
 
-        def search(p, penalty, slope, end=None, K=None, halvings=60):
+        def search(p, penalty, slope, end=None, kkt=None, halvings=60):
             """(x, tilt, jet, penalty) of the first step length, from 1 by halving,
             that lowers the exact-penalty merit enough, or None."""
             merit0 = -tilt.loglik + penalty * l1
@@ -471,12 +518,11 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
             t = 1.0
             for halving in range(halvings):
                 accepted = attempt(x + t * p, t)
-                if accepted is None and halving == 0 and K is not None:
+                if accepted is None and halving == 0 and kkt is not None:
                     # second-order correction against the Maratos effect
                     try:
-                        rhs = np.zeros(len(K))
-                        rhs[len(x) : len(x) + m] = -jet(x + p)[0]
-                        soc = np.linalg.lstsq(K, rhs, rcond=None)[0][: len(x)]
+                        soc = kkt(np.zeros(len(x)),
+                                  np.concatenate([-jet(x + p)[0], np.zeros(len(normals))]))
                         accepted = attempt(x + p + soc, 1.0)
                     except DegenerateMarginalError:
                         pass
@@ -488,7 +534,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
         # The SQP step, unless it must be cut below 1/16: the model then
         # misjudges a face that the step crosses, and the exact step follows.
         plan = sqp_plan()
-        accepted = None if plan is None else search(*plan[:3], K=plan[3], halvings=5)
+        accepted = None if plan is None else search(*plan[:3], kkt=plan[3], halvings=5)
         if accepted is None:
             accepted = search(*linearized_plan())
         if accepted is None:

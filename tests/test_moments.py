@@ -125,8 +125,9 @@ class TestConstraints:
 
     @pytest.mark.parametrize(
         ("model", "shape"),
-        [(model, TableShape(3, T)) for T in (3, 4) for model in ("ve", "ce")],
-        ids=["ve", "ce", "ve-3^4", "ce-3^4"],
+        [(model, TableShape(3, T)) for T in (3, 4) for model in ("ve", "ce")]
+        + [("ve", TableShape(4, 5)), ("ce", TableShape(3, 6))],
+        ids=["ve", "ce", "ve-3^4", "ce-3^4", "ve-4^5", "ce-3^6"],
     )
     def test_jacobian_matches_finite_differences(self, rng, model, shape):
         for _ in range(3):
