@@ -64,19 +64,22 @@ class SimConfig:
             raise ValueError("need at least two variables")
         if len(self.variances) != T:
             raise ValueError("means and variances disagree in length")
-        if any(v <= 0 for v in self.variances):
-            raise ValueError("variances must be positive")
         corr = np.asarray(self.correlations, dtype=float)
         if corr.shape != (T, T):
             raise ValueError(f"correlation matrix must be {T}x{T}")
+        # finite parameters give finite draws, which the study bins unchecked
+        if not np.all(np.isfinite(np.concatenate([self.means, self.variances, corr.ravel()]))):
+            raise ValueError("means, variances and correlations must be finite")
+        if any(v <= 0 for v in self.variances):
+            raise ValueError("variances must be positive")
         if not np.allclose(corr, corr.T) or not np.allclose(np.diag(corr), 1.0):
             raise ValueError("correlation matrix must be symmetric with unit diagonal")
         try:
             self.cholesky  # cached for mvn_sample; only a positive definite matrix has one
         except np.linalg.LinAlgError as exc:
             raise ValueError("correlation matrix is not positive definite") from exc
-        cuts = self.cutpoints
-        if cuts is not None and any(a >= b for a, b in zip(cuts, cuts[1:])):
+        cuts = self.effective_cutpoints()
+        if not all(a < b for a, b in zip(cuts, cuts[1:])):  # NaN included
             raise ValueError("cutpoints must be strictly increasing")
         if not self.models:
             raise ValueError("need at least one model to fit")
@@ -174,6 +177,12 @@ def discretize(samples: np.ndarray, cutpoints) -> CountTable:
     samples = np.asarray(samples, dtype=float)
     if np.isnan(samples).any():
         raise ValueError("samples contain NaN")
+    return _bin(samples, cutpoints)
+
+
+def _bin(samples: np.ndarray, cutpoints: np.ndarray) -> CountTable:
+    """``discretize`` without its checks: float samples without NaN and
+    strictly increasing float cutpoints."""
     _, T = samples.shape
     r = len(cutpoints) + 1
     codes = np.zeros(samples.shape, dtype=np.int8 if r <= 127 else np.intp)
@@ -219,7 +228,7 @@ def _replicate_chunk(config: SimConfig, ids: range):
 
     The first failure is (replicate id, FitError message) or None.
     """
-    cuts = config.effective_cutpoints()
+    cuts = np.asarray(config.effective_cutpoints(), dtype=float)
     shape = TableShape(len(cuts) + 1, config.T)
     n_models = len(config.models)
     rejects, failures, fallbacks = (np.zeros(n_models, dtype=np.int64) for _ in range(3))
@@ -228,7 +237,7 @@ def _replicate_chunk(config: SimConfig, ids: range):
     for lo in range(0, len(ids), BLOCK):
         block = ids[lo : lo + BLOCK]
         counts = np.array(
-            [discretize(mvn_sample(config, rep, out, work), cuts).counts for rep in block]
+            [_bin(mvn_sample(config, rep, out, work), cuts).counts for rep in block]
         )
         for k, spec in enumerate(config.models):
             blocked = spec.family not in MOMENT_FAMILIES

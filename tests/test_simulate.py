@@ -66,6 +66,16 @@ class TestConfig:
     def test_bad_cutpoints_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(cutpoints=(0.5, 0.5, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tiny_config(cutpoints=(-0.5, np.nan, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        correlations = ((1.0, bad, 0.2), (bad, 1.0, 0.2), (0.2, 0.2, 1.0))
+        for field, value in (("means", (0.0, bad, 0.0)), ("variances", (1.0, bad, 1.0)),
+                             ("correlations", correlations)):
+            with pytest.raises(ValueError, match="must be finite"):
+                tiny_config(**{field: value})
 
     @pytest.mark.parametrize("name", ["n_obs", "n_reps"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -369,12 +379,12 @@ def study_tables(monkeypatch, config: SimConfig) -> np.ndarray:
     """The count vectors ``power_study`` bins, in replicate order."""
     seen = []
 
-    def recording(samples, cutpoints, real=simulate.discretize):
+    def recording(samples, cutpoints, real=simulate._bin):
         table = real(samples, cutpoints)
         seen.append(table.counts)
         return table
 
-    monkeypatch.setattr(simulate, "discretize", recording)
+    monkeypatch.setattr(simulate, "_bin", recording)
     power_study(replace(config, models=(ModelSpec("s"),)))
     return np.array(seen)
 
