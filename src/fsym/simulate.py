@@ -4,9 +4,15 @@ Each replicate draws its own generator from (seed, replicate index), so the
 aggregate is reproducible for a fixed seed no matter how replicates are
 scheduled or parallelized.
 
-The study works in blocks of BLOCK replicates: each replicate is drawn and
-binned in turn, into two sample buffers that a worker allocates once and
-reuses, and only the block's stack of count vectors is kept.  Each s, gs,
+The study works in blocks of BLOCK replicates.  A worker process draws and
+bins each block on one thread per CPU it may use (its share of the CPUs when
+several workers run, never more threads than a block has replicates): thread
+t takes rows t, t + threads, ... of the block, each into two sample buffers
+of its own that it reuses from block to block, and writes each row's count
+vector into the block's stack, which is all that is kept.  The draws, the
+matrix product and the binning release the GIL, so the threads run side by
+side; a row's counts depend only on its replicate, so the stack is the same
+for any thread count.  The fits run on the worker's own thread.  Each s, gs,
 els or ls model is then fitted to the whole stack at once by
 ``fitting.fit_block``: s in closed form, a link family by one Newton climb
 run on every table in lockstep.  A table outside that climb's case (a zero
@@ -23,7 +29,8 @@ rather than once per table.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -78,9 +85,7 @@ class SimConfig:
             self.cholesky  # cached for mvn_sample; only a positive definite matrix has one
         except np.linalg.LinAlgError as exc:
             raise ValueError("correlation matrix is not positive definite") from exc
-        cuts = self.effective_cutpoints()
-        if not all(a < b for a, b in zip(cuts, cuts[1:])):  # NaN included
-            raise ValueError("cutpoints must be strictly increasing")
+        _check_cutpoints(np.asarray(self.effective_cutpoints(), dtype=float))
         if not self.models:
             raise ValueError("need at least one model to fit")
         if not 0 < self.alpha < 1:
@@ -169,15 +174,21 @@ def discretize(samples: np.ndarray, cutpoints) -> CountTable:
 
     A value's category is the number of cutpoints below it, one comparison
     per cutpoint (``searchsorted(side="left")``): a value on a cutpoint falls
-    in the lower category and +-inf in an end category.  NaN is refused.
+    in the lower category and +-inf in an end category.  A NaN sample or
+    cutpoint is refused.
     """
     cutpoints = np.asarray(cutpoints, dtype=float)
-    if np.any(np.diff(cutpoints) <= 0):
-        raise ValueError("cutpoints must be strictly increasing")
+    _check_cutpoints(cutpoints)
     samples = np.asarray(samples, dtype=float)
     if np.isnan(samples).any():
         raise ValueError("samples contain NaN")
     return _bin(samples, cutpoints)
+
+
+def _check_cutpoints(cutpoints: np.ndarray) -> None:
+    # a NaN compares False both ways, so its differences alone cannot refuse it
+    if np.isnan(cutpoints).any() or np.any(np.diff(cutpoints) <= 0):
+        raise ValueError("cutpoints must be strictly increasing")
 
 
 def _bin(samples: np.ndarray, cutpoints: np.ndarray) -> CountTable:
@@ -223,33 +234,60 @@ class PowerStudyResult:
         }
 
 
-def _replicate_chunk(config: SimConfig, ids: range):
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _replicate_chunk(config: SimConfig, ids: range, threads: int):
     """Per-model (rejections, failures, fallbacks, first failure) over ``ids``.
 
-    The first failure is (replicate id, FitError message) or None.
+    Each block is drawn and binned on ``threads`` threads (at most a block's
+    length), the calling thread and ``threads - 1`` helpers: thread t takes
+    rows t, t + threads, ... into two sample buffers of its own.  The fits
+    run on the calling thread.  The first failure is (replicate id, FitError
+    message) or None.
     """
     cuts = np.asarray(config.effective_cutpoints(), dtype=float)
     shape = TableShape(len(cuts) + 1, config.T)
     n_models = len(config.models)
     rejects, failures, fallbacks = (np.zeros(n_models, dtype=np.int64) for _ in range(3))
     first: list = [None] * n_models
-    out, work = np.empty((config.n_obs, config.T)), np.empty((config.n_obs, config.T))
-    for lo in range(0, len(ids), BLOCK):
-        block = ids[lo : lo + BLOCK]
-        counts = np.array(
-            [_bin(mvn_sample(config, rep, out, work), cuts).counts for rep in block]
-        )
-        for k, spec in enumerate(config.models):
-            blocked = spec.family not in MOMENT_FAMILIES
-            stats = fit_block(shape, counts, spec) if blocked else np.full(len(block), np.nan)
-            for i in np.flatnonzero(np.isnan(stats)):
-                fallbacks[k] += blocked
-                try:
-                    stats[i] = fit_model(CountTable(shape, counts[i]), spec).g2
-                except FitError as exc:
-                    failures[k] += 1
-                    first[k] = first[k] or (block[i], str(exc))
-            rejects[k] += _rejections(stats, degrees_of_freedom(spec.family, shape), config.alpha)
+    threads = min(threads, BLOCK, len(ids))
+    buffers = [(np.empty((config.n_obs, config.T)), np.empty((config.n_obs, config.T)))
+               for _ in range(threads)]
+
+    def draw(t, block, counts):
+        out, work = buffers[t]
+        for i in range(t, len(block), threads):
+            counts[i] = _bin(mvn_sample(config, block[i], out, work), cuts).counts
+
+    # the calling thread draws rows 0, threads, ... itself, so one thread
+    # starts no other
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        for lo in range(0, len(ids), BLOCK):
+            block = ids[lo : lo + BLOCK]
+            counts = np.empty((len(block), shape.n_cells), dtype=np.intp)
+            helpers = [pool.submit(draw, t, block, counts) for t in range(1, threads)]
+            draw(0, block, counts)
+            for future in helpers:
+                future.result()  # raises what the helper raised
+            for k, spec in enumerate(config.models):
+                blocked = spec.family not in MOMENT_FAMILIES
+                stats = fit_block(shape, counts, spec) if blocked else np.full(len(block), np.nan)
+                for i in np.flatnonzero(np.isnan(stats)):
+                    fallbacks[k] += blocked
+                    try:
+                        stats[i] = fit_model(CountTable(shape, counts[i]), spec).g2
+                    except FitError as exc:
+                        failures[k] += 1
+                        first[k] = first[k] or (block[i], str(exc))
+                rejects[k] += _rejections(
+                    stats, degrees_of_freedom(spec.family, shape), config.alpha
+                )
     return rejects, failures, fallbacks, first
 
 
@@ -278,22 +316,28 @@ def _rejections(stats: np.ndarray, df: int, alpha: float) -> int:
 def power_study(config: SimConfig, workers: int = 1) -> PowerStudyResult:
     """Empirical rejection rate of each model over the replicates.
 
-    The aggregate is a commutative sum of per-replicate indicators, and a
+    The replicates are split among ``workers`` processes (at most
+    ``n_reps``), and each process draws and bins on as many threads as its
+    share of this process's CPUs, at least one.  A replicate's table depends
+    only on (seed, replicate id), not on the process or thread that draws it;
+    the aggregate is a commutative sum of per-replicate indicators; and a
     table's G2 from ``fit_block`` does not depend on the tables blocked with
-    it, so the result is identical for any worker count; at most ``n_reps``
-    worker processes start.  Replicates whose fit fails are excluded from
-    that model's rate; the study raises FitError, quoting the first failure,
-    if failures exceed 0.1% of replicates for any model.
+    it.  So the result is identical for any worker or thread count.
+    Replicates whose fit fails are excluded from that model's rate; the
+    study raises FitError, quoting the first failure, if failures exceed
+    0.1% of replicates for any model.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     workers = min(workers, config.n_reps)
+    threads = max(1, _cpu_count() // workers)
     if workers > 1:
         chunks = [range(k, config.n_reps, workers) for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_replicate_chunk, [config] * workers, chunks))
+            parts = list(pool.map(_replicate_chunk, [config] * workers, chunks,
+                                  [threads] * workers))
     else:
-        parts = [_replicate_chunk(config, range(config.n_reps))]
+        parts = [_replicate_chunk(config, range(config.n_reps), threads)]
     rejects, failures, fallbacks = (sum(p[j] for p in parts) for j in range(3))
     first = [min(filter(None, column), default=None) for column in zip(*(p[3] for p in parts))]
 

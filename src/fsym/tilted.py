@@ -500,10 +500,14 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
             that lowers the exact-penalty merit enough, or None."""
             merit0 = -tilt.loglik + penalty * l1
 
-            def attempt(x_new, t):
+            def trial_jet(x_new):
                 try:
-                    trial = jet(x_new)
+                    return jet(x_new)
                 except DegenerateMarginalError:
+                    return None
+
+            def attempt(x_new, t, trial):
+                if trial is None:
                     return None
                 need = penalty * float(np.sum(np.abs(trial[0]))) - merit0 - 1e-4 * t * slope
                 if -slope < 1e-9:  # a gain the merit cannot resolve from rounding
@@ -517,15 +521,15 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
 
             t = 1.0
             for halving in range(halvings):
-                accepted = attempt(x + t * p, t)
-                if accepted is None and halving == 0 and kkt is not None:
-                    # second-order correction against the Maratos effect
-                    try:
-                        soc = kkt(np.zeros(len(x)),
-                                  np.concatenate([-jet(x + p)[0], np.zeros(len(normals))]))
-                        accepted = attempt(x + p + soc, 1.0)
-                    except DegenerateMarginalError:
-                        pass
+                x_new = x + t * p
+                trial = trial_jet(x_new)
+                accepted = attempt(x_new, t, trial)
+                if accepted is None and halving == 0 and kkt is not None and trial is not None:
+                    # second-order correction against the Maratos effect, from
+                    # the refused full step's own jet
+                    x_soc = x_new + kkt(np.zeros(len(x)),
+                                        np.concatenate([-trial[0], np.zeros(len(normals))]))
+                    accepted = attempt(x_soc, 1.0, trial_jet(x_soc))
                 if accepted is not None:
                     return accepted
                 t *= 0.5

@@ -1,4 +1,6 @@
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -66,8 +68,9 @@ class TestConfig:
     def test_bad_cutpoints_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(cutpoints=(0.5, 0.5, 1.0))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            tiny_config(cutpoints=(-0.5, np.nan, 0.5))
+        for nan_cuts in ((-0.5, np.nan, 0.5), (np.nan,)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                tiny_config(cutpoints=nan_cuts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, bad):
@@ -154,6 +157,46 @@ class TestDiscretize:
         with pytest.raises(ValueError, match="NaN"):
             discretize(np.array([[0.0, np.nan, 1.0]]), (-0.6, 0.0, 0.6))
 
+    @pytest.mark.parametrize("cuts", [(-0.5, np.nan, 0.5), (np.nan, 0.0, 0.5), (-0.5, 0.0, np.nan),
+                                      (np.nan,), (0.5, 0.0), (0.0, 0.0)])
+    def test_cutpoints_not_strictly_increasing_are_refused(self, rng, cuts):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            discretize(rng.normal(size=(1000, 3)), cuts)
+
+
+def record_pools(monkeypatch):
+    """Record the ``max_workers`` of each process pool ``power_study`` starts
+    and, for each chunk, how many threads draw: the calling thread and the
+    helpers it hands rows to.  The process pool's chunks run in this process,
+    so that their thread pools are seen too.  Returns the two lists."""
+    processes, threads = [], []
+
+    class RecordingProcessPool:
+        def __init__(self, max_workers):
+            processes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    class RecordingThreadPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            threads.append(1)
+            super().__init__(max_workers)
+
+        def submit(self, fn, t, *args):
+            threads[-1] = max(threads[-1], t + 1)
+            return super().submit(fn, t, *args)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingProcessPool)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingThreadPool)
+    return processes, threads
+
 
 class TestPowerStudy:
     def test_deterministic_and_order_independent(self):
@@ -165,30 +208,11 @@ class TestPowerStudy:
 
     def test_parallel_matches_serial(self):
         config = tiny_config()
-        serial = power_study(config, workers=1)
-        parallel = power_study(config, workers=2)
-        assert [r.rejections for r in serial.rows] == [r.rejections for r in parallel.rows]
+        assert power_study(config, workers=2).rows == power_study(config, workers=1).rows
 
     @pytest.mark.parametrize("workers,pools", [(1, []), (2, [2]), (5000, [8])])
     def test_no_more_worker_processes_than_replicates(self, monkeypatch, workers, pools):
-        started = []
-
-        class RecordingPool:
-            """Records max_workers and runs the chunks in this process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        started = record_pools(monkeypatch)[0]
         config = tiny_config()  # 8 replicates
         rows = power_study(config, workers=workers).rows
         assert started == pools
@@ -375,23 +399,45 @@ class TestBlockFits:
             assert fallbacks["gs[power(2)]"] == fallbacks["ls[power(-1.5)]"] == len(tables)
 
 
-def study_tables(monkeypatch, config: SimConfig) -> np.ndarray:
-    """The count vectors ``power_study`` bins, in replicate order."""
+def study(monkeypatch, config: SimConfig):
+    """The count vectors ``power_study`` fits, in replicate order (the stacks
+    ``fit_block`` receives for the s model), and its rows."""
     seen = []
 
-    def recording(samples, cutpoints, real=simulate._bin):
-        table = real(samples, cutpoints)
-        seen.append(table.counts)
-        return table
+    def recording(shape, counts, spec, real=simulate.fit_block):
+        if spec.family == "s":
+            seen.append(counts.copy())
+        return real(shape, counts, spec)
 
-    monkeypatch.setattr(simulate, "_bin", recording)
-    power_study(replace(config, models=(ModelSpec("s"),)))
-    return np.array(seen)
+    monkeypatch.setattr(simulate, "fit_block", recording)
+    rows = power_study(config).rows
+    return np.concatenate(seen), rows
+
+
+def study_tables(monkeypatch, config: SimConfig) -> np.ndarray:
+    """The count vectors ``power_study`` fits, in replicate order."""
+    return study(monkeypatch, replace(config, models=(ModelSpec("s"),)))[0]
+
+
+def four_variable_config() -> SimConfig:
+    """130 replicates: two full blocks and a last block of 2."""
+    return tiny_config(
+        means=(0.5, -0.3, 1.2, 0.0),
+        variances=(1.0, 2.0, 0.5, 1.5),
+        correlations=(
+            (1.0, 0.3, 0.1, 0.2),
+            (0.3, 1.0, 0.4, 0.0),
+            (0.1, 0.4, 1.0, -0.2),
+            (0.2, 0.0, -0.2, 1.0),
+        ),
+        n_obs=5000,
+        n_reps=130,
+    )
 
 
 class TestStudyTables:
-    """The study bins, into buffers it reuses, the tables the allocating
-    sampler gives."""
+    """The study fits, drawn into buffers it reuses, the tables the
+    allocating sampler gives."""
 
     @pytest.mark.parametrize("name", SCENARIOS)
     @pytest.mark.parametrize("seed", [20260808, 5])
@@ -401,21 +447,66 @@ class TestStudyTables:
         np.testing.assert_array_equal(study_tables(monkeypatch, config), want)
 
     def test_four_variables_with_means_and_unequal_variances(self, monkeypatch):
-        config = tiny_config(
-            means=(0.5, -0.3, 1.2, 0.0),
-            variances=(1.0, 2.0, 0.5, 1.5),
-            correlations=(
-                (1.0, 0.3, 0.1, 0.2),
-                (0.3, 1.0, 0.4, 0.0),
-                (0.1, 0.4, 1.0, -0.2),
-                (0.2, 0.0, -0.2, 1.0),
-            ),
-            n_obs=5000,
-            n_reps=130,
-        )
+        config = four_variable_config()
         want = np.array([t.counts for t in replicate_tables(config)])
         assert want.shape == (130, 4**4)
         np.testing.assert_array_equal(study_tables(monkeypatch, config), want)
+
+
+class TestDrawThreads:
+    """Each block is drawn and binned on one thread per CPU of the process's
+    share; the tables and the rows do not depend on how many."""
+
+    @pytest.mark.parametrize("make", [
+        four_variable_config,
+        lambda: scenario("table2_row1.json", 70),
+    ], ids=["four-variables-130", "table2_row1-70"])
+    def test_thread_counts_give_identical_stacks_and_rows(self, monkeypatch, make):
+        config = make()
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_cpu_count", lambda cpus=cpus: cpus)
+            threads = record_pools(monkeypatch)[1]
+            results.append(study(monkeypatch, config))
+            assert threads == [cpus]
+        (stack, rows), *others = results
+        assert stack.shape == (config.n_reps, (len(config.effective_cutpoints()) + 1) ** config.T)
+        for other_stack, other_rows in others:
+            np.testing.assert_array_equal(other_stack, stack)
+            assert other_rows == rows
+
+    @pytest.mark.parametrize("cpus,workers,threads", [
+        (2, 1, [2]),
+        (2, 2, [1, 1]),  # each process its share
+        (5, 2, [2, 2]),
+        (1, 3, [1, 1, 1]),  # at least one
+        (16, 1, [8]),  # no more than the replicates to draw
+        (16, 2, [4, 4]),
+    ])
+    def test_each_process_draws_on_its_share_of_the_cpus(
+        self, monkeypatch, cpus, workers, threads
+    ):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        started = record_pools(monkeypatch)[1]
+        config = tiny_config()  # 8 replicates
+        rows = power_study(config, workers=workers).rows
+        assert started == threads
+        monkeypatch.undo()
+        assert rows == power_study(config).rows
+
+    def test_no_thread_outlives_the_study(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        power_study(tiny_config())
+        assert threading.active_count() == before
+
+        def failing(config, replicate_id, out=None, work=None):
+            raise RuntimeError(f"no draw for replicate {replicate_id}")
+
+        monkeypatch.setattr(simulate, "mvn_sample", failing)
+        with pytest.raises(RuntimeError, match="no draw for replicate"):
+            power_study(tiny_config())
+        assert threading.active_count() == before
 
 
 def bundled_dfs() -> set[int]:
