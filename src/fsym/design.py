@@ -15,8 +15,8 @@ the non-gamma column blocks of the design:
 
 The extended-linear family drops the off-diagonal block and the linear family
 additionally drops the diagonal block; the dropped effects are constant on
-orbits and get absorbed by the gamma block.  Everything here is built once per
-shape and cached read-only.
+orbits and get absorbed by the gamma block, which is orthogonal to the other
+columns X2: each difference vector sums to 0 over every orbit.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def independent_moment_rows(shape: TableShape) -> np.ndarray:
 
 def symmetry_indicator(shape: TableShape) -> np.ndarray:
     """0/1 matrix mapping each cell to its symmetric class (rows sum to one)."""
-    struct = orbit_structure(shape)
-    return np.eye(len(struct.size))[struct.orbit_id]
+    return np.eye(shape.n_orbits)[orbit_structure(shape).orbit_id]
 
 
 def family_d2(family: str, T: int) -> int:
@@ -140,18 +139,17 @@ def family_d2(family: str, T: int) -> int:
 
 @dataclass(frozen=True)
 class DesignSystem:
-    """Design matrix, symmetry indicator and orthogonal complement for a family."""
+    """A family's non-gamma design columns X2 and layout; X, Xs and U are built on first read."""
 
     shape: TableShape
     family: str
-    X: np.ndarray
-    Xs: np.ndarray
+    X2: np.ndarray
     v2_chain: tuple[tuple[int, int], ...]
     column_layout: dict[str, slice]
 
     @property
     def n_columns(self) -> int:
-        return self.X.shape[1]
+        return self.d2 + self.shape.n_orbits
 
     @property
     def d1(self) -> int:
@@ -159,19 +157,25 @@ class DesignSystem:
 
     @property
     def d2(self) -> int:
-        return self.n_columns - self.Xs.shape[1]
+        return self.X2.shape[1]
 
     @cached_property
     def Q(self) -> np.ndarray:
-        """Orthonormal basis of X's columns (the reduced QR factor, an N x p array)."""
-        return _read_only(np.linalg.qr(self.X)[0])
+        """Orthonormal basis of X2's columns (the reduced QR factor, an N x d2 array)."""
+        return _read_only(np.linalg.qr(self.X2)[0])
+
+    @cached_property
+    def Xs(self) -> np.ndarray:
+        return symmetry_indicator(self.shape)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        return np.hstack([self.X2, self.Xs])
 
     @cached_property
     def U(self) -> np.ndarray:
         """Orthonormal basis of the complement of X's columns (an N x N SVD, run on first read)."""
-        q, s, _ = np.linalg.svd(self.X, full_matrices=True)
-        tol = max(self.X.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        return q[:, int(np.sum(s > tol)) :]
+        return np.linalg.svd(self.X)[0][:, self.n_columns :]
 
 
 @lru_cache(maxsize=None)
@@ -185,29 +189,20 @@ def design_matrix(shape: TableShape, family: str) -> DesignSystem:
         widths["beta_diag"] = T - 1
     if family == GS and n_offdiag(T) > 0:
         widths["beta_offdiag"] = n_offdiag(T)
-    xs = symmetry_indicator(shape)
-    widths["gamma"] = xs.shape[1]
+    widths["gamma"] = shape.n_orbits
     stops = np.cumsum(list(widths.values())).tolist()
     layout = {name: slice(stop - widths[name], stop) for name, stop in zip(widths, stops)}
-    d2 = family_d2(family, T)
-    X = np.hstack([moment_matrix(shape)[:d2].T, xs])
+    X2 = moment_matrix(shape)[: family_d2(family, T)].T
 
-    # Full column rank is required; report the first offending block otherwise.
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    # Full column rank is required (only X2 can lose it); name the first offending block.
+    if np.linalg.matrix_rank(X2) < X2.shape[1]:
         for name, cols in layout.items():
-            if np.linalg.matrix_rank(X[:, : cols.stop]) < cols.stop:
+            if np.linalg.matrix_rank(X2[:, : cols.stop]) < cols.stop:
                 raise ConfigurationError(
                     f"design for family {family!r} at r={shape.r}, T={T} is rank deficient "
                     f"starting at the {name!r} block (degenerate scores?)"
                 )
-    return DesignSystem(
-        shape=shape,
-        family=family,
-        X=X,
-        Xs=xs,
-        v2_chain=tuple(pair_chain(T)),
-        column_layout=layout,
-    )
+    return DesignSystem(shape, family, X2, tuple(pair_chain(T)), layout)
 
 
 def _telescope(prime: np.ndarray, length: int) -> np.ndarray:

@@ -154,8 +154,7 @@ class LinkSpace:
     @cached_property
     def centered(self) -> np.ndarray:
         """dy/dtheta at theta = 0, where every dg/dy is 1."""
-        o = self.orbits
-        return self.X - (o.sum_rows(self.X) / o.size[:, None])[o.orbit_id]
+        return self.orbits.center_rows(self.X)
 
     @cached_property
     def _lift(self) -> np.ndarray:
@@ -271,6 +270,5 @@ def _dg_dy(g, u, lam):
 
 @lru_cache(maxsize=64)
 def link_space(shape: TableShape, family: str, ff: FFunction) -> LinkSpace:
-    """Cached engine over the non-gamma design columns of an asymmetry family."""
-    ds = design.design_matrix(shape, family)
-    return LinkSpace(shape, ff, ds.X[:, : ds.d2])
+    """Cached engine over the non-gamma design columns X2 of an asymmetry family."""
+    return LinkSpace(shape, ff, design.design_matrix(shape, family).X2)

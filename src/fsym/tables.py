@@ -25,8 +25,8 @@ import numpy as np
 Cell = tuple[int, ...]
 
 # Tables are length-N vectors; reject configurations whose cell count exceeds
-# this.  Only ``DesignSystem.U`` and the test oracles (``oracle``) build
-# N x N arrays, and ``fsym design`` refuses shapes too large for U.
+# this.  Only the lazy X, Xs and U of ``DesignSystem`` and the test oracles
+# build N x O or N x N arrays, and ``fsym design`` refuses shapes too large for U.
 INDEX_CAP = 10**7
 
 
@@ -217,6 +217,10 @@ class Orbits:
     def sum_rows(self, V: np.ndarray) -> np.ndarray:
         """Orbit totals of the cell rows on V's second-to-last axis."""
         return np.add.reduceat(V[..., self.order, :], self.starts, axis=-2)
+
+    def center_rows(self, V: np.ndarray) -> np.ndarray:
+        """Each cell row of the N-row matrix V minus its orbit's mean row."""
+        return V - (self.sum_rows(V) / self.size[:, None])[self.orbit_id]
 
     def min(self, v: np.ndarray) -> np.ndarray:
         return np.minimum.reduceat(v[..., self.order], self.starts, axis=-1)

@@ -67,6 +67,8 @@ INNER_TOL = 1e-12
 # A ve/ce fit is stationary once its lam is within STATIONARITY_TOL * (1 + n)
 # of the span of the constraint gradients.
 STATIONARITY_TOL = 1e-9
+# A predicted gain below max(1e-9, ROUNDING * (1 + |objective|)) is lost in rounding.
+ROUNDING = 64 * np.finfo(float).eps
 
 
 class CertificateError(RuntimeError):
@@ -308,10 +310,10 @@ class TiltedDual:
     def _line_search(self, w, step, grad, c, phi0, t, it, trace):
         """(t, observed slacks, phi) at the backtracking step length from t
         with every observed slack kept positive, phi0 being phi(w); a first
-        trial whose predicted gain is below 1e-9 in G2 units is taken as it
-        is (the dual cannot resolve it from rounding), and its phi is None."""
+        trial whose predicted gain is lost in the rounding of phi0 is taken as
+        it is, and its phi is None."""
         slope = float(grad @ step)
-        if -t * slope < 1e-9:
+        if -t * slope < max(1e-9, ROUNDING * (1.0 + abs(phi0))):
             s = self.A_obs @ (w + t * step)
             if np.all(s > 0):
                 return t, s, None
@@ -510,7 +512,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
                 if trial is None:
                     return None
                 need = penalty * float(np.sum(np.abs(trial[0]))) - merit0 - 1e-4 * t * slope
-                if -slope < 1e-9:  # a gain the merit cannot resolve from rounding
+                if -slope < max(1e-9, ROUNDING * (1.0 + abs(merit0))):  # lost in rounding
                     need = -math.inf
                 try:
                     # at the linearized table, its own dual is the warm start

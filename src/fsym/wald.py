@@ -135,12 +135,12 @@ def decomposition_statistics(
 
 def orthogonality_residual(sym: ProbTable, ff: FFunction) -> float:
     """max_j ||(I - P_X) c_j||_2 over the columns of C = J D M' at sym, with
-    P_X the orthogonal projector onto the gs design's columns: zero exactly
-    where h1 Sigma h2' = U'C vanishes, and never below max |U'C| for an
-    orthonormal U."""
+    P_X = orbit averaging + Q Q' the projector onto the gs design (X2 = QR is
+    orthogonal to the orbits): zero exactly where h1 Sigma h2' = U'C vanishes,
+    and never below max |U'C| for an orthonormal U."""
     Q = design.design_matrix(sym.shape, design.GS).Q
     _, e, a = _link_jacobian(sym, ff)
-    C = _cross_covariance(sym, e, a)
+    C = orbit_structure(sym.shape).center_rows(_cross_covariance(sym, e, a))
     resid = C - Q @ (Q.T @ C)
     return float(np.max(np.linalg.norm(resid, axis=0)))
 

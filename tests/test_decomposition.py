@@ -3,14 +3,22 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from fsym import design, oracle, wald
+from fsym import design, linkspace, oracle, simulate, wald
 from fsym.datasets import anes_party_id
 from fsym.divergences import hellinger, kl, pearson, power
-from fsym.tables import TableShape
+from fsym.fitting import ModelSpec, fit_model
+from fsym.tables import TableShape, symmetric_average
 
-from conftest import dense_decomposition, ladder_table, random_count_table, restart_table
+from conftest import (
+    dense_decomposition,
+    ladder_table,
+    random_count_table,
+    random_prob_table,
+    restart_table,
+)
 
 SWEEP_TABLES = list(itertools.product(range(1, 9), ((3, 3), (4, 3), (3, 4)), (60, 500), (1.0, 0.3)))
 
@@ -55,14 +63,37 @@ def test_two_variable_tables(rng, r):
 
 
 def test_no_dense_helper_on_the_path(monkeypatch):
+    """decompose, the link fits and the block fits, from cold design caches,
+    reach neither the oracle nor a dense form of the design."""
     def refuse(*args, **kwargs):
-        raise AssertionError("decompose reached a dense helper")
+        raise AssertionError("a production path reached a dense helper")
 
     for name in ("sigma", "f_jacobian", "linkform_constraint", "fit_hlp"):
         monkeypatch.setattr(oracle, name, refuse)
-    monkeypatch.setattr(design.DesignSystem, "U", property(refuse))
+    for name in ("X", "Xs", "U"):
+        monkeypatch.setattr(design.DesignSystem, name, property(refuse))
+    monkeypatch.setattr(design, "symmetry_indicator", refuse)
+    design.design_matrix.cache_clear()
+    linkspace.link_space.cache_clear()
     report = wald.decompose(anes_party_id(), kl())
     assert report.w_gs == pytest.approx(7.551355560095297, rel=1e-10)
+    stack = [ladder_table(seed, 3, 3).counts for seed in (1, 2, 3)]
+    for family in design.ASYMMETRY_FAMILIES:
+        fit_model(anes_party_id(), ModelSpec(family, hellinger()))
+        g2 = simulate.fit_block(TableShape(3, 3), stack, ModelSpec(family, kl()))
+        assert not np.isnan(g2).all()
+
+
+@pytest.mark.parametrize("ff", [kl(), hellinger(), power(2.0)], ids=lambda f: f.name)
+@pytest.mark.parametrize("shape", [TableShape(3, 3), TableShape(4, 3), TableShape(3, 4)], ids=str)
+def test_orthogonality_residual_is_the_dense_complement_norm(rng, shape, ff):
+    # P_X as orbit averaging plus Q Q' against an orthonormal complement U
+    U = design.design_matrix(shape, design.GS).U
+    for _ in range(3):
+        sym = symmetric_average(random_prob_table(rng, shape))
+        _, e, a = wald._link_jacobian(sym, ff)
+        dense = np.max(np.linalg.norm(U.T @ wald._cross_covariance(sym, e, a), axis=0))
+        assert wald.orthogonality_residual(sym, ff) == pytest.approx(dense, rel=0.0, abs=1e-12)
 
 
 def test_memory_is_linear_in_the_cells():

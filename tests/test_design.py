@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,24 @@ class TestDesignSystem:
         assert M.shape == (6, 27)
         ds = design_matrix(shape, "gs")
         assert np.allclose(M.T, ds.X[:, :6])
+
+    def test_gamma_block_is_orthogonal_and_lazy(self):
+        ds = design_matrix(TableShape(4, 3, (0.1, 0.7, 1.3, 2.9)), "gs")
+        assert "X" not in vars(ds) and "Xs" not in vars(ds)
+        assert np.max(np.abs(ds.Xs.T @ ds.X2)) < 1e-13
+        assert np.array_equal(ds.X, np.hstack([ds.X2, ds.Xs]))
+        assert ds.Q.shape == ds.X2.shape == (64, ds.d2)
+
+    def test_cold_build_memory_is_a_few_n_x_d2_arrays(self):
+        # 5^6: N = 15,625 cells and 210 orbits; the N x O block alone is 26 MB
+        design_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            design_matrix(TableShape(5, 6), "gs").Q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestRecoverCoefficients:

@@ -232,6 +232,13 @@ class TestMomentFits:
             assert fit.pihat.probs[zero] == pytest.approx(expected, abs=5e-7), model
             assert moment_certificate(counts, model, fit.pihat.probs) == [], model
 
+    def test_ce_where_the_merit_cannot_resolve_the_last_gain(self):
+        # n = 933,120 on 6^6: |merit| is about 8e6, so a predicted gain of
+        # 1e-8 is below its rounding and the last step is taken as it is
+        fit = fit_model(ladder_table(1, 6, 6), ModelSpec("ce"))
+        assert fit.g2 == pytest.approx(874.689212627, rel=1e-9)
+        assert fit.iterations == 4
+
     @pytest.mark.parametrize("model", ["me2", "ce"])
     def test_memory_is_linear_in_the_cells(self, model):
         """On a 5^5 ``ladder_table`` the fit's traced peak stays below half
