@@ -2,9 +2,9 @@
 """Fingerprints of a fixed set of fits, for checking that a change moves no bit.
 
 Prints one JSON line per fit in the row format of ``scripts/restart_sweep.py``,
-keyed by seed, shape, n, concentration and model, with ``g2``, ``iterations``
-and ``pihat_sha1`` (the first 16 hex digits of the SHA-1 of the fitted
-probabilities' bytes), or ``error`` for a fit that raised ``FitError``:
+keyed by seed, shape, n, concentration and model, with ``g2``, ``df``,
+``iterations`` and ``pihat_sha1`` (the first 16 hex digits of the SHA-1 of the
+fitted probabilities' bytes), or ``error`` for a fit that raised ``FitError``:
 
 * the bundled panel (seed ``"anes"``): its ten models, gs under
   power(0.5), power(2) and power(-1.5), and the kl and pearson ``decompose``
@@ -13,7 +13,10 @@ probabilities' bytes), or ``error`` for a fit that raised ``FitError``:
   (``ladder_table`` in ``tests/conftest.py``) of seeds 1 and 7 at 4^5, 3^6
   and 3^5;
 * every ``fit_model`` row of the restart sweep (the tables of seeds 1-8),
-  without its oracle.
+  without its oracle;
+* acceptance criterion 4: the power study of each bundled scenario at 1,000
+  replicates in one process, one row per model (seed: the scenario's name)
+  with its ``rejections``, ``failures`` and ``fallbacks``.
 
 A committed run is the baseline ``scripts/fingerprints.jsonl``; compare a
 fresh run with it by ``python scripts/sweep_diff.py``.  Fits depend on the
@@ -27,11 +30,16 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 
-from fsym import ModelSpec, anes_party_id, decompose, fit_model, hellinger, kl, pearson, power  # noqa: E402
+from fsym import (  # noqa: E402
+    ModelSpec, SimConfig, anes_party_id, decompose, fit_model, hellinger, kl, pearson, power,
+    power_study,
+)
+from fsym.datasets import data_path  # noqa: E402
 from fsym.fitting import FitError  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -58,7 +66,7 @@ def fit_row(key, counts, spec):
     except ValueError:
         return None
     sha1 = hashlib.sha1(fit.pihat.probs.tobytes()).hexdigest()[:16]
-    return dict(row, g2=fit.g2, iterations=fit.iterations, pihat_sha1=sha1)
+    return dict(row, g2=fit.g2, df=fit.df, iterations=fit.iterations, pihat_sha1=sha1)
 
 
 def rows():
@@ -81,6 +89,14 @@ def rows():
             key = dict(seed=seed, shape=f"{r}^{T}", n=n, concentration=c)
             for spec in SWEEP_SPECS:
                 yield fit_row(key, counts, spec)
+    for scenario in ("table2_row1", "table2_row2", "table2_row3"):
+        config = SimConfig.from_dict(json.loads(data_path(f"{scenario}.json").read_text()))
+        config = replace(config, n_reps=1000)
+        key = dict(seed=scenario, shape=f"{len(config.effective_cutpoints()) + 1}^{config.T}",
+                   n=config.n_obs, concentration=None)
+        for row in power_study(config).rows:
+            yield dict(key, model=row.model, rejections=row.rejections, failures=row.failures,
+                       fallbacks=row.fallbacks)
 
 
 def main():

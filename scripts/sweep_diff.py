@@ -3,12 +3,14 @@
 
 For each model it prints how many rows moved (any field differs), the
 largest relative gap in G2 (in the Wald statistics for ``decompose`` rows),
-every changed iteration count and every changed ``error``, ``oracle_error``
-or ``certificate`` field.  Rows are matched on seed, shape, n, concentration
-and model; a row found in one file only is listed too.
+every changed count (iterations, df, and the power study's rejections,
+failures and fallbacks) and every changed ``error``, ``oracle_error`` or
+``certificate`` field.  Rows are matched on seed, shape, n, concentration and
+model; a row found in one file only is listed too.  It also reads the
+output of ``scripts/fingerprints.py``.
 
-Exits 1 when B has an error or a failed certificate that A does not have,
-else 0.
+Exits 1 when B has an error, a failed certificate or more power-study
+failures than A has, else 0.
 
 Usage: python scripts/sweep_diff.py A.jsonl B.jsonl
 """
@@ -18,6 +20,7 @@ import sys
 
 KEY = ("seed", "shape", "n", "concentration", "model")
 FLAGGED = ("error", "oracle_error", "certificate")
+COUNTED = ("iterations", "df", "rejections", "failures", "fallbacks")
 
 
 def load(path):
@@ -54,15 +57,16 @@ def main(path_a, path_b):
                 continue
             moved += 1
             gap = max(gap, rel_gap(a, b))
-            if a.get("iterations") != b.get("iterations"):
-                notes.append(f"  iterations {label(key)}: {a.get('iterations')} -> "
-                             f"{b.get('iterations')}")
+            for field in COUNTED:
+                if a.get(field) != b.get(field):
+                    notes.append(f"  {field} {label(key)}: {a.get(field)} -> {b.get(field)}")
             for field in FLAGGED:
                 if a.get(field) != b.get(field):
                     notes.append(f"  {field} {label(key)}: {a.get(field)!r} -> "
                                  f"{b.get(field)!r}")
             worse += ("error" in b and "error" not in a) or (
-                bool(b.get("certificate")) and not a.get("certificate"))
+                bool(b.get("certificate")) and not a.get("certificate")) or (
+                b.get("failures", 0) > a.get("failures", 0))
         print(f"{model}: {moved} of {len(keys)} rows moved; "
               f"largest relative G2 gap {gap:.2e}")
         for note in notes:

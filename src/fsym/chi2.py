@@ -55,7 +55,7 @@ def regularized_upper_gamma(a: float, x: float) -> float:
     """Q(a, x) = Gamma(a, x) / Gamma(a)."""
     if a <= 0:
         raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0:
+    if not x >= 0:  # NaN too
         raise ValueError(f"argument must be non-negative, got {x}")
     if x == 0:
         return 1.0
@@ -65,7 +65,9 @@ def regularized_upper_gamma(a: float, x: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """P(chi^2_df >= x)."""
+    """P(chi^2_df >= x); a NaN statistic is refused, not read as 0."""
+    if math.isnan(x):
+        raise ValueError("the test statistic is NaN")
     if df < 0:
         raise ValueError(f"degrees of freedom must be non-negative, got {df}")
     if df == 0:

@@ -186,6 +186,8 @@ def discretize(samples: np.ndarray, cutpoints) -> CountTable:
 
 
 def _check_cutpoints(cutpoints: np.ndarray) -> None:
+    if not len(cutpoints):
+        raise ValueError("need at least one cutpoint (two categories)")
     # a NaN compares False both ways, so its differences alone cannot refuse it
     if np.isnan(cutpoints).any() or np.any(np.diff(cutpoints) <= 0):
         raise ValueError("cutpoints must be strictly increasing")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -46,8 +46,8 @@ class TableShape:
     scores: tuple[float, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"need at least one category, got r={self.r}")
+        if self.r < 2:
+            raise ValueError(f"need at least two categories, got r={self.r}")
         if self.T < 2:
             raise ValueError(f"need at least two variables, got T={self.T}")
         if self.r**self.T > INDEX_CAP:
@@ -177,8 +177,7 @@ class Orbits:
     """Cells grouped by orbit id, with per-orbit reductions over cell vectors.
 
     ``orbit_structure`` gives the orbits of a table shape; ``Orbits.of`` groups
-    any labelling of cells by ids ``0..k-1`` and leaves ``representatives``
-    empty.  Every array is read-only.
+    any labelling of cells by ids ``0..k-1``.  Every array is read-only.
     """
 
     orbit_id: np.ndarray  # cell index -> orbit number
@@ -187,7 +186,6 @@ class Orbits:
     starts: np.ndarray  # first sorted position of each orbit
     members: tuple[np.ndarray, ...]  # orbit number -> cell indices, ascending
     size_of_cell: np.ndarray  # |D(i)| per cell
-    representatives: tuple[Cell, ...] = ()  # lexicographic order
 
     @classmethod
     def of(cls, orbit_id: np.ndarray) -> "Orbits":
@@ -246,10 +244,7 @@ def _orbit_structure(r: int, T: int) -> Orbits:
     rep_index = np.sort(coords, axis=1) @ r ** np.arange(T - 1, -1, -1)
     is_rep = np.zeros(r**T, dtype=bool)
     is_rep[rep_index] = True
-    reps = np.flatnonzero(is_rep)
-    orbit_id = np.cumsum(is_rep)[rep_index] - 1
-    representatives = tuple(map(tuple, (coords[reps] + 1).tolist()))
-    return replace(Orbits.of(orbit_id), representatives=representatives)
+    return Orbits.of(np.cumsum(is_rep)[rep_index] - 1)
 
 
 def orbit_structure(shape: TableShape) -> Orbits:

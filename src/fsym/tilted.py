@@ -18,9 +18,11 @@ that the slacks, and with them a warm start, do not depend on b; a tilt also
 carries the slacks, masses and dual Hessian at w, which a solve of the same
 dual warm-started there uses for its first step.  With no cell held and
 observed rows that span, the step is the plain Newton step, computed only
-once the certificate fails.  A dual is built with the singular values of
-the observed rows alone, for its rank; the basis of their span is computed
-only where they do not span.
+once the certificate fails.  Otherwise the step, its masses, its ratio test
+and the certificate's curvature read one SVD of the held rows, their face
+(``TiltedDual._face``).  A dual is built with the singular values of the
+observed rows alone, for its rank; the basis of their span is computed only
+where they do not span.
 
 The moment families use it in two ways (``fit``):
 
@@ -37,8 +39,9 @@ The moment families use it in two ways (``fit``):
   the observed and held rows do not span, l* has a kink, and the step
   either keeps to the face on which l* is smooth or goes to the table of
   largest likelihood on the linearized constraints, one solve with
-  G = F J'.  With two categories ve is a union of linear models instead
-  (``_two_category_ve``).
+  G = F J'.  With two categories a squared score is affine in the score, a
+  direction that no row sees, and ce keeps to that face; ve is a union of
+  linear models there instead (``_two_category_ve``).
 
 No step builds an N x N array: the largest is N x (d + 1), with d <= k.
 """
@@ -48,13 +51,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import design
 from .moments import CE, ME, ME2, VE, DegenerateMarginalError, _constraint_jet
-from .tables import CountTable, TableShape, _read_only
+from .tables import CountTable
 
 # A held cell whose mass falls below -MASS_TOL is released.
 MASS_TOL = 1e-12
@@ -111,12 +114,10 @@ class Tilt:
         return self.w[1:]
 
 
-def _null_space(M: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the vectors x with M x = 0 (M has ``dim`` columns)."""
-    if not len(M):
-        return np.eye(dim)
-    _, sv, vt = np.linalg.svd(M)
-    return vt[np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0)):].T
+def _outside(face: tuple, rows: np.ndarray) -> np.ndarray:
+    """Which of ``rows`` leave the span of the held rows of ``face`` (with no
+    rows held, all of them: every row of A starts with a 1)."""
+    return np.linalg.norm(rows @ face[3], axis=1) > 1e2 * RANK_TOL * np.linalg.norm(rows, axis=1)
 
 
 class TiltedDual:
@@ -143,58 +144,50 @@ class TiltedDual:
         _, sv, vt = np.linalg.svd(self.A_obs, full_matrices=False)
         return vt[: np.count_nonzero(sv > RANK_TOL * sv.max())].T
 
-    def _plan(self, H, grad, w, active, tol, release=True):
-        """(step, masses, ray, active) of the Newton step at w that keeps
-        ``active`` at slack 0, after releasing the held cell of most negative
-        mass (one per step, as in a primal active-set method).
+    def _face(self, active):
+        """(seen, kernel, pinv, null) of the held cells ``active``, from one SVD
+        of their rows: ``null`` is an orthonormal basis (columns) of the w that
+        keep their slacks at 0, ``seen`` and ``kernel`` split it into the
+        directions the observed rows see and do not, ``pinv`` is the rows'
+        pseudo-inverse."""
+        dim = self.A.shape[1]
+        null, pinv = np.eye(dim), np.zeros((dim, 0))
+        if active:
+            U, sv, vt = np.linalg.svd(self.A[active])
+            rank = np.count_nonzero(sv > RANK_TOL * sv.max())
+            null, pinv = vt[rank:].T, vt[:rank].T @ (U[:, :rank] / sv[:rank]).T
+        if self.spans:
+            return null, null[:, :0], pinv, null
+        _, sv, vt = np.linalg.svd(self.seen.T @ null)
+        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
+        return null @ vt[:rank].T, null @ vt[rank:].T, pinv, null
+
+    def _plan(self, H, grad, w, active, face, tol, release=True):
+        """(step, masses, ray, active, face) of the Newton step at w that keeps
+        ``active``, of face ``face``, at slack 0, after releasing the held cell
+        of most negative mass (one per step, as in a primal active-set method).
 
         Within the null space of the held rows, a direction that leaves every
         observed slack unchanged but lowers phi is a ray (phi is linear along
         it): where phi falls along it by more than tol / 10, the step is that
         direction, to be taken until a zero cell blocks it.
         """
-        if not active and self.spans:  # Z = I and no ray: the plain Newton step
-            return -np.linalg.solve(H, grad), np.zeros(0), False, active
-        dim = len(w)
-        AW = self.A[active]
-        Z, kernel = self._split(active)
-        step = np.zeros(dim)
-        if active:  # restore the held slacks to exactly 0
-            step = -np.linalg.lstsq(AW, AW @ w, rcond=None)[0]
+        Z, kernel, pinv, _ = face
+        step = -pinv @ (self.A[active] @ w)  # restore the held slacks to exactly 0
         descent = -kernel @ (kernel.T @ grad)
         if np.max(np.abs(descent), initial=0.0) > 0.1 * tol:
-            return descent, np.zeros(len(active)), True, active
+            return descent, np.zeros(len(active)), True, active, face
         step = step - Z @ np.linalg.solve(Z.T @ H @ Z, Z.T @ (grad + H @ step))
-        mass = np.zeros(0)
-        if active:
-            mass = np.linalg.lstsq(AW.T, grad + H @ step, rcond=None)[0]
+        mass = pinv.T @ (grad + H @ step)
         if not (release and active) or mass.min() >= -MASS_TOL:
-            return step, mass, False, active
+            return step, mass, False, active, face
         # release the most negative mass if its cell then leaves the edge
         k = int(np.argmin(mass))
-        freed = self._plan(H, grad, w, active[:k] + active[k + 1 :], tol, release=False)
+        rest = active[:k] + active[k + 1 :]
+        freed = self._plan(H, grad, w, rest, self._face(rest), tol, release=False)
         if self.A[active[k]] @ freed[0] > 0:
             return freed
-        return step, mass, False, active
-
-    def _split(self, active):
-        """Orthonormal bases of the directions that keep ``active`` at slack 0,
-        split into those the observed rows see and those they do not."""
-        Z = _null_space(self.A[active], self.A.shape[1])
-        if self.spans:
-            return Z, Z[:, :0]
-        _, sv, vt = np.linalg.svd(self.seen.T @ Z)
-        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=1.0))
-        return Z @ vt[:rank].T, Z @ vt[rank:].T
-
-    def _independent(self, rows: list, cells: np.ndarray) -> np.ndarray:
-        """Which of ``cells`` have rows outside the span of the rows of ``rows``
-        (with no rows, all of them: every row of A starts with a 1)."""
-        if not rows:
-            return np.ones(len(cells), dtype=bool)
-        a = self.A[cells]
-        Z = _null_space(self.A[rows], a.shape[1])
-        return np.linalg.norm(a @ Z, axis=1) > 1e2 * RANK_TOL * np.linalg.norm(a, axis=1)
+        return step, mass, False, active, face
 
     def solve(
         self,
@@ -228,6 +221,7 @@ class TiltedDual:
             w, active = start.w.copy(), list(start.active)
             if start.point is not None and start.point[0] is self:
                 s_obs, p_obs, H = start.point[1:]
+        face = self._face(active)
         trace: list[tuple] = []
         ll_prev = None
         for it in range(max_iter + 1):
@@ -245,7 +239,7 @@ class TiltedDual:
             if not active and self.spans:  # the plain Newton step, once the certificate fails
                 step, mass, ray = None, np.zeros(0), False
             else:
-                step, mass, ray, active = self._plan(H, grad, w, active, tol)
+                step, mass, ray, active, face = self._plan(H, grad, w, active, face, tol)
 
             total = p_obs.sum() + mass.sum()
             ll = float(n_obs @ np.log(p_obs / abs(total)))
@@ -272,7 +266,7 @@ class TiltedDual:
                 probs = np.zeros(len(A))
                 probs[self.obs] = p_obs
                 probs[active] = np.maximum(mass, 0.0)
-                Z, kernel = self._split(active)
+                Z, kernel, _, _ = face
                 curvature = -Z[1:] @ np.linalg.solve(Z.T @ H @ Z, Z[1:].T)
                 return Tilt(w, active, probs / probs.sum(), ll, it, kernel, curvature,
                             (self, s_obs, p_obs, H))
@@ -288,7 +282,9 @@ class TiltedDual:
             # Ratio test: the first zero cell whose slack the step drives to 0.
             # A cell whose row the held rows span keeps its slack as they do.
             dz = A_free @ step
-            moving = (dz < 0) & self._independent(active, free)
+            moving = dz < 0
+            if active:
+                moving &= _outside(face, A_free)
             reach = np.full(len(free), np.inf)
             reach[moving] = np.maximum(s_free[moving], 0.0) / -dz[moving]
             t_max = float(reach.min(initial=np.inf))
@@ -303,8 +299,9 @@ class TiltedDual:
             w = w + t * step
             if t == t_max:
                 for j in free[reach <= t_max * (1.0 + 1e-9)]:
-                    if self._independent(active, [j])[0]:
+                    if _outside(face, A[[j]])[0]:
                         active = active + [int(j)]
+                        face = self._face(active)
         raise AssertionError("unreachable")
 
     def _line_search(self, w, step, grad, c, phi0, t, it, trace):
@@ -329,29 +326,9 @@ class TiltedDual:
         )
 
 
-@lru_cache(maxsize=None)
-def independent_coordinates(shape: TableShape):
-    """(cols, P, q): the moment coordinates m = q + P m[cols] of any table.
-
-    With two categories a squared score is affine in the score, so those
-    columns of F repeat the others; a dual on F needs ``cols`` alone.  With
-    more, every column is independent, and P is exactly I and q exactly 0.
-    """
-    F = design.moment_basis(shape)
-    basis = np.column_stack([np.ones(len(F)), F])
-    cols: list[int] = []
-    for j in range(F.shape[1]):
-        if np.linalg.matrix_rank(basis[:, [0] + [c + 1 for c in cols + [j]]]) > len(cols) + 1:
-            cols.append(j)
-    if len(cols) == F.shape[1]:
-        return tuple(cols), _read_only(np.eye(len(cols))), _read_only(np.zeros(len(cols)))
-    coef = np.linalg.lstsq(basis[:, [0] + [c + 1 for c in cols]], F, rcond=None)[0]
-    return tuple(cols), _read_only(coef[1:].T.copy()), _read_only(coef[0].copy())
-
-
 def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     """ve or ce: (fitted tilt, steps) maximizing the profile l*(x) subject to
-    c(m(x)) = 0 over the independent moment coordinates x.
+    c(x) = 0 over the moment coordinates x = F' pi.
 
     The SQP step uses l*'s Hessian plus the constraint curvature (only l*'s
     own where the sum is not definite on the tangent space).  Where the
@@ -366,16 +343,9 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     exact-penalty line search on l*, each trial one warm-started solve.
     """
     shape, nvec, n = counts.shape, counts.counts, counts.n
-    cols, P, q = independent_coordinates(shape)
-    F = design.moment_basis(shape)[:, cols]
+    F = design.moment_basis(shape)
     dual = TiltedDual(nvec, F)
     free_slack_floor = -SLACK_TOL * n
-
-    def jet(x):
-        if len(cols) == len(q):  # the identity map: m = x
-            return _constraint_jet(model, shape, x)
-        value, grad, hess = _constraint_jet(model, shape, q + P @ x)
-        return value, grad @ P, P.T @ hess @ P
 
     def profile(x, start=None, cutoff=-math.inf):
         return dual.solve(x, start, max_iter=max_iter, tol=INNER_TOL, cutoff=cutoff)
@@ -387,10 +357,10 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
 
     x = F.T @ counts.proportions().probs
     try:
-        cur = jet(x)
+        cur = _constraint_jet(model, shape, x)
     except DegenerateMarginalError:  # a constant margin: start where none is
         x = F.T @ counts.smoothed_proportions().probs
-        cur = jet(x)
+        cur = _constraint_jet(model, shape, x)
     tilt = profile(x)
     trace: list[tuple] = []
     rho, ll_prev = 1.0, None
@@ -504,7 +474,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
 
             def trial_jet(x_new):
                 try:
-                    return jet(x_new)
+                    return _constraint_jet(model, shape, x_new)
                 except DegenerateMarginalError:
                     return None
 

@@ -108,7 +108,11 @@ def moment_certificate(counts: CountTable, model: str, probs: np.ndarray) -> lis
     if held > 1e-8 * n:
         failed.append(f"a zero cell with mass has slack {held:.3e}")
     worst = float(np.min(value[empty], initial=np.inf))
-    free = np.linalg.svd(basis[support])[2][np.count_nonzero(sv > 1e-10 * sv.max()):].T
+    # reduced where the support has at least as many cells as the basis has
+    # columns: the same vt, without the support-square U
+    rows = basis[support]
+    free = np.linalg.svd(rows, full_matrices=len(rows) < rows.shape[1])[2]
+    free = free[np.count_nonzero(sv > 1e-10 * sv.max()):].T
     if free.shape[1] and worst < -1e-8 * n:
         # the largest t <= 0 with value + D z >= t on every empty cell
         D = basis[empty] @ free

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from fsym import pvalue
 from fsym.chi2 import chi2_sf, regularized_upper_gamma
 
 
@@ -33,6 +34,16 @@ class TestBehaviour:
         # displayed p-values come from the unrounded statistics
         assert round(chi2_sf(3.34, 2), 3) == 0.188
         assert round(chi2_sf(15.47398, 11), 3) == 0.162
+
+    @pytest.mark.parametrize("df", [0, 1, 3, 11])
+    def test_nan_statistic_is_refused(self, df):
+        # a NaN G2 is no evidence, so it must not read as p = 0
+        with pytest.raises(ValueError, match="NaN"):
+            chi2_sf(float("nan"), df)
+        with pytest.raises(ValueError, match="NaN"):
+            pvalue(float("nan"), df)
+        with pytest.raises(ValueError, match="non-negative"):
+            regularized_upper_gamma(1.5, float("nan"))
 
     def test_degenerate_df(self):
         assert chi2_sf(0.0, 0) == 1.0

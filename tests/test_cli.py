@@ -114,6 +114,15 @@ class TestFit:
         with monkeypatch.context() as m:
             m.setattr(fitting, "MAX_ITER", 2)
             assert main(["fit", "--input", anes_path, "--model", "gs", "--f", "pearson"]) == 3
+        # one category leaves every moment constraint identically 0
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps({"r": 1, "T": 3, "counts": [5]}))
+        capsys.readouterr()
+        assert main(["fit", "--input", str(single), "--model", "me"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "need at least two categories, got r=1" in err
         # two categories leave the gs and els designs rank deficient
         binary = tmp_path / "binary.json"
         binary.write_text(json.dumps({"r": 2, "T": 3, "counts": [9, 4, 3, 5, 2, 6, 4, 11]}))
@@ -256,6 +265,16 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: bad simulation config") and err.count("\n") == 1
+
+    def test_empty_cutpoints_exit_2_with_one_error_line(self, tmp_path, capsys):
+        doc = json.loads(data_path("table2_row1.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(doc, cutpoints=[])))
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad simulation config: need at least one cutpoint (two categories)\n"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_exits_2_with_one_error_line(self, tmp_path, capsys, workers):

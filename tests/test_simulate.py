@@ -72,6 +72,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="strictly increasing"):
                 tiny_config(cutpoints=nan_cuts)
 
+    def test_empty_cutpoints_rejected(self):
+        # no cutpoint bins every draw into one category
+        with pytest.raises(ValueError, match="at least one cutpoint"):
+            tiny_config(cutpoints=())
+        with pytest.raises(ValueError, match="at least one cutpoint"):
+            SimConfig.from_dict({"means": [0, 0], "variances": [1, 1],
+                                 "correlations": [[1, 0], [0, 1]], "cutpoints": [],
+                                 "models": [{"family": "s"}]})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters_rejected(self, bad):
         correlations = ((1.0, bad, 0.2), (bad, 1.0, 0.2), (0.2, 0.2, 1.0))
