@@ -16,7 +16,12 @@ fitted probabilities' bytes), or ``error`` for a fit that raised ``FitError``:
   without its oracle;
 * acceptance criterion 4: the power study of each bundled scenario at 1,000
   replicates in one process, one row per model (seed: the scenario's name)
-  with its ``rejections``, ``failures`` and ``fallbacks``.
+  with its ``rejections``, ``failures`` and ``fallbacks``;
+* ``fit_block`` on the first 64 replicates of each bundled scenario, one row
+  per link model (model ``fit_block <label>``) with ``g2_sha1``, the SHA-1 of
+  the stacked G2 bytes, ``handed_over``, the number of NaN rows left for
+  ``fit_model``, and ``g2_rows``, the G2 values (null where handed over), so
+  that the lockstep climb is checked row by row and a move can be bounded.
 
 A committed run is the baseline ``scripts/fingerprints.jsonl``; compare a
 fresh run with it by ``python scripts/sweep_diff.py``.  Fits depend on the
@@ -35,12 +40,15 @@ from pathlib import Path
 
 os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 
+import numpy as np  # noqa: E402
+
 from fsym import (  # noqa: E402
     ModelSpec, SimConfig, anes_party_id, decompose, fit_model, hellinger, kl, pearson, power,
     power_study,
 )
 from fsym.datasets import data_path  # noqa: E402
-from fsym.fitting import FitError  # noqa: E402
+from fsym.fitting import FitError, fit_block  # noqa: E402
+from fsym.simulate import discretize, mvn_sample  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import ladder_table, restart_tables  # noqa: E402
@@ -67,6 +75,22 @@ def fit_row(key, counts, spec):
         return None
     sha1 = hashlib.sha1(fit.pihat.probs.tobytes()).hexdigest()[:16]
     return dict(row, g2=fit.g2, df=fit.df, iterations=fit.iterations, pihat_sha1=sha1)
+
+
+def block_rows(key, config):
+    """The ``fit_block`` rows of a scenario, on its first 64 replicates."""
+    cuts = config.effective_cutpoints()
+    tables = [discretize(mvn_sample(config, k), cuts) for k in range(64)]
+    counts = np.array([table.counts for table in tables])
+    for spec in config.models:
+        if spec.family == "s":
+            continue
+        g2 = fit_block(tables[0].shape, counts, spec)
+        handed_over = np.isnan(g2)
+        yield dict(key, model=f"fit_block {spec.label}",
+                   g2_sha1=hashlib.sha1(g2.tobytes()).hexdigest()[:16],
+                   handed_over=int(handed_over.sum()),
+                   g2_rows=[None if nan else value for nan, value in zip(handed_over, g2.tolist())])
 
 
 def rows():
@@ -97,6 +121,7 @@ def rows():
         for row in power_study(config).rows:
             yield dict(key, model=row.model, rejections=row.rejections, failures=row.failures,
                        fallbacks=row.fallbacks)
+        yield from block_rows(key, config)
 
 
 def main():

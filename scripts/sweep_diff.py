@@ -2,25 +2,34 @@
 """Compare two outputs of ``scripts/restart_sweep.py`` row by row.
 
 For each model it prints how many rows moved (any field differs), the
-largest relative gap in G2 (in the Wald statistics for ``decompose`` rows),
-every changed count (iterations, df, and the power study's rejections,
-failures and fallbacks) and every changed ``error``, ``oracle_error`` or
+largest relative gap in G2 (in the Wald statistics for ``decompose`` rows,
+in the per-table G2 values for ``fit_block`` rows), every changed count
+(iterations, df, the power study's rejections, failures and fallbacks, and
+a block's rows handed over) and every changed ``error``, ``oracle_error`` or
 ``certificate`` field.  Rows are matched on seed, shape, n, concentration and
 model; a row found in one file only is listed too.  It also reads the
-output of ``scripts/fingerprints.py``.
+output of ``scripts/fingerprints.py``, such as its committed baseline
+``scripts/fingerprints.jsonl``.
 
 Exits 1 when B has an error, a failed certificate or more power-study
-failures than A has, else 0.
+failures than A has, else 0.  Two stricter modes:
 
-Usage: python scripts/sweep_diff.py A.jsonl B.jsonl
+* ``--exact``: exits 1 when any row moved or is found in one file only;
+* ``--rtol R``: exits 1 when any G2 or Wald value moved by more than R
+  relative, any count or flagged field changed, a block's G2 appeared or
+  vanished, or a row is found in one file only.
+
+Usage: python scripts/sweep_diff.py [--exact | --rtol R] A.jsonl B.jsonl
 """
 
+import argparse
 import json
 import sys
 
 KEY = ("seed", "shape", "n", "concentration", "model")
 FLAGGED = ("error", "oracle_error", "certificate")
-COUNTED = ("iterations", "df", "rejections", "failures", "fallbacks")
+COUNTED = ("iterations", "df", "rejections", "failures", "fallbacks", "handed_over")
+VALUES = ("w", "g2_rows")  # lists compared value by value
 
 
 def load(path):
@@ -33,17 +42,32 @@ def label(key):
     return f"seed {seed} {shape} n={n} c={c}"
 
 
-def rel_gap(a, b):
-    pairs = list(zip(a.get("w", []), b.get("w", [])))
+def value_pairs(a, b):
+    """(A, B) pairs of the G2 and Wald values of two matched rows; (None, x)
+    or (x, None) where a block's G2 appeared or vanished."""
+    pairs = [pair for field in VALUES for pair in zip(a.get(field, []), b.get(field, []))]
     if "g2" in a and "g2" in b:
         pairs.append((a["g2"], b["g2"]))
-    return max((abs(x - y) / max(abs(x), 1e-300) for x, y in pairs), default=0.0)
+    return pairs
 
 
-def main(path_a, path_b):
-    old, new = load(path_a), load(path_b)
+def rel_gap(x, y):
+    if x is None or y is None:
+        return 0.0 if x is y else float("inf")
+    return abs(x - y) / max(abs(x), 1e-300)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(usage=__doc__.rsplit("Usage: ", 1)[1])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true")
+    mode.add_argument("--rtol", type=float)
+    parser.add_argument("a")
+    parser.add_argument("b")
+    args = parser.parse_args(argv)
+    old, new = load(args.a), load(args.b)
     models = list(dict.fromkeys(key[-1] for key in [*old, *new]))
-    worse = 0
+    worse = strict = 0
     for model in models:
         keys = [k for k in dict.fromkeys([*old, *new]) if k[-1] == model]
         moved, gap, notes = 0, 0.0, []
@@ -52,30 +76,31 @@ def main(path_a, path_b):
             if a is None or b is None:
                 notes.append(f"  only in {'B' if a is None else 'A'}: {label(key)}")
                 worse += a is None and bool(b.get("error") or b.get("certificate"))
+                strict += 1
                 continue
             if a == b:
                 continue
             moved += 1
-            gap = max(gap, rel_gap(a, b))
-            for field in COUNTED:
-                if a.get(field) != b.get(field):
-                    notes.append(f"  {field} {label(key)}: {a.get(field)} -> {b.get(field)}")
-            for field in FLAGGED:
-                if a.get(field) != b.get(field):
-                    notes.append(f"  {field} {label(key)}: {a.get(field)!r} -> "
-                                 f"{b.get(field)!r}")
+            row_gap = max((rel_gap(x, y) for x, y in value_pairs(a, b)), default=0.0)
+            gap = max(gap, row_gap)
+            changed = [field for field in COUNTED + FLAGGED if a.get(field) != b.get(field)]
+            for field in changed:
+                notes.append(f"  {field} {label(key)}: {a.get(field)!r} -> {b.get(field)!r}")
             worse += ("error" in b and "error" not in a) or (
                 bool(b.get("certificate")) and not a.get("certificate")) or (
                 b.get("failures", 0) > a.get("failures", 0))
+            strict += args.exact or (args.rtol is not None and (
+                bool(changed) or not row_gap <= args.rtol))
         print(f"{model}: {moved} of {len(keys)} rows moved; "
               f"largest relative G2 gap {gap:.2e}")
         for note in notes:
             print(note)
     print(f"new errors or failed certificates: {worse}")
-    return 1 if worse else 0
+    if args.exact or args.rtol is not None:
+        what = "moved" if args.exact else f"moved past rtol {args.rtol:g} or changed a count"
+        print(f"rows {what}, or in one file only: {strict}")
+    return 1 if worse or (strict and (args.exact or args.rtol is not None)) else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(main())

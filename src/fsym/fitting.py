@@ -210,9 +210,10 @@ def _newton_weights(space, pt, nvec, has_count, unit_mu=None):
     return lam * nu2 + (1.0 - lam) * np.take(mu, orbits.orbit_id, axis=-1) * wu, wu
 
 
-def _gram(a, weight):
-    """sum_i weight_i a_i a_i' over the cells, one matrix per leading row."""
-    return np.swapaxes(a, -1, -2) @ (weight[..., None] * a)
+def _gram(a, weight, work=None):
+    """sum_i weight_i a_i a_i' over the cells, one matrix per leading row;
+    ``work`` takes the weighted slopes when given."""
+    return np.swapaxes(a, -1, -2) @ np.multiply(weight[..., None], a, out=work)
 
 
 def _sufficient_decrease(merit, merit0, t, slope, quad):
@@ -252,10 +253,10 @@ def _constrained_step(B, score, C, r, pinv=False, rows_lsq=False):
     return sol[:d], -sol[d:]
 
 
-def _link_score(space, pt, nvec, has_count):
+def _link_score(space, pt, nvec, has_count, out=None, work=None):
     """(dy/dtheta, score of sum_i n_i log g_i), one of each per row of a
-    stacked point."""
-    a = space.slopes(pt)
+    stacked point; ``out`` and ``work`` as for ``LinkSpace.slopes``."""
+    a = space.slopes(pt, out, work)
     nu = np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
     return a, (np.swapaxes(a, -1, -2) @ nu[..., None])[..., 0]
 
@@ -696,12 +697,15 @@ def _link_block(space, nvec):
 
     pt, feasible = space.evaluate_rows(_smoothed_start(space, nvec)[0])
     row = np.flatnonzero(feasible)  # the tables still climbing
-    pt = _point_rows(pt, row)
+    if not feasible.all():
+        pt = _point_rows(pt, row)
     ll = _row_loglik(nvec[row], pt.g)
+    # the slopes and the weighted slopes, allocated once for the rows that climb
+    slopes, work = np.empty((2, len(row)) + space.X.shape)
 
     for it in range(MAX_ITER + 1):
-        counts = nvec[row]
-        a, score = _link_score(space, pt, counts, True)
+        counts, k = nvec[row], len(row)
+        a, score = _link_score(space, pt, counts, True, slopes[:k], work[:k])
         stationary = np.all(np.abs(score) <= SCORE_TOL * (1.0 + n[row])[:, None], axis=1)
         done = stationary & (ll >= -0.5 * G2_ROUNDOFF)
         g_out[row[done]] = pt.g[done]
@@ -709,10 +713,11 @@ def _link_block(space, nvec):
         live = ~stationary & np.all(np.isfinite(score), axis=1) & (it < MAX_ITER)
         if not live.any():
             break
-        row, pt, ll, counts = row[live], _point_rows(pt, live), ll[live], counts[live]
-        a, score = a[live], score[live]
+        if not live.all():
+            row, pt, ll, counts = row[live], _point_rows(pt, live), ll[live], counts[live]
+            a, score = a[live], score[live]
 
-        B = _gram(a, _newton_weights(space, pt, counts, True)[0])
+        B = _gram(a, _newton_weights(space, pt, counts, True)[0], work[: len(row)])
         step, ok = _definite_steps(B, score)
 
         # _link_ascent's test of its full step with no edge rows: nu = 1, slope -quad
@@ -720,7 +725,10 @@ def _link_block(space, nvec):
         trial, feasible = space.evaluate_rows(pt.theta + step, pt.gamma)
         ll_trial = _row_loglik(counts, trial.g)
         moved = ok & feasible & _sufficient_decrease(-ll_trial, -ll, 1.0, np.minimum(-quad, 0.0), quad)
-        row, pt, ll = row[moved], _point_rows(trial, moved), ll_trial[moved]
+        if moved.all():
+            pt, ll = trial, ll_trial
+        else:
+            row, pt, ll = row[moved], _point_rows(trial, moved), ll_trial[moved]
     return g_out, settled
 
 

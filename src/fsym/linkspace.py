@@ -153,8 +153,11 @@ class LinkSpace:
 
     @cached_property
     def centered(self) -> np.ndarray:
-        """dy/dtheta at theta = 0, where every dg/dy is 1."""
-        return self.orbits.center_rows(self.X)
+        """dy/dtheta at theta = 0, where every dg/dy is 1; read-only, as
+        ``slopes`` hands it out."""
+        centered = self.orbits.center_rows(self.X)
+        centered.flags.writeable = False
+        return centered
 
     @cached_property
     def _lift(self) -> np.ndarray:
@@ -244,25 +247,48 @@ class LinkSpace:
             w = _dg_dy(g, u, self.lam)
         return LinkPoint(theta, gamma, y, g, u, w, held, pin)
 
-    def slopes(self, pt: LinkPoint) -> np.ndarray:
+    def slopes(self, pt: LinkPoint, out=None, work=None) -> np.ndarray:
         """dy/dtheta: each X row minus its orbit's reference row.
 
         In a free orbit that is the dg/dy-weighted mean row: implicit
         differentiation of the normalizer equations eliminates gamma.  In a
         pinned orbit it is the pin's row.  A stacked point (``evaluate_rows``)
-        gives one slope matrix per row.
+        gives one slope matrix per row, built in ``out`` with the weighted
+        rows in ``work`` when given (arrays of the result's shape), so that a
+        climb over a stack need not allocate them at every step.  For lam = 1
+        every dg/dy is 1, held cells included (``_dg_dy``), so every point's
+        slopes are ``centered``, read-only and broadcast over a stack's rows.
         """
-        w = pt.w
+        if self.lam == 1.0:
+            return np.broadcast_to(self.centered, pt.w.shape + self.X.shape[-1:])
+        w, orbits = pt.w, self.orbits
+        # the rows weighted in orbit order, as ``Orbits.sum_rows`` adds them
+        rows = np.multiply(w[..., orbits.order, None], self._sorted_X, out=work)
         with np.errstate(invalid="ignore", divide="ignore"):  # a pinned orbit may have no free w
-            ref = self.orbits.sum_rows(w[..., None] * self.X) / self.orbits.sum(w)[..., None]
+            ref = np.add.reduceat(rows, orbits.starts, axis=-2) / orbits.sum(w)[..., None]
         if pt.pin is not None:
             pinned = pt.pin >= 0
             ref[pinned] = self.X[pt.pin[pinned]]
-        return self.X - np.take(ref, self.orbits.orbit_id, axis=-2)  # C order, as matmul wants
+        a = np.take(ref, orbits.orbit_id, axis=-2, out=out, mode="clip")  # "raise" would buffer out
+        return np.subtract(self.X, a, out=a)
+
+    @cached_property
+    def _sorted_X(self) -> np.ndarray:
+        return self.X[self.orbits.order]
 
 
 def _dg_dy(g, u, lam):
-    """dg/dy = g / u, with 0 where g is (a held cell's), and 1 for lam = 1."""
+    """dg/dy = g / u, with 0 where g is (a held cell's), and 1 for lam = 1.
+
+    Under lam = 1 (Pearson) a held cell keeps dg/dy = 1, although it has
+    left its orbit's normalizer, so ``slopes`` takes the mean of all the
+    orbit's rows as the reference row, not the mean of its free rows.  That
+    is intended: the held cells' edge rows a_h d = 0 make the two means
+    agree on every direction d that keeps them, and that tangent space is
+    where a fit steps.  Off it the two differ: with a weight of 0 there,
+    60 of the 320 gs/els/ls Pearson fits on the restart-sweep tables
+    (``scripts/restart_sweep.py``) raise FitError.
+    """
     if lam == 1.0:
         return np.ones_like(g)
     return np.divide(g, u, out=np.zeros_like(g), where=g > 0)

@@ -15,6 +15,7 @@ from fsym.linkspace import (
     LinkSpace,
     Orbits,
     inverse_link,
+    link_space,
     normalizers,
 )
 from fsym.oracle import fit_hlp, linkform_constraint
@@ -110,6 +111,71 @@ class TestNormalizers:
         with pytest.raises(InfeasibleParameterError) as alone:
             normalizers(z[2], orbits, lam)
         assert np.array_equal(alone.value.orbits, bad[2])
+
+
+def small_theta(rng, space, *rows):
+    """Random theta, one per row, that moves no design value by much."""
+    return rng.normal(size=rows + space.X.shape[1:]) * 0.02 / np.abs(space.X).max()
+
+
+def held_point(rng, ff, shape, n_held):
+    """(space, point) of gs under ff at a small random theta, with the lowest
+    cell of each of the first n_held orbits of two or more cells held."""
+    space = link_space(shape, "gs", ff)
+    theta = small_theta(rng, space)
+    z = space.X @ theta
+    held = np.zeros(len(z), dtype=bool)
+    for cells in [cells for cells in space.orbits.members if len(cells) > 1][:n_held]:
+        held[cells[np.argmin(z[cells])]] = True
+    return space, space.evaluate(theta, held)
+
+
+class TestSlopes:
+    """dy/dtheta (``LinkSpace.slopes``)."""
+
+    @pytest.mark.parametrize("ff", [kl(), hellinger(), power(0.5), power(2.0)], ids=lambda f: f.name)
+    def test_buffers_and_a_stack_give_each_rows_slopes(self, rng, ff):
+        space = link_space(TableShape(4, 3), "gs", ff)
+        pt, feasible = space.evaluate_rows(small_theta(rng, space, 5))
+        assert feasible.all()
+        out, work = np.empty((2, 5) + space.X.shape)
+        a = space.slopes(pt, out, work)
+        assert a is out
+        for k in range(5):
+            assert np.array_equal(a[k], space.slopes(fitting._point_rows(pt, k)))
+
+    def test_pearson_slopes_are_the_weighted_formula(self, rng):
+        space = link_space(TableShape(4, 3), "gs", pearson())
+        stacked, _ = space.evaluate_rows(small_theta(rng, space, 5))
+        _, held = held_point(rng, pearson(), TableShape(4, 3), 16)
+        assert held.held.sum() == 16
+        orbits, X = space.orbits, space.X
+        for pt in (stacked, held):
+            assert np.all(pt.w == 1.0)
+            ref = orbits.sum_rows(pt.w[..., None] * X) / orbits.sum(pt.w)[..., None]
+            want = X - np.take(ref, orbits.orbit_id, axis=-2)
+            got = space.slopes(pt)
+            assert np.shares_memory(got, space.centered) and not got.flags.writeable
+            assert np.array_equal(got, want)
+
+    def test_pearson_held_cells_keep_unit_slope_weight(self, rng):
+        # A held cell leaves its orbit's normalizer but keeps dg/dy = 1, so
+        # the reference row is the mean of all the orbit's rows.  Along a
+        # direction that keeps the held rows, that gives each cell's exact
+        # change in y (Pearson's y is affine in theta); off it, it does not.
+        space, pt = held_point(rng, pearson(), TableShape(3, 3), 2)
+        assert pt.held.sum() == 2 and np.all(pt.w[pt.held] == 1.0)
+        a = space.slopes(pt)
+        _, sv, vt = np.linalg.svd(a[pt.held])
+        tangent = vt[np.count_nonzero(sv > 1e-12 * sv[0]):].T
+        assert tangent.shape[1] > 0
+        d = tangent @ rng.normal(size=tangent.shape[1])
+        d *= np.linalg.norm(small_theta(rng, space)) / np.linalg.norm(d)
+        moved = space.evaluate(pt.theta + d, pt.held)
+        np.testing.assert_allclose(moved.y - pt.y, a @ d, rtol=0, atol=1e-14)
+        off = a[pt.held][0] * np.linalg.norm(d) / np.linalg.norm(a[pt.held][0])
+        moved = space.evaluate(pt.theta + off, pt.held)
+        assert np.max(np.abs(moved.y - pt.y - a @ off)) > 0.1 * np.linalg.norm(d)
 
 
 def assert_model_point(counts, fit):
