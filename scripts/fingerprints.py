@@ -21,7 +21,10 @@ fitted probabilities' bytes), or ``error`` for a fit that raised ``FitError``:
   per link model (model ``fit_block <label>``) with ``g2_sha1``, the SHA-1 of
   the stacked G2 bytes, ``handed_over``, the number of NaN rows left for
   ``fit_model``, and ``g2_rows``, the G2 values (null where handed over), so
-  that the lockstep climb is checked row by row and a move can be bounded.
+  that the lockstep climb is checked row by row and a move can be bounded;
+* the count stack of those 64 replicates, one row per bundled scenario
+  (model ``tables``) with ``counts_sha1``, the SHA-1 of the stacked counts'
+  bytes, so that a change to the draws or the binning shows directly.
 
 A committed run is the baseline ``scripts/fingerprints.jsonl``; compare a
 fresh run with it by ``python scripts/sweep_diff.py``.  Fits depend on the
@@ -78,10 +81,12 @@ def fit_row(key, counts, spec):
 
 
 def block_rows(key, config):
-    """The ``fit_block`` rows of a scenario, on its first 64 replicates."""
+    """The ``tables`` and ``fit_block`` rows of a scenario, on its first 64
+    replicates."""
     cuts = config.effective_cutpoints()
     tables = [discretize(mvn_sample(config, k), cuts) for k in range(64)]
     counts = np.array([table.counts for table in tables])
+    yield dict(key, model="tables", counts_sha1=hashlib.sha1(counts.tobytes()).hexdigest()[:16])
     for spec in config.models:
         if spec.family == "s":
             continue

@@ -5,19 +5,19 @@ For each model it prints how many rows moved (any field differs), the
 largest relative gap in G2 (in the Wald statistics for ``decompose`` rows,
 in the per-table G2 values for ``fit_block`` rows), every changed count
 (iterations, df, the power study's rejections, failures and fallbacks, and
-a block's rows handed over) and every changed ``error``, ``oracle_error`` or
-``certificate`` field.  Rows are matched on seed, shape, n, concentration and
-model; a row found in one file only is listed too.  It also reads the
-output of ``scripts/fingerprints.py``, such as its committed baseline
-``scripts/fingerprints.jsonl``.
+a block's rows handed over, a count stack's ``counts_sha1``) and every
+changed ``error``, ``oracle_error`` or ``certificate`` field.  Rows are
+matched on seed, shape, n, concentration and model; a row found in one file
+only is listed too.  It also reads the output of ``scripts/fingerprints.py``,
+such as its committed baseline ``scripts/fingerprints.jsonl``.
 
 Exits 1 when B has an error, a failed certificate or more power-study
 failures than A has, else 0.  Two stricter modes:
 
 * ``--exact``: exits 1 when any row moved or is found in one file only;
 * ``--rtol R``: exits 1 when any G2 or Wald value moved by more than R
-  relative, any count or flagged field changed, a block's G2 appeared or
-  vanished, or a row is found in one file only.
+  relative, any count, count stack or flagged field changed, a block's G2
+  appeared or vanished, or a row is found in one file only.
 
 Usage: python scripts/sweep_diff.py [--exact | --rtol R] A.jsonl B.jsonl
 """
@@ -28,7 +28,8 @@ import sys
 
 KEY = ("seed", "shape", "n", "concentration", "model")
 FLAGGED = ("error", "oracle_error", "certificate")
-COUNTED = ("iterations", "df", "rejections", "failures", "fallbacks", "handed_over")
+COUNTED = ("iterations", "df", "rejections", "failures", "fallbacks", "handed_over",
+           "counts_sha1")
 VALUES = ("w", "g2_rows")  # lists compared value by value
 
 

@@ -9,11 +9,16 @@ bins each block on one thread per CPU it may use (its share of the CPUs when
 several workers run, never more threads than a block has replicates): thread
 t takes rows t, t + threads, ... of the block, each into two sample buffers
 of its own that it reuses from block to block, and writes each row's count
-vector into the block's stack, which is all that is kept.  The draws, the
-matrix product and the binning release the GIL, so the threads run side by
-side; a row's counts depend only on its replicate, so the stack is the same
-for any thread count.  The fits run on the worker's own thread.  Each s, gs,
-els or ls model is then fitted to the whole stack at once by
+vector into the block's stack, which is all that is kept.  ``mvn_sample``
+adds each nonzero mean to its column and skips a mean of 0, which would
+change no finite draw.  ``_bin`` counts a replicate's cells: it codes each
+value by the cutpoints below it, builds each observation's cell index from
+its codes by Horner's rule, in int8 when every index fits (r**T <= 128)
+and in intp otherwise, and tabulates the indices by ``bincount``.  The
+draws, the matrix product and the binning release the GIL, so the threads
+run side by side; a row's counts depend only on its replicate, so the stack
+is the same for any thread count.  The fits run on the worker's own thread.
+Each s, gs, els or ls model is then fitted to the whole stack at once by
 ``fitting.fit_block``: s in closed form, a link family by one Newton climb
 run on every table in lockstep.  A table outside that climb's case (a zero
 count, a link with |lam| > 1) or one the climb hands over (an infeasible
@@ -165,7 +170,8 @@ def mvn_sample(config: SimConfig, replicate_id: int, out=None, work=None) -> np.
     z = rng.standard_normal((config.n_obs, config.T), out=work)
     x = np.matmul(z, config.cholesky.T, out=out)
     for j, mean in enumerate(config.means):  # by column: a broadcast add loops over T per row
-        np.add(mean, x[:, j], out=x[:, j])
+        if mean:  # x + 0 == x for every finite x; only -0.0 turns +0.0, which no cut sees
+            np.add(mean, x[:, j], out=x[:, j])
     return x
 
 
@@ -180,9 +186,11 @@ def discretize(samples: np.ndarray, cutpoints) -> CountTable:
     cutpoints = np.asarray(cutpoints, dtype=float)
     _check_cutpoints(cutpoints)
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("samples must be an (n_obs, T) array")
     if np.isnan(samples).any():
         raise ValueError("samples contain NaN")
-    return _bin(samples, cutpoints)
+    return CountTable(TableShape(len(cutpoints) + 1, samples.shape[1]), _bin(samples, cutpoints))
 
 
 def _check_cutpoints(cutpoints: np.ndarray) -> None:
@@ -193,19 +201,19 @@ def _check_cutpoints(cutpoints: np.ndarray) -> None:
         raise ValueError("cutpoints must be strictly increasing")
 
 
-def _bin(samples: np.ndarray, cutpoints: np.ndarray) -> CountTable:
-    """``discretize`` without its checks: float samples without NaN and
-    strictly increasing float cutpoints."""
+def _bin(samples: np.ndarray, cutpoints: np.ndarray) -> np.ndarray:
+    """``discretize``'s count vector, without its checks: (n_obs, T) float
+    samples without NaN and strictly increasing float cutpoints."""
     _, T = samples.shape
     r = len(cutpoints) + 1
     codes = np.zeros(samples.shape, dtype=np.int8 if r <= 127 else np.intp)
     for c in cutpoints:
         codes += samples > c
-    flat = codes[:, 0].astype(np.intp)
+    flat = codes[:, 0].astype(np.int8 if r**T <= 128 else np.intp)  # every cell index fits
     for j in range(1, T):
         flat *= r
         flat += codes[:, j]
-    return CountTable(TableShape(r, T), np.bincount(flat, minlength=r**T))
+    return np.bincount(flat, minlength=r**T)
 
 
 @dataclass
@@ -265,7 +273,7 @@ def _replicate_chunk(config: SimConfig, ids: range, threads: int):
     def draw(t, block, counts):
         out, work = buffers[t]
         for i in range(t, len(block), threads):
-            counts[i] = _bin(mvn_sample(config, block[i], out, work), cuts).counts
+            counts[i] = _bin(mvn_sample(config, block[i], out, work), cuts)
 
     # the calling thread draws rows 0, threads, ... itself, so one thread
     # starts no other

@@ -186,6 +186,8 @@ class Orbits:
     starts: np.ndarray  # first sorted position of each orbit
     members: tuple[np.ndarray, ...]  # orbit number -> cell indices, ascending
     size_of_cell: np.ndarray  # |D(i)| per cell
+    _stacked_ids: np.ndarray = field(default_factory=lambda: _read_only(np.empty(0, np.intp)),
+                                     init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, orbit_id: np.ndarray) -> "Orbits":
@@ -205,12 +207,20 @@ class Orbits:
 
     def sum(self, v: np.ndarray) -> np.ndarray:
         """Orbit totals of the cell values on v's last axis.  Each row's totals
-        are added in cell order, as for that row alone."""
+        are added in cell order, as for that row alone, by one ``bincount``
+        over a flat index that numbers row k's orbits from k * n_orbits.  The
+        index of the largest stack seen is kept, read-only, and a smaller
+        stack reads its leading slice."""
         n_orb = len(self.size)
         if v.ndim == 1:
             return np.bincount(self.orbit_id, weights=v, minlength=n_orb)
-        ids = np.arange(v.size // v.shape[-1])[:, None] * n_orb + self.orbit_id
-        return np.bincount(ids.ravel(), weights=v.ravel()).reshape(*v.shape[:-1], n_orb)
+        rows = v.size // v.shape[-1]
+        n_ids = rows * len(self.orbit_id)
+        ids = self._stacked_ids  # replaced when it grows, never written
+        if len(ids) < n_ids:
+            ids = _read_only((np.arange(rows)[:, None] * n_orb + self.orbit_id).ravel())
+            object.__setattr__(self, "_stacked_ids", ids)
+        return np.bincount(ids[:n_ids], weights=v.ravel()).reshape(*v.shape[:-1], n_orb)
 
     def sum_rows(self, V: np.ndarray) -> np.ndarray:
         """Orbit totals of the cell rows on V's second-to-last axis."""

@@ -152,19 +152,35 @@ class TestDiscretize:
         table = discretize(x, (-0.6, 0.0, 0.6))
         assert table.n == 5000
 
-    @pytest.mark.parametrize("cuts", [(-0.6, 0.0, 0.6), tuple(np.linspace(-2.0, 2.0, 12))])
-    def test_matches_searchsorted_on_cutpoints_and_infinities(self, rng, cuts):
-        x = rng.normal(size=(3000, 2))
-        x[:40] = rng.choice(np.array(cuts), size=(40, 2))  # exactly on a cut
+    @pytest.mark.parametrize("cuts,T", [
+        ((-0.6, 0.0, 0.6), 2),
+        (tuple(np.linspace(-2.0, 2.0, 12)), 2),
+        ((0.3,), 7),  # r**T = 128: the largest index an int8 holds
+        ((-0.5, 0.5), 5),  # r**T = 243: an intp index
+        (tuple(np.linspace(-2.0, 2.0, 127)), 2),  # r = 128: intp codes
+    ], ids=["cuts0", "cuts1", "2^7", "3^5", "128^2"])
+    def test_matches_searchsorted_on_cutpoints_and_infinities(self, rng, cuts, T):
+        x = rng.normal(size=(3000, T))
+        x[:40] = rng.choice(np.array(cuts), size=(40, T))  # exactly on a cut
         x[40:50, 0], x[50:60, 1] = np.inf, -np.inf
+        x[60], x[61] = np.inf, -np.inf  # the last cell and the first
         r = len(cuts) + 1
         codes = np.searchsorted(np.array(cuts), x, side="left")
-        want = np.bincount(codes @ (r, 1), minlength=r * r)
-        assert np.array_equal(discretize(x, cuts).counts, want)
+        want = np.bincount(codes @ r ** np.arange(T - 1, -1, -1), minlength=r**T)
+        got = discretize(x, cuts)
+        assert got.shape == TableShape(r, T)
+        assert got.counts[0] >= 1 and got.counts[-1] >= 1
+        assert np.array_equal(got.counts, want)
 
     def test_nan_is_refused(self):
         with pytest.raises(ValueError, match="NaN"):
             discretize(np.array([[0.0, np.nan, 1.0]]), (-0.6, 0.0, 0.6))
+
+    @pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((2, 3, 4)), np.float64(0.5)],
+                             ids=["1-D", "3-D", "0-D"])
+    def test_samples_that_are_not_a_matrix_are_refused(self, samples):
+        with pytest.raises(ValueError, match=r"samples must be an \(n_obs, T\) array"):
+            discretize(samples, [0.0])
 
     @pytest.mark.parametrize("cuts", [(-0.5, np.nan, 0.5), (np.nan, 0.0, 0.5), (-0.5, 0.0, np.nan),
                                       (np.nan,), (0.5, 0.0), (0.0, 0.0)])
@@ -460,6 +476,29 @@ class TestStudyTables:
         want = np.array([t.counts for t in replicate_tables(config)])
         assert want.shape == (130, 4**4)
         np.testing.assert_array_equal(study_tables(monkeypatch, config), want)
+
+
+class TestZeroMeans:
+    """Every bundled scenario has zero means, whose column adds ``mvn_sample``
+    skips: the draws and the study's tables are those of adding every mean."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_bundled_scenarios_draw_as_if_every_mean_were_added(self, monkeypatch, name):
+        config = scenario(name, 70)
+        assert config.means == (0.0,) * config.T
+        cuts = np.array(config.effective_cutpoints())
+        r = len(cuts) + 1
+        want = []
+        for k in range(config.n_reps):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(k,)))
+            z = rng.standard_normal((config.n_obs, config.T))
+            x = np.asarray(config.means) + z @ np.linalg.cholesky(config.covariance()).T
+            assert np.array_equal(mvn_sample(config, k), x)
+            codes = np.searchsorted(cuts, x, side="left")
+            want.append(np.bincount(codes @ r ** np.arange(config.T - 1, -1, -1),
+                                    minlength=r**config.T))
+        np.testing.assert_array_equal(study_tables(monkeypatch, config), want)
+        np.testing.assert_array_equal([t.counts for t in replicate_tables(config)], want)
 
 
 class TestDrawThreads:

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from fsym.tables import (
     CountTable,
     DegenerateOrbitError,
+    Orbits,
     ProbTable,
     TableShape,
     all_cells,
@@ -112,6 +115,48 @@ class TestOrbits:
         np.testing.assert_array_equal(
             orbit_sums(shape, stack), struct.sum(stack)[:, struct.orbit_id]
         )
+
+
+    def test_stacked_sums_share_one_read_only_index(self, rng):
+        shape = TableShape(4, 3)
+        struct = Orbits.of(orbit_structure(shape).orbit_id)  # a fresh index cache
+        n_orb, N = shape.n_orbits, shape.n_cells
+
+        def one_by_one(rows):
+            return [np.bincount(struct.orbit_id, weights=row, minlength=n_orb) for row in rows]
+
+        index = None
+        for rows in (64, 7, 1, 0):
+            stack = rng.normal(size=(rows, N))
+            got = struct.sum(stack)
+            assert got.shape == (rows, n_orb)
+            np.testing.assert_array_equal(got, np.reshape(one_by_one(stack), (rows, n_orb)))
+            index = struct._stacked_ids if index is None else index
+            assert struct._stacked_ids is index
+        assert index.shape == (64 * N,) and not index.flags.writeable
+        stack = rng.normal(size=(2, 5, N))
+        got = struct.sum(stack)
+        assert got.shape == (2, 5, n_orb)
+        np.testing.assert_array_equal(got.reshape(10, n_orb), one_by_one(stack.reshape(10, N)))
+        vector = rng.normal(size=N)
+        np.testing.assert_array_equal(struct.sum(vector), one_by_one([vector])[0])
+        assert struct._stacked_ids is index
+
+    def test_threads_growing_the_index_get_their_own_sums(self, rng):
+        shape = TableShape(3, 3)
+        struct = Orbits.of(orbit_structure(shape).orbit_id)
+        # growing stacks, so that the threads keep replacing the index
+        stacks = [rng.normal(size=(rows, shape.n_cells)) for rows in range(1, 301)]
+        want = [[np.bincount(struct.orbit_id, weights=row) for row in s] for s in stacks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(struct.sum, stacks, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestSymmetricAverage:
