@@ -11,6 +11,13 @@ matched on seed, shape, n, concentration and model; a row found in one file
 only is listed too.  It also reads the output of ``scripts/fingerprints.py``,
 such as its committed baseline ``scripts/fingerprints.jsonl``.
 
+``--model REGEX`` compares only the rows whose model matches REGEX in full
+(``re.fullmatch``), so that one file pair can be checked under two modes,
+e.g. every row but the ve and ce fits bit for bit and those to a tolerance:
+
+    python scripts/sweep_diff.py --exact --model '(?!(ve|ce)$).*' A.jsonl B.jsonl
+    python scripts/sweep_diff.py --rtol 1e-9 --model 've|ce' A.jsonl B.jsonl
+
 Exits 1 when B has an error, a failed certificate or more power-study
 failures than A has, else 0.  Two stricter modes:
 
@@ -19,11 +26,12 @@ failures than A has, else 0.  Two stricter modes:
   relative, any count, count stack or flagged field changed, a block's G2
   appeared or vanished, or a row is found in one file only.
 
-Usage: python scripts/sweep_diff.py [--exact | --rtol R] A.jsonl B.jsonl
+Usage: python scripts/sweep_diff.py [--exact | --rtol R] [--model REGEX] A.jsonl B.jsonl
 """
 
 import argparse
 import json
+import re
 import sys
 
 KEY = ("seed", "shape", "n", "concentration", "model")
@@ -63,11 +71,13 @@ def main(argv=None):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--rtol", type=float)
+    parser.add_argument("--model", type=re.compile, default=re.compile(".*"))
     parser.add_argument("a")
     parser.add_argument("b")
     args = parser.parse_args(argv)
     old, new = load(args.a), load(args.b)
-    models = list(dict.fromkeys(key[-1] for key in [*old, *new]))
+    models = [model for model in dict.fromkeys(key[-1] for key in [*old, *new])
+              if args.model.fullmatch(model)]
     worse = strict = 0
     for model in models:
         keys = [k for k in dict.fromkeys([*old, *new]) if k[-1] == model]

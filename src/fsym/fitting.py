@@ -22,8 +22,9 @@ the tilted multinomial (``tilted``, ``fit_moment``): pi_i = n_i / s_i on the
 observed cells, with the slack s_i affine in the cell's row of F, and a
 zero-count cell at exactly 0 unless its slack is 0.  me and me2 are linear
 and take one convex dual solve in at most k + 1 = T + T(T+1)/2 + 1 unknowns;
-ve and ce take sequential quadratic programming on the profile of that
-dual.  Every step is O(N k^2); no N x N array is built.
+ve and ce take Newton steps on the joint KKT system of that dual and their
+constraints, and sequential quadratic programming on the profile of the
+dual where a face appears.  Every step is O(N k^2); no N x N array is built.
 
 The KKT oracle of these fits lives in ``oracle``; its old names here
 (``fit_hlp``, ``symmetry_constraint``, ``linkform_constraint``,
@@ -741,7 +742,8 @@ def _row_loglik(nvec, g):
 
 def fit_moment(counts: CountTable, spec: ModelSpec) -> FitResult:
     """Maximum likelihood of a moment family through its tilted-multinomial
-    dual (``tilted``): one dual solve for me/me2, a profile SQP for ve/ce."""
+    dual (``tilted``): one dual solve for me/me2; for ve/ce, Newton on the
+    joint KKT system, or the profile SQP where that hands over."""
     try:
         probs, steps = tilted.fit(
             counts, spec.family, max_iter=MAX_ITER,
@@ -776,8 +778,8 @@ def fit_model(counts: CountTable, spec: ModelSpec) -> FitResult:
     gs/els/ls under every f-function, or tilted-dual fit for the moment
     families.
 
-    A fit that reaches MAX_ITER steps (Newton, dual Newton or SQP) raises
-    FitError.  Every fit meets TOL_CONSTRAINT in its constraint residual
+    A fit that reaches MAX_ITER steps (Newton, dual Newton or SQP; the
+    ve/ce KKT Newton phase hands over to the SQP instead) raises FitError.  Every fit meets TOL_CONSTRAINT in its constraint residual
     (for me/me2, the dual KKT residual; for a link fit, the distance of held
     cells from the F^{-1} edge); a moment fit also meets TOL_LOGLIK in its
     relative log-likelihood change over its last step, which a link fit

@@ -49,7 +49,7 @@ def _coordinates(p: ProbTable) -> np.ndarray:
 
 
 def _check_variances(sigma2: np.ndarray) -> None:
-    if np.any(sigma2 <= 0):
+    if (sigma2 <= 0).any():
         raise DegenerateMarginalError(
             f"marginal variances {sigma2} include a non-positive value"
         )
@@ -72,26 +72,23 @@ def moments(p: ProbTable) -> MomentSet:
 
 # A "jet" is (values, gradients, Hessians) of several functions of m, stacked
 # along the first axis: shapes (P,), (P, w) and (P, w, w), with w = 2 or 5
-# local coordinates (``_frames``) until ``_scatter`` widens them to w = k.
+# local coordinates (``_jet_plan``) until ``_scatter`` widens them to w = k.
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, :, None] * y[:, None, :]
 
 
-def _covariances(m: np.ndarray, T: int, a: np.ndarray, b: np.ndarray, at):
-    """Jet of cov(s_a, s_b) = m_ab - mu_a mu_b (0-based a, b; a == b: a variance)
-    in a local frame: ``at`` = (width, positions of mu_a, mu_b and m_ab)."""
-    width, ia, ib, iab = at
-    mu = m[:T]
-    grad = np.zeros((len(a), width))
-    grad[:, iab] = 1.0
-    grad[:, ia] -= mu[b]
-    grad[:, ib] -= mu[a]
-    hess = np.zeros((len(a), width, width))
-    hess[:, ia, ib] -= 1.0
-    hess[:, ib, ia] -= 1.0
-    return m[design.product_index(T)[a, b]] - mu[a] * mu[b], grad, hess
+def _covariances(m: np.ndarray, factor):
+    """Jet of cov(s_a, s_b) = m_ab - mu_a mu_b (a == b: a variance) in a local
+    frame, from its ``_jet_plan`` factor: (0-based a, b, positions of m_ab,
+    constant gradient, constant Hessian, frame positions of mu_a and mu_b)."""
+    a, b, ab, grad, hess, ia, ib = factor
+    mu_a, mu_b = m[a], m[b]  # a, b < T: means
+    grad = grad.copy()
+    grad[:, ia] -= mu_b
+    grad[:, ib] -= mu_a
+    return m[ab] - mu_a * mu_b, grad, hess
 
 
 def _product(x, y):
@@ -107,11 +104,11 @@ def _product(x, y):
 def _power(x, e: float):
     """Jet of a jet raised to the power e."""
     v, d, h = x
+    slope = e * v ** (e - 1)
     return (
         v**e,
-        (e * v ** (e - 1))[:, None] * d,
-        (e * v ** (e - 1))[:, None, None] * h
-        + (e * (e - 1) * v ** (e - 2))[:, None, None] * _outer(d, d),
+        slope[:, None] * d,
+        slope[:, None, None] * h + (e * (e - 1) * v ** (e - 2))[:, None, None] * _outer(d, d),
     )
 
 
@@ -121,27 +118,53 @@ def _pair_chain_index(T: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_read_only(np.array(side) - 1) for side in zip(*design.pair_chain(T)))
 
 
+def _factor(T: int, a: np.ndarray, b: np.ndarray, at) -> tuple:
+    """The parts of the jet of cov(s_a, s_b) that do not depend on m, in a
+    local frame: ``at`` = (width, positions of mu_a, mu_b and m_ab)."""
+    width, ia, ib, iab = at
+    grad = np.zeros((len(a), width))
+    grad[:, iab] = 1.0
+    hess = np.zeros((len(a), width, width))
+    hess[:, ia, ib] -= 1.0
+    hess[:, ib, ia] -= 1.0
+    ab = design.product_index(T)[a, b]
+    return tuple(_read_only(x) for x in (a, b, ab, grad, hess)) + (ia, ib)
+
+
 @lru_cache(maxsize=None)
-def _frames(model: str, T: int) -> np.ndarray:
-    """(P, w) moment coordinates of each ve or ce constraint's local frame."""
+def _jet_plan(model: str, T: int):
+    """The parts of a ve or ce jet that do not depend on m: the positions of
+    the m_hh, the constraints' covariance factors (the variance for ve;
+    var_a, var_b and cov_ab for ce), k, and the flat positions of each
+    constraint's gradient and Hessian entries in the k moment coordinates
+    (its local frame: (mu_h, m_hh) for a variance, (mu_a, mu_b, m_aa, m_bb,
+    m_ab) for a correlation)."""
     idx = design.product_index(T)
+    h = np.arange(T)
     if model == VE:
-        h = np.arange(T)
-        return _read_only(np.column_stack([h, idx[h, h]]))
-    a, b = _pair_chain_index(T)
-    return _read_only(np.column_stack([a, b, idx[a, a], idx[b, b], idx[a, b]]))
+        factors = (_factor(T, h, h, (2, 0, 0, 1)),)
+        frames = np.column_stack([h, idx[h, h]])
+    else:
+        a, b = _pair_chain_index(T)
+        factors = (_factor(T, a, a, (5, 0, 0, 2)), _factor(T, b, b, (5, 1, 1, 3)),
+                   _factor(T, a, b, (5, 0, 1, 4)))
+        frames = np.column_stack([a, b, idx[a, a], idx[b, b], idx[a, b]])
+    k = T + T * (T + 1) // 2
+    rows = np.arange(len(frames))[:, None]
+    grad_at = (rows * k + frames).ravel()
+    hess_at = ((rows * k)[:, :, None] * k + frames[:, :, None] * k + frames[:, None, :]).ravel()
+    return _read_only(idx[h, h]), factors, k, _read_only(grad_at), _read_only(hess_at)
 
 
-def _scatter(terms, frames: np.ndarray, k: int):
+def _scatter(terms, k: int, grad_at: np.ndarray, hess_at: np.ndarray):
     """A local-frame jet with its gradients and Hessians in the k coordinates."""
     value, grad, hess = terms
-    P = len(frames)
-    rows = np.arange(P)[:, None]
-    full_grad = np.zeros((P, k))
-    full_grad[rows, frames] = grad
-    full_hess = np.zeros((P, k, k))
-    full_hess[rows[:, :, None], frames[:, :, None], frames[:, None, :]] = hess
-    return value, full_grad, full_hess
+    P = len(value)
+    full_grad = np.zeros(P * k)
+    full_grad[grad_at] = grad.ravel()
+    full_hess = np.zeros(P * k * k)
+    full_hess[hess_at] = hess.ravel()
+    return value, full_grad.reshape(P, k), full_hess.reshape(P, k, k)
 
 
 def _constraint_jet(model: str, shape: TableShape, m: np.ndarray):
@@ -156,18 +179,14 @@ def _constraint_jet(model: str, shape: TableShape, m: np.ndarray):
         return A @ m, A, None
     if model not in (VE, CE):
         raise ValueError(f"unknown moment model {model!r}")
-    h = np.arange(T)
-    var = _covariances(m, T, h, h, (2, 0, 0, 1))
-    _check_variances(var[0])
+    squares, factors, k, grad_at, hess_at = _jet_plan(model, T)
+    _check_variances(m[squares] - m[:T] * m[:T])
     if model == VE:
-        terms = var
+        terms = _covariances(m, factors[0])
     else:
-        a, b = _pair_chain_index(T)
-        var_a = _covariances(m, T, a, a, (5, 0, 0, 2))
-        var_b = _covariances(m, T, b, b, (5, 1, 1, 3))
-        scale = _power(_product(var_a, var_b), -0.5)
-        terms = _product(_covariances(m, T, a, b, (5, 0, 1, 4)), scale)
-    return tuple(t[:-1] - t[1:] for t in _scatter(terms, _frames(model, T), len(m)))
+        var_a, var_b, cov = (_covariances(m, factor) for factor in factors)
+        terms = _product(cov, _power(_product(var_a, var_b), -0.5))
+    return tuple(t[:-1] - t[1:] for t in _scatter(terms, k, grad_at, hess_at))
 
 
 def constraint_vector(model: str, p: ProbTable) -> np.ndarray:

@@ -29,19 +29,29 @@ The moment families use it in two ways (``fit``):
 * me and me2 are linear, A m = 0 in the moment coordinates m = F' pi, so the
   fit is one solve with G = F A' and b = 0;
 * ve and ce maximize the profile l*(m) = max {loglik : F' pi = m}, one
-  solve with G = F and b = m, subject to c(m) = 0, by sequential quadratic
-  programming in the moment coordinates (``_profile_fit``).  The gradient
-  of l* is lam and its Hessian follows from the dual stationarity by
-  implicit differentiation.  Each SQP step solves its KKT system in the
-  null-space form from one SVD of the constraint rows: the least-squares
-  range step, then the tangent step on the reduced Hessian Z'BZ, then the
-  multipliers; the second-order correction reuses the same factors.  Where
-  the observed and held rows do not span, l* has a kink, and the step
-  either keeps to the face on which l* is smooth or goes to the table of
-  largest likelihood on the linearized constraints, one solve with
+  solve with G = F and b = m, subject to c(m) = 0.  First, Newton's method
+  on the joint KKT system of that solve and the constraints (``_kkt_fit``;
+  Aitchison and Silvey, 1958, *Ann. Math. Statist.*; Lang, 2004, *Ann.
+  Statist.*) iterates on the dual w and the constraint multipliers at once
+  from the observed table, each step one (k + 1 + m)-square solve with no
+  inner dual solve, and its end must pass the SQP's own test.  Where a face
+  appears (a step would empty a zero cell's slack, or the observed rows do
+  not span), where the margin is degenerate, the step stalls or the system
+  is singular, and at the iteration cap, it hands over, and sequential
+  quadratic programming (``_profile_fit``) runs from the observed table as
+  if it had not run.  The gradient of l* is lam and its Hessian follows
+  from the dual stationarity by implicit differentiation.  Each SQP step
+  solves its KKT system in the null-space form from one SVD of the
+  constraint rows: the least-squares range step, then the tangent step on
+  the reduced Hessian Z'BZ, then the multipliers; the second-order
+  correction reuses the same factors, and each trial is one warm-started
+  solve.  Where the observed and held rows do not span, l* has a kink, and
+  the step either keeps to the face on which l* is smooth or goes to the
+  table of largest likelihood on the linearized constraints, one solve with
   G = F J'.  With two categories a squared score is affine in the score, a
   direction that no row sees, and ce keeps to that face; ve is a union of
-  linear models there instead (``_two_category_ve``).
+  linear models there instead (``_two_category_ve``).  A fit's steps are
+  those of the phase that finished it.
 
 No step builds an N x N array: the largest is N x (d + 1), with d <= k.
 """
@@ -326,6 +336,170 @@ class TiltedDual:
         )
 
 
+def _shifted_slack(dual, tilt, psi):
+    """Smallest slack of a free zero cell under the dual w - kernel psi."""
+    free = dual.zero[~np.isin(dual.zero, tilt.active)]
+    return float(np.min(dual.A[free] @ (tilt.w - tilt.kernel @ psi), initial=np.inf))
+
+
+def _sqp_test(dual, tilt, cur, ll_prev, n, tol_constraint, tol_loglik):
+    """The convergence test of a ve/ce fit at ``tilt``, a certified profile
+    point whose x has the constraint jet ``cur``, ``ll_prev`` being the log
+    likelihood before the last step: (failed criteria, (loglik, constraint
+    residual, stationarity, face normals) for the trace, factors).
+
+    The factors are (rows, U, sv, V, tangent, multipliers) of one SVD of the
+    rows [J; face normals] per step, cut at RANK_TOL: V spans the rows, the
+    tangent directions are its orthogonal complement, and every
+    least-squares solve with the rows or their transpose uses U, sv, V.
+    """
+    cval, J, _ = cur
+    g, normals = tilt.lam, tilt.kernel[1:].T
+    m = len(cval)
+    rows = np.vstack([J, normals])
+    U, sv, vt = np.linalg.svd(rows)
+    rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0))
+    U, sv, V, tangent = U[:, :rank], sv[:rank], vt[:rank].T, vt[rank:].T
+    coef = U @ ((V.T @ g) / sv)
+    stationarity = float(np.max(np.abs(g - rows.T @ coef))) / (1.0 + n)
+    hmax = float(np.max(np.abs(cval)))
+    rel = math.inf if ll_prev is None else abs(tilt.loglik - ll_prev) / (1.0 + abs(tilt.loglik))
+    failed = []
+    if hmax > tol_constraint:
+        failed.append(f"constraint residual {hmax:.3e} > {tol_constraint:.1e}")
+    if rel > tol_loglik:
+        failed.append(f"log-likelihood change {rel:.3e} > {tol_loglik:.1e}")
+    if stationarity > STATIONARITY_TOL:
+        failed.append(f"stationarity {stationarity:.3e} > {STATIONARITY_TOL:.1e}")
+    if len(normals) and _shifted_slack(dual, tilt, coef[m:]) < -SLACK_TOL * n:
+        failed.append("a zero cell's slack is negative under every face multiplier")
+    return failed, (tilt.loglik, hmax, stationarity, len(normals)), (rows, U, sv, V, tangent, coef)
+
+
+def _lagrangian(tilt, mult, Hc, tangent):
+    """(B, reduced, definite): the Hessian B = -curvature + mult . Hc of the
+    Lagrangian of a ve/ce fit and its reduction Z'BZ onto the tangent
+    directions Z where that is definite (its Cholesky succeeds), else the
+    profile's own -curvature and its reduction."""
+    k, m = len(tilt.lam), len(mult)
+    B = -tilt.curvature + (mult @ Hc.reshape(m, -1)).reshape(k, k)
+    reduced = tangent.T @ B @ tangent
+    try:
+        np.linalg.cholesky(reduced)
+        return B, reduced, True
+    except np.linalg.LinAlgError:
+        B = -tilt.curvature
+        return B, tangent.T @ B @ tangent, False
+
+
+def _kkt_fit(counts, model, max_iter, tol_constraint, tol_loglik, trace):
+    """ve or ce by Newton's method on the joint KKT system of the profile
+    dual and the constraints, from the observed table: (fitted tilt, steps),
+    or None once it hands over; ``trace`` gets one record (step, largest
+    scaled residual, step length, "kkt") per step, and a hand-over one
+    (step, "handover", reason).
+
+    The unknowns are the dual w of ``TiltedDual(counts, F)``, from (n, 0),
+    and the multipliers mu, from 0.  With p = n_obs / (A_obs w),
+    x = F_obs' p and lam = w[1:], the residuals are 1'p - 1, lam - J(x)' mu
+    and c(x).  Each step solves that (k + 1 + m)-square system, whose dual
+    block is the dual Hessian H = A_obs' diag(p / s) A_obs, and is halved
+    once where it neither lowers the largest residual (that of lam divided
+    by 1 + n) nor keeps it within tol_constraint, or where it leaves an
+    observed slack non-positive or a margin degenerate.  The phase hands
+    over where the observed margin is degenerate (``degenerate``) or the
+    observed rows do not span (``span``), where a step would drive a zero
+    cell's slack to 0 or below (``face``), where the halved step fails too
+    (``stall``), where the system is singular (``singular``), after
+    max_iter steps (``cap``), and where its end fails the certificate
+    (``certificate``).  It ends once the residual is within tol_constraint
+    and the log likelihood changed by at most tol_loglik over the last
+    step; the certificate is one warm-started dual solve at that x, then
+    the SQP's test (``_sqp_test``) and a reduced Lagrangian Hessian
+    definite on the tangent space (``_lagrangian``).
+    """
+    shape, nvec, n = counts.shape, counts.counts, counts.n
+    dual = TiltedDual(nvec, design.moment_basis(shape))
+    A_obs, n_obs = dual.A_obs, dual.n_obs
+
+    def handover(it, reason):
+        trace.append((it, "handover", reason))
+        return None
+
+    def point(w, mu):
+        """(w, slacks, masses, x, jet, mu, residuals, their largest) at
+        (w, mu), with mu = 0 where it is None, or None where an observed
+        slack is not positive or a margin is degenerate.  The residual of
+        lam counts divided by 1 + n: it grows with n, the others do not."""
+        s = A_obs @ w
+        if not (s > 0).all():
+            return None
+        p = n_obs / s
+        moments = A_obs.T @ p
+        x = moments[1:]
+        try:
+            jet = _constraint_jet(model, shape, x)
+        except DegenerateMarginalError:
+            return None
+        mu = np.zeros(len(jet[0])) if mu is None else mu
+        resid = np.concatenate([[moments[0] - 1.0], w[1:] - jet[1].T @ mu, jet[0]])
+        size = max(abs(resid[0]), np.max(np.abs(resid[1:len(w)])) / (1.0 + n),
+                   np.max(np.abs(jet[0])))
+        return w, s, p, x, jet, mu, resid, float(size)
+
+    w = np.zeros(A_obs.shape[1])
+    w[0] = dual.n
+    start = point(w, None)
+    if start is None:
+        return handover(0, "degenerate")
+    if not dual.spans:
+        return handover(0, "span")
+    w, s, p, x, jet, mu, resid, size = start
+    k1, m = len(w), len(mu)
+    t, ll_prev = 0.0, None
+    for it in range(max_iter + 1):
+        trace.append((it, size, t, "kkt"))
+        ll = float(n_obs @ np.log(p / p.sum()))
+        H = A_obs.T @ ((p / s)[:, None] * A_obs)
+        rel = math.inf if ll_prev is None else abs(ll - ll_prev) / (1.0 + abs(ll))
+        if size <= tol_constraint and rel <= tol_loglik:
+            # the certificate: one dual solve at x, warm-started at (w, s, p, H)
+            warm = Tilt(w, [], p, ll, it, None, None, (dual, s, p, H))
+            try:
+                tilt = dual.solve(x, warm, max_iter=max_iter, tol=INNER_TOL)
+            except CertificateError:
+                return handover(it, "certificate")
+            failed, _, (*_, tangent, coef) = _sqp_test(
+                dual, tilt, jet, ll_prev, n, tol_constraint, tol_loglik)
+            if failed or not _lagrangian(tilt, coef[:m], jet[2], tangent)[2]:
+                return handover(it, "certificate")
+            return tilt, it
+        if it == max_iter:
+            return handover(it, "cap")
+        _, J, Hc = jet
+        K = np.zeros((k1 + m, k1 + m))
+        K[0, :k1] = -H[0]  # 1'p falls along H's first row
+        K[1:k1, :k1] = (mu @ Hc.reshape(m, -1)).reshape(k1 - 1, k1 - 1) @ H[1:]
+        K[1:k1, 1:k1] += np.eye(k1 - 1)
+        K[1:k1, k1:] = -J.T
+        K[k1:, :k1] = -J @ H[1:]  # x falls along H's other rows
+        try:
+            step = np.linalg.solve(K, -resid)
+        except np.linalg.LinAlgError:
+            return handover(it, "singular")
+        if (dual.A_zero @ (w + step[:k1]) <= 0).any():
+            return handover(it, "face")
+        for t in (1.0, 0.5):
+            # at the rounding floor a step need only keep the residual there
+            trial = point(w + t * step[:k1], mu + t * step[k1:])
+            if trial is not None and (trial[-1] < size or trial[-1] <= tol_constraint):
+                break
+        else:
+            return handover(it, "stall")
+        (w, s, p, x, jet, mu, resid, size), ll_prev = trial, ll
+    raise AssertionError("unreachable")
+
+
 def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     """ve or ce: (fitted tilt, steps) maximizing the profile l*(x) subject to
     c(x) = 0 over the moment coordinates x = F' pi.
@@ -341,19 +515,16 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     largest likelihood on the linearized constraints, one tilted solve with
     G = F J', which finds the next face.  Every step is globalized by an
     exact-penalty line search on l*, each trial one warm-started solve.
+    ``steps`` counts SQP steps.  ``fit`` runs it where the Newton phase
+    (``_kkt_fit``) hands over, from the observed table all the same, so
+    that such a fit keeps the bits it had without that phase.
     """
     shape, nvec, n = counts.shape, counts.counts, counts.n
     F = design.moment_basis(shape)
     dual = TiltedDual(nvec, F)
-    free_slack_floor = -SLACK_TOL * n
 
     def profile(x, start=None, cutoff=-math.inf):
         return dual.solve(x, start, max_iter=max_iter, tol=INNER_TOL, cutoff=cutoff)
-
-    def shifted_slack(tilt, psi):
-        """Smallest slack of a free zero cell under the dual w - kernel psi."""
-        free = dual.zero[~np.isin(dual.zero, tilt.active)]
-        return float(np.min(dual.A[free] @ (tilt.w - tilt.kernel @ psi), initial=np.inf))
 
     x = F.T @ counts.proportions().probs
     try:
@@ -365,30 +536,9 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     trace: list[tuple] = []
     rho, ll_prev = 1.0, None
     for it in range(max_iter + 1):
-        cval, J, Hc = cur
-        g, normals = tilt.lam, tilt.kernel[1:].T
-        m = len(cval)
-        rows = np.vstack([J, normals])
-        # One SVD of the rows per step, cut at RANK_TOL: V spans the rows, the
-        # tangent directions are its orthogonal complement, and every
-        # least-squares solve with the rows or their transpose uses U, sv, V.
-        U, sv, vt = np.linalg.svd(rows)
-        rank = np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0))
-        U, sv, V, tangent = U[:, :rank], sv[:rank], vt[:rank].T, vt[rank:].T
-        coef = U @ ((V.T @ g) / sv)
-        stationarity = float(np.max(np.abs(g - rows.T @ coef))) / (1.0 + n)
-        hmax = float(np.max(np.abs(cval)))
-        rel = math.inf if ll_prev is None else abs(tilt.loglik - ll_prev) / (1.0 + abs(tilt.loglik))
-        trace.append((it, tilt.loglik, hmax, stationarity, len(normals)))
-        failed = []
-        if hmax > tol_constraint:
-            failed.append(f"constraint residual {hmax:.3e} > {tol_constraint:.1e}")
-        if rel > tol_loglik:
-            failed.append(f"log-likelihood change {rel:.3e} > {tol_loglik:.1e}")
-        if stationarity > STATIONARITY_TOL:
-            failed.append(f"stationarity {stationarity:.3e} > {STATIONARITY_TOL:.1e}")
-        if len(normals) and shifted_slack(tilt, coef[m:]) < free_slack_floor:
-            failed.append("a zero cell's slack is negative under every face multiplier")
+        failed, record, (rows, U, sv, V, tangent, coef) = _sqp_test(
+            dual, tilt, cur, ll_prev, n, tol_constraint, tol_loglik)
+        trace.append((it, *record))
         if not failed:
             return tilt, it
         if it == max_iter:
@@ -396,6 +546,9 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
                 f"no convergence within {max_iter} SQP steps: " + "; ".join(failed), trace
             )
         ll_prev = tilt.loglik
+        cval, J, Hc = cur
+        g, normals = tilt.lam, tilt.kernel[1:].T
+        m = len(cval)
 
         l1 = float(np.sum(np.abs(cval)))
 
@@ -404,18 +557,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
             the face, or None where the face cannot meet the linearized
             constraints or its multipliers would make a zero-cell slack
             negative."""
-            # the Lagrangian Hessian where it is definite on the tangent
-            # space, else the profile's own curvature
-            k = len(x)
-            B = -tilt.curvature + (coef[:m] @ Hc.reshape(m, -1)).reshape(k, k)
-            reduced = tangent.T @ B @ tangent
-            try:
-                np.linalg.cholesky(reduced)
-                definite = True
-            except np.linalg.LinAlgError:
-                B = -tilt.curvature
-                reduced = tangent.T @ B @ tangent
-                definite = False
+            B, reduced, definite = _lagrangian(tilt, coef[:m], Hc, tangent)
 
             def kkt(top, bottom):
                 """The step p of the KKT system [B rows'; rows 0] (p, mult) =
@@ -434,7 +576,7 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
                         np.max(np.abs(B @ p + rows.T @ mult - g)))
             if resid > 1e-8 * (1.0 + max(np.max(np.abs(g)), np.max(np.abs(bottom)))):
                 return None
-            if len(normals) and shifted_slack(tilt, mult[m:]) < free_slack_floor:
+            if len(normals) and _shifted_slack(dual, tilt, mult[m:]) < -SLACK_TOL * n:
                 return None
             quad = float(p @ B @ p)
             penalty = max(2.0 * float(np.max(np.abs(mult[:m]), initial=0.0)) + 1.0, 0.1 * rho)
@@ -537,7 +679,15 @@ def fit(counts: CountTable, model: str, *, max_iter: int, tol_constraint: float,
         return _two_category_ve(counts, max_iter, tol_constraint, tol_loglik)
     if model == CE and counts.shape.T == 2:  # one correlation, nothing to equate
         return counts.proportions().probs, 0
-    tilt, steps = _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik)
+    trace: list[tuple] = []
+    done = _kkt_fit(counts, model, max_iter, tol_constraint, tol_loglik, trace)
+    if done is None:
+        try:
+            done = _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik)
+        except CertificateError as exc:
+            exc.trace[:0] = trace  # both phases, in the order they ran
+            raise
+    tilt, steps = done
     return tilt.probs, steps
 
 

@@ -44,7 +44,9 @@ from fsym.tables import (
     orbit_sums,
 )
 
-from conftest import ladder_table, moment_certificate, random_count_table, restart_table
+from conftest import (
+    ladder_table, moment_certificate, random_count_table, restart_table, restart_tables,
+)
 
 
 def symmetric_counts(rng, shape, n=3000):
@@ -248,11 +250,16 @@ class TestMomentFits:
 
     def test_ce_where_the_merit_cannot_resolve_the_last_gain(self):
         # n = 933,120 on 6^6: |merit| is about 8e6, so a predicted gain of
-        # 1e-8 is below its rounding and the last step is taken as it is
+        # 1e-8 is below its rounding and the SQP's last step is taken as it
+        # is; fit_model finishes this table by the KKT Newton phase instead
         counts = ladder_table(1, 6, 6)
+        tilt, steps = tilted._profile_fit(
+            counts, "ce", fitting.MAX_ITER, fitting.TOL_CONSTRAINT, fitting.TOL_LOGLIK)
+        assert g2(counts, counts.n * tilt.probs) == pytest.approx(874.689212627, rel=1e-9)
+        assert steps == 4
+        assert moment_certificate(counts, "ce", tilt.probs) == []
         fit = fit_model(counts, ModelSpec("ce"))
         assert fit.g2 == pytest.approx(874.689212627, rel=1e-9)
-        assert fit.iterations == 4
         assert moment_certificate(counts, "ce", fit.pihat.probs) == []
 
     @pytest.mark.parametrize("model", ["me2", "ce"])
@@ -268,6 +275,81 @@ class TestMomentFits:
             tracemalloc.stop()
         assert peak < 40e6
         assert moment_certificate(counts, model, fit.pihat.probs) == []
+
+
+class TestKKTPhase:
+    """ve and ce by Newton's method on their joint KKT system
+    (``tilted._kkt_fit``), against the profile SQP (``tilted._profile_fit``)
+    that ``fit_model`` runs wherever the Newton phase hands over."""
+
+    ARGS = (fitting.MAX_ITER, fitting.TOL_CONSTRAINT, fitting.TOL_LOGLIK)
+
+    def finishes_as_the_sqp(self, counts, model):
+        """Whether the Newton phase finishes; where it does, its G2 is the
+        SQP's to 1e-9 and its table is certified."""
+        trace = []
+        done = tilted._kkt_fit(counts, model, *self.ARGS, trace)
+        if done is None:
+            assert trace[-1][1] == "handover"
+            return False
+        tilt, steps = done
+        assert [record[-1] for record in trace] == ["kkt"] * (steps + 1)
+        sqp, _ = tilted._profile_fit(counts, model, *self.ARGS)
+        assert g2(counts, counts.n * tilt.probs) == pytest.approx(
+            g2(counts, counts.n * sqp.probs), rel=1e-9)
+        assert moment_certificate(counts, model, tilt.probs) == []
+        return True
+
+    @pytest.mark.parametrize("model", ["ve", "ce"])
+    def test_panel_and_ladder_tables(self, model):
+        tables = [anes_party_id()] + [
+            ladder_table(seed, r, T) for seed in (1, 7) for r, T in ((4, 5), (3, 6), (3, 5))]
+        for counts in tables:
+            assert self.finishes_as_the_sqp(counts, model), counts.shape
+
+    def test_restart_tables(self):
+        # 117 of the 192 fits finish; 73 of the others meet a zero cell's face
+        finished = 0
+        for seed in range(1, 9):
+            for (r, T, n, c), counts in restart_tables(seed):
+                if r >= 3:
+                    finished += sum(self.finishes_as_the_sqp(counts, m) for m in ("ve", "ce"))
+        assert finished >= 100
+
+    @staticmethod
+    def constant_margin():
+        """A 3^3 table whose first variable always takes category 2."""
+        counts = np.zeros(27)
+        first = np.indices((3, 3, 3))[0].ravel()
+        counts[first == 1] = np.random.default_rng(3).integers(1, 20, 9)
+        return CountTable(TableShape(3, 3), counts)
+
+    @pytest.mark.parametrize("table,model,reason", [
+        (lambda: restart_table(5, 3, 4, 60, 0.3), "ve", "face"),
+        (constant_margin, "ce", "degenerate"),
+        (lambda: restart_table(3, 2, 3, 500, 0.3), "ce", "span"),
+    ], ids=["face", "degenerate", "span"])
+    def test_a_hand_over_keeps_the_sqp_bits(self, table, model, reason):
+        counts = table()
+        trace = []
+        assert tilted._kkt_fit(counts, model, *self.ARGS, trace) is None
+        assert trace[-1] == (0, "handover", reason)
+        tilt, steps = tilted._profile_fit(counts, model, *self.ARGS)
+        fit = fit_model(counts, ModelSpec(model))
+        assert np.array_equal(fit.pihat.probs, tilt.probs)
+        assert fit.iterations == steps
+
+    def test_a_fit_error_shows_both_phases(self, monkeypatch):
+        # the panel's ce fit takes 6 Newton steps: at the cap of 2 it hands
+        # over, and the SQP then stops at the same cap
+        monkeypatch.setattr(fitting, "MAX_ITER", 2)
+        with pytest.raises(FitError) as err:
+            fit_model(anes_party_id(), ModelSpec("ce"))
+        trace = err.value.trace
+        assert [record[-1] for record in trace[:3]] == ["kkt"] * 3
+        assert [record[0] for record in trace[:3]] == [0, 1, 2]
+        assert trace[3] == (2, "handover", "cap")
+        assert len(trace) > 4 and trace == err.value.__cause__.trace
 
 
 class TestWarmStart:
