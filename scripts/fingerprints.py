@@ -24,7 +24,10 @@ fitted probabilities' bytes), or ``error`` for a fit that raised ``FitError``:
   that the lockstep climb is checked row by row and a move can be bounded;
 * the count stack of those 64 replicates, one row per bundled scenario
   (model ``tables``) with ``counts_sha1``, the SHA-1 of the stacked counts'
-  bytes, so that a change to the draws or the binning shows directly.
+  bytes, so that a change to the draws or the binning shows directly;
+* the same ``tables`` and ``fit_block`` rows for ``table2_row1`` and
+  ``table2_row3`` at n = 300 (key ``n`` 300), where most tables have a zero
+  count and many a cut step or a held cell.
 
 A committed run is the baseline ``scripts/fingerprints.jsonl``; compare a
 fresh run with it by ``python scripts/sweep_diff.py``.  Fits depend on the
@@ -126,6 +129,12 @@ def rows():
         for row in power_study(config).rows:
             yield dict(key, model=row.model, rejections=row.rejections, failures=row.failures,
                        fallbacks=row.fallbacks)
+        yield from block_rows(key, config)
+    for scenario in ("table2_row1", "table2_row3"):
+        config = SimConfig.from_dict(json.loads(data_path(f"{scenario}.json").read_text()))
+        config = replace(config, n_obs=300)
+        key = dict(seed=scenario, shape=f"{len(config.effective_cutpoints()) + 1}^{config.T}",
+                   n=config.n_obs, concentration=None)
         yield from block_rows(key, config)
 
 
