@@ -4,17 +4,10 @@ Complete symmetry has a closed form.  The link families gs/els/ls are fitted
 in their own parameters under every power link: pi_i = S_o c_i(theta), where
 the orbit masses S_o are the observed orbit proportions and the within-orbit
 shares c_i come from the link-space engine (``linkspace``), so only theta is
-iterated (``fit_link``).  ``fit_block`` fits one model to a stack of tables
-at once: s in closed form, a link family by running ``fit_link``'s interior
-climb on every table in lockstep, leaving the tables outside that climb's
-case to ``fit_model``.  The block climb starts where ``fit_link`` does
-(``_smoothed_start``), evaluates its stack with the one-table normalizers
-and point builder of ``linkspace``, and takes only full Newton steps that
-pass ``fit_link``'s sufficient decrease test; a table whose step would be
-cut is handed over.  Only its row log likelihood and its per-row Cholesky
-test (``_definite_steps``) are its own.  The link, block and moment fits
-share one iteration cap, MAX_ITER, which they read from this module when
-they run.
+iterated, by one climb (``_link_ascent``) over a stack of tables, each row
+alone: ``fit_link`` climbs one table (from several starts for |lam| > 1),
+``fit_block`` a power-study block.  The link and moment fits share one
+iteration cap, MAX_ITER, which they read from this module when they run.
 
 The moment families me/ve/ce/me2 constrain a few moment coordinates,
 c(m) = 0 with m = F' pi (``moments``), and are fitted through the dual of
@@ -155,19 +148,24 @@ def _finish(spec, counts, pihat, theta_prime, df, iterations, resid, mhat=None):
 # --------------------------------------------------------------------------
 
 
-def _link_loglik(nvec: np.ndarray, has_count: np.ndarray, pt: LinkPoint) -> float:
-    """sum_i n_i log g_i: the within-orbit log likelihood up to a constant."""
-    g = pt.g[has_count]
-    if np.any(g <= 0):
-        return -math.inf
-    return float(nvec[has_count] @ np.log(g))
+def _link_loglik(nvec: np.ndarray, has_count: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_i n_i log g_i per row of a stack: the within-orbit log likelihood
+    up to a constant, -inf where a cell with a count has g = 0.  Each row's
+    is one dot product over its cells with a count, as for that row alone."""
+    with np.errstate(divide="ignore"):  # log 0 at held cells
+        log_g = np.log(g)
+    if has_count.all():
+        return (nvec[:, None, :] @ log_g[..., None])[:, 0, 0]
+    return np.array([n[h] @ log[h] for n, h, log in zip(nvec, has_count, log_g)])
 
 
-def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tangent=None):
-    """(B, mode): minus the Lagrangian Hessian in theta when it is positive
-    definite ("newton"), else the Fisher information ("fisher", or
-    "fisher-pinv" when it is singular because the table leaves some theta
-    direction unidentified).
+def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tangent=None,
+                       work=None):
+    """(B, mode) per row of a stacked point: minus the Lagrangian Hessian in
+    theta where it is positive definite ("newton"), else the Fisher
+    information ("fisher", or "fisher-pinv" when it is singular because the
+    table leaves some theta direction unidentified); raises LinAlgError
+    where that is not finite.
 
     With mu_o the multiplier of orbit o's unit sum, the Hessian is
     -sum_i [lam n_i / u_i^2 + (1 - lam) mu_o g_i / u_i^2] a_i a_i',
@@ -175,24 +173,38 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tan
     mu_o = R_o / W_o, with R_o = sum_o n_i / u_i and W_o = sum_o dg/dy; a
     pinned orbit's is the multiplier of its unit-sum row, ``unit_mu``, when
     the last step had one.  The information weights are (N_o / |o|) g_i / u_i^2.
-    Given a basis ``tangent`` of the directions that keep the edge rows, the
-    Hessian need only be definite on those.
+    Given a basis ``tangent`` of the directions that keep the edge rows of a
+    stack of one, the Hessian need only be definite on those.  ``work``
+    takes the weighted slopes when given.
     """
     orbits = space.orbits
     hessian, wu = _newton_weights(space, pt, nvec, has_count, unit_mu)
-    fisher = (orbit_counts / orbits.size)[orbits.orbit_id] * wu
-    for mode, weight in (("newton", hessian), ("fisher", fisher)):
-        B = _gram(a, weight)
-        if not np.all(np.isfinite(B)):
-            continue
-        try:
-            np.linalg.cholesky(B if tangent is None or mode == "fisher" else tangent.T @ B @ tangent)
-        except np.linalg.LinAlgError:
-            continue
-        return B, mode
-    if not np.all(np.isfinite(B)):
-        raise np.linalg.LinAlgError("non-finite information matrix")
-    return B, "fisher-pinv"
+    B = _gram(a, hessian, work)
+    mode = np.array(["newton"] * len(B), dtype=object)
+    weak = ~_definite(B if tangent is None else tangent.T @ B @ tangent)
+    if weak.any():
+        fisher = (orbit_counts / orbits.size)[:, orbits.orbit_id] * wu
+        B[weak] = _gram(a[weak], fisher[weak])
+        if not np.all(np.isfinite(B[weak])):
+            raise np.linalg.LinAlgError("non-finite information matrix")
+        mode[weak] = np.where(_definite(B[weak]), "fisher", "fisher-pinv")
+    return B, mode
+
+
+def _definite(M):
+    """Which matrices of the stack M are finite and pass their Cholesky test."""
+    ok = np.isfinite(M).all(axis=(1, 2))
+    if not ok.all():
+        M = np.where(ok[:, None, None], M, np.eye(M.shape[-1]))
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:  # the stacked test does not say which failed
+        for k in np.flatnonzero(ok):
+            try:
+                np.linalg.cholesky(M[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    return ok
 
 
 def _newton_weights(space, pt, nvec, has_count, unit_mu=None):
@@ -200,29 +212,21 @@ def _newton_weights(space, pt, nvec, has_count, unit_mu=None):
     Hessian in theta in ``_theta_information``.  A stacked point gives one
     row of each per table."""
     lam, orbits = space.lam, space.orbits
-    zero = np.zeros_like(pt.g)
+    zero = np.zeros(pt.g.shape)
     wu = np.divide(pt.w, pt.u, out=zero.copy(), where=pt.g > 0)
     nu = np.divide(nvec, pt.u, out=zero.copy(), where=has_count)
     nu2 = np.divide(nu, pt.u, out=zero.copy(), where=has_count)
     W = orbits.sum(pt.w)  # 0 in a pinned orbit with no free cell
-    mu = np.divide(orbits.sum(nu), W, out=np.zeros_like(W), where=W > 0)
+    mu = np.divide(orbits.sum(nu), W, out=np.zeros(W.shape), where=W > 0)
     if unit_mu is not None:
         mu = np.where(np.isnan(unit_mu), mu, unit_mu)
-    return lam * nu2 + (1.0 - lam) * np.take(mu, orbits.orbit_id, axis=-1) * wu, wu
+    return lam * nu2 + (1.0 - lam) * mu[..., orbits.orbit_id] * wu, wu
 
 
 def _gram(a, weight, work=None):
     """sum_i weight_i a_i a_i' over the cells, one matrix per leading row;
     ``work`` takes the weighted slopes when given."""
     return np.swapaxes(a, -1, -2) @ np.multiply(weight[..., None], a, out=work)
-
-
-def _sufficient_decrease(merit, merit0, t, slope, quad):
-    """The backtracking test of a step of length t.  A step whose predicted
-    gain ``quad`` is below 1e-9 in G2 units is taken in full: the merit
-    cannot resolve it from rounding."""
-    slack = np.where(np.abs(quad) < 1e-9, np.inf, 1e-13 * (1.0 + np.abs(merit0)))
-    return merit <= merit0 + 1e-4 * t * slope + slack
 
 
 def _constrained_step(B, score, C, r, pinv=False, rows_lsq=False):
@@ -258,7 +262,7 @@ def _link_score(space, pt, nvec, has_count, out=None, work=None):
     """(dy/dtheta, score of sum_i n_i log g_i), one of each per row of a
     stacked point; ``out`` and ``work`` as for ``LinkSpace.slopes``."""
     a = space.slopes(pt, out, work)
-    nu = np.divide(nvec, pt.u, out=np.zeros_like(pt.u), where=has_count)
+    nu = np.divide(nvec, pt.u, out=np.zeros(pt.u.shape), where=has_count)
     return a, (np.swapaxes(a, -1, -2) @ nu[..., None])[..., 0]
 
 
@@ -289,12 +293,8 @@ def _link_start(space, theta: np.ndarray) -> LinkPoint | None:
     feasible one of 4 halvings toward 0."""
     if not np.all(np.isfinite(theta)):
         return None
-    for k in range(4 * (space.lam > 1.0) + 1):
-        try:
-            return space.evaluate(theta * 0.5**k)
-        except InfeasibleParameterError:
-            pass
-    return None
+    pt, feasible = _evaluate(space, theta * 0.5 ** np.arange(4 * (space.lam > 1.0) + 1)[:, None])
+    return pt[np.argmax(feasible)] if feasible.any() else None
 
 
 def _edge_rows(space, pt, a, active):
@@ -337,47 +337,83 @@ def _reach(dy, u, lam):
         return np.where(dy < 0, u / (-lam * dy), np.inf)
 
 
+def _evaluate(space, theta, held=None, start=None, holdable=None):
+    """(point, feasible): ``LinkSpace.evaluate`` at each row of theta, the
+    rows it cannot evaluate there evaluated at theta = 0 with no cell held,
+    and void; ``feasible`` is a row mask, or True where every row is, and
+    the point is None where theta = 0 is refused too."""
+    feasible = np.True_
+    while True:
+        try:
+            return space.evaluate(theta, held, start, holdable), feasible
+        except InfeasibleParameterError as exc:
+            if not feasible.any():
+                return None, feasible
+            bad = np.full(len(theta), True) if exc.orbits is None else exc.orbits.any(axis=-1)
+            feasible = feasible & ~bad
+            theta = np.where(feasible[:, None], theta, 0.0)
+            held = None if held is None else held & feasible[:, None]
+
+
 def _link_ascent(space, pt, nvec):
-    """Climb sum_i n_i log g_i from ``pt``; returns (point, loglik, iterations).
+    """Climb sum_i n_i log g_i from each row of the stacked point ``pt`` for
+    the table in the same row of ``nvec``; returns (point, loglik,
+    iterations, errors) per table, errors[k] being None or the FitError that
+    stopped table k, whose point is then void.
 
     Damped Newton (Fisher scoring where the Hessian is indefinite) with a
     backtracking line search that stays in the F^{-1} domain.  For a lam > 0
     link, a zero-count cell whose share reaches 0 is held on the domain edge
     as an active constraint (``_edge_rows``; for lam > 1 it pins its orbit),
-    and released when its multiplier turns negative.  Converged when the
-    projected score is below SCORE_TOL * (1 + n) and every edge row is met
-    within TOL_CONSTRAINT; raises FitError after MAX_ITER steps.
+    and released when its multiplier turns negative.  A table has converged
+    when its projected score is below SCORE_TOL * (1 + n) and every edge row
+    is met within TOL_CONSTRAINT; it fails after MAX_ITER steps.  The tables
+    climb in lockstep, each in the arithmetic of a stack of one, with its
+    own held cells, step mode, step length, iterations and trace: those
+    without held cells step by one stacked solve, the others plan alone.
     """
-    lam, n = space.lam, float(nvec.sum())
-    orbit_counts = space.orbits.sum(nvec)
+    lam, orbits, d = space.lam, space.orbits, space.X.shape[1]
+    n = nvec.sum(axis=1)
     tol = SCORE_TOL * (1.0 + n)
+    orbit_counts = orbits.sum(nvec)
     has_count = nvec > 0
     holdable = ~has_count & (lam > 0)
     # The cell or orbit that a released row frees.
-    owner_of = space.orbits.orbit_id if space.pins else np.arange(len(nvec))
-    unit_mu = np.full(len(orbit_counts), np.nan) if space.pins else None
-    trace: list[tuple] = []
+    owner_of = orbits.orbit_id if space.pins else np.arange(nvec.shape[1])
+    unit_mu = np.full(orbit_counts.shape, np.nan) if space.pins else None
+    ll = _link_loglik(nvec, has_count, pt.g)
+    out, iterations, errors = pt[np.arange(len(nvec))], np.zeros(len(nvec), int), [None] * len(nvec)
+    history = []  # per step: (step, tables, loglik, score norm, edge residual, mode)
+    live = np.arange(len(nvec))  # the tables still climbing
+    # the slopes and the weighted slopes, allocated once for the tables
+    slopes, work = np.empty((2, len(nvec)) + space.X.shape)
 
-    def merit_at(q, nu):
-        ll_q = _link_loglik(nvec, has_count, q)
-        if not q.held.any():
-            return ll_q, -ll_q
-        return ll_q, -ll_q + nu * float(np.sum(np.abs(_edge_rows(space, q, None, q.held)[1])))
+    def fail(k, message):
+        trace = [(it, float(l[i]), float(s[i]), float(e[i]), m[i])
+                 for it, rows, l, s, e, m in history for i in np.flatnonzero(rows == k)]
+        errors[k] = FitError(message, trace)
 
-    def plan(pt, it, a, score):
-        """The constrained Newton step at pt, after releasing held cells."""
-        if not np.all(np.isfinite(score)):
-            raise FitError(f"non-finite score at iteration {it}", trace)
-        active = pt.held.copy()
+    def plan(pk, ak, sk, k, it, information=None):
+        """The constrained Newton step of table k at the point pk, with slopes
+        ak and score sk, after releasing held cells; ``information`` is its
+        (B, mode) where the stacked ``_theta_information`` has it."""
+        if not np.all(np.isfinite(sk)):
+            raise FitError(f"non-finite score at iteration {it}")
+        active = pk.held.copy()
         try:
-            C, r, owner, releasable = _edge_rows(space, pt, a, active)
-            B, mode = _theta_information(
-                space, pt, a, nvec, has_count, orbit_counts, unit_mu,
-                _null_space(C) if space.pins else None,
-            )
+            C, r, owner, releasable = _edge_rows(space, pk, ak, active)
+            if information is None:
+                B, mode = _theta_information(
+                    space, pk[None], ak[None], nvec[k : k + 1], has_count[k : k + 1],
+                    orbit_counts[k : k + 1],
+                    None if unit_mu is None else unit_mu[k : k + 1],
+                    _null_space(C) if space.pins else None,
+                )
+                information = B[0], mode[0]
+            B, mode = information
             pinv = mode == "fisher-pinv"
-            step, mu = _constrained_step(B, score, C, r, pinv, space.pins)
-            kkt = float(np.max(np.abs(score + C.T @ mu)))
+            step, mu = _constrained_step(B, sk, C, r, pinv, space.pins)
+            kkt = float(np.max(np.abs(sk + C.T @ mu)))
             resid = float(np.max(np.abs(r), initial=0.0))
             # Release held cells with clearly negative multipliers, one row at
             # a time, while the freed cells then move off the edge; a cell
@@ -385,100 +421,132 @@ def _link_ascent(space, pt, nvec):
             while True:
                 # an orbit whose free cells hold more than |o| has no free normalizer
                 want = np.where(releasable & ((r <= 0) | ~space.pins), mu, np.inf)
-                if not np.any(want < -1e-6 * (1.0 + n)):
+                if not np.any(want < -1e-6 * (1.0 + n[k])):
                     break
-                k = int(np.argmin(want))
-                trial = active & (owner_of != owner[k])
-                rows = _edge_rows(space, pt, a, trial)
-                freed, freed_mu = _constrained_step(B, score, rows[0], rows[1], pinv, space.pins)
-                if C[k] @ freed <= 1e-9 * np.linalg.norm(C[k]) * np.linalg.norm(freed):
+                i = int(np.argmin(want))
+                trial = active & (owner_of != owner[i])
+                rows = _edge_rows(space, pk, ak, trial)
+                freed, freed_mu = _constrained_step(B, sk, rows[0], rows[1], pinv, space.pins)
+                if C[i] @ freed <= 1e-9 * np.linalg.norm(C[i]) * np.linalg.norm(freed):
                     break
                 active, step, mu = trial, freed, freed_mu
                 C, r, owner, releasable = rows
         except np.linalg.LinAlgError as exc:
-            raise FitError(
-                f"singular information matrix at iteration {it}: {exc}", trace
-            ) from exc
+            raise FitError(f"singular information matrix at iteration {it}: {exc}") from exc
         return dict(
-            a=a, B=B, mode=mode, active=active, r=r, owner=owner,
-            releasable=releasable, step=step, mu=mu, kkt=kkt, resid=resid,
+            B=B, mode=mode, active=active, owner=owner, releasable=releasable, step=step, mu=mu,
+            kkt=kkt, resid=resid, nu=2.0 * float(np.max(np.abs(mu), initial=0.0)) + 1.0,
+            mur=float(mu @ r), pen=float(np.sum(np.abs(r))),
         )
 
-    def line_search(pt, p, ll0, r0, it):
-        """(point, loglik) of a backtracking search along p's step from pt,
-        judged against a point with log likelihood ll0 and edge rows r0."""
-        a, B, active, r, mu, step = p["a"], p["B"], p["active"], p["r"], p["mu"], p["step"]
+    def search(q, a, k, p, pen0, it):
+        """(point, loglik, failed) of a backtracking search along each row's
+        step from the stacked point q of tables k, by its terms p, against
+        edge residuals pen0; ``failed`` maps a row that found no step to the
+        reason.  Each trial evaluates every row, one that has moved again."""
+        step, active, nu = p["step"], p["active"], p["nu"]
+        hold_ok = p["holdable"] if lam > 0 else None
         # Exact-penalty merit; its slope along the step is negative.
-        nu = 2.0 * float(np.max(np.abs(mu), initial=0.0)) + 1.0
-        merit0 = -ll0 + nu * float(np.sum(np.abs(r0)))
-        quad = float(step @ B @ step)
-        slope = min(-quad + float(mu @ r) - nu * float(np.sum(np.abs(r))), 0.0)
+        merit0 = -ll[k] + nu * pen0
+        quad = (step[:, None, :] @ p["B"] @ step[..., None])[:, 0, 0]
+        slope = np.minimum(-quad + p["mur"] - nu * p["pen"], 0.0)
+        # A step whose predicted gain quad is below 1e-9 in G2 units is taken
+        # in full: the merit cannot resolve it from rounding.
+        slack = np.where(np.abs(quad) < 1e-9, np.inf, 1e-13 * (1.0 + np.abs(merit0)))
         # A free zero-count cell that the step would carry over the edge of
         # a pinned orbit (or, for lam <= 1, of any orbit) blocks it there and
         # is held from then on.  A free lam > 1 orbit's normalizer keeps its
         # cells off the edge, and its y is too far from linear to land one.
-        t, blockers = 1.0, np.zeros(0, dtype=np.intp)
-        free_zero = np.flatnonzero(holdable & ~active)
-        if space.pins:
-            pinned = np.zeros(len(orbit_counts), dtype=bool) if pt.pin is None else pt.pin >= 0
-            free_zero = free_zero[pinned[space.orbits.orbit_id[free_zero]]]
-        if free_zero.size:
-            reach = _reach(a[free_zero] @ step, pt.u[free_zero], lam)
-            if reach.min() < 1.0:
-                t = float(reach.min())
-                blockers = free_zero[reach <= t * (1.0 + 1e-9)]
-        t_block = t
-        infeasible = 0
+        t, hold, blocking = np.full(len(k), 1.0), active, None
+        if hold_ok is not None:
+            free_zero = hold_ok & ~active & ((q.pin >= 0)[:, orbits.orbit_id] if space.pins else True)
+            for i in np.flatnonzero(free_zero.any(axis=1)):
+                cells = np.flatnonzero(free_zero[i])
+                reach = _reach(a[i, cells] @ step[i], q.u[i, cells], lam)
+                if reach.min() < 1.0:
+                    t[i] = reach.min()
+                    blocking = np.zeros(active.shape, dtype=bool) if blocking is None else blocking
+                    blocking[i, cells[reach <= t[i] * (1.0 + 1e-9)]] = True
+        t_block, infeasible, moved = t.copy(), np.zeros(len(k), int), np.zeros(len(k), bool)
+        trial, ll_trial = q, ll[k]
         for _ in range(60):
-            hold = active.copy()
-            if t == t_block:
-                hold[blockers] = True
-            try:
-                new = space.evaluate(pt.theta + t * step, hold, pt.gamma, holdable)
-                if space.pins and np.any(new.held & ~hold):
-                    grabbed = np.zeros(len(orbit_counts), dtype=bool)
-                    grabbed[space.orbits.orbit_id[new.held & ~hold]] = True
-                    excess = (space.orbits.sum(new.g) - space.orbits.size)[grabbed]
-                    if np.any(excess > PIN_EXCESS):
-                        raise InfeasibleParameterError("a pin leaves its orbit far over |o|")
-            except InfeasibleParameterError:
-                infeasible += 1
-                t *= 0.5
-                continue
-            ll_new, merit = merit_at(new, nu)
-            if _sufficient_decrease(merit, merit0, t, slope, quad):
-                return new, ll_new
-            t *= 0.5
-        reason = (
-            "an orbit normalizer is infeasible at every trial step"
-            if infeasible == 60
-            else "no trial step improves the likelihood"
-        )
-        raise FitError(
-            f"line search failed at iteration {it}: {reason}; "
-            f"score norm {p['kkt']:.3e}",
-            trace,
-        )
+            if blocking is not None:
+                hold = active | blocking & (t == t_block)[:, None]
+            found, ok = _evaluate(space, q.theta + t[:, None] * step, hold, q.gamma, hold_ok)
+            if found is not None:
+                trial = found
+                if space.pins:  # a pin that leaves its orbit far over |o| is infeasible
+                    grabbed = orbits.sum(trial.held & ~hold) > 0
+                    ok &= ~np.any(grabbed & (orbits.sum(trial.g) - orbits.size > PIN_EXCESS), axis=1)
+                ll_trial = _link_loglik(p["counts"], p["counted"], trial.g)
+                merit = -ll_trial
+                for i in np.flatnonzero(ok & ~moved & trial.held.any(axis=1)) if trial.held.any() else ():
+                    r = _edge_rows(space, trial[i], None, trial.held[i])[1]
+                    merit[i] += nu[i] * float(np.sum(np.abs(r)))
+                moved |= ok & (merit <= merit0 + 1e-4 * t * slope + slack)
+                if moved.all():
+                    return trial, ll_trial, {}
+            infeasible += ~ok
+            t[~moved] *= 0.5
+        return trial, ll_trial, {
+            i: "an orbit normalizer is infeasible at every trial step" if infeasible[i] == 60
+            else "no trial step improves the likelihood" for i in np.flatnonzero(~moved)}
 
-    ll = _link_loglik(nvec, has_count, pt)
+    m = 0
     for it in range(MAX_ITER + 1):
-        a, score = _link_score(space, pt, nvec, has_count)
-        if not pt.held.any() and np.all(np.abs(score) <= tol):
-            trace.append((it, ll, float(np.max(np.abs(score))), 0.0, "stationary"))
+        if m != len(live):  # the tables climbing changed
+            m, counts, counted = len(live), nvec[live], has_count[live]
+            by_table = dict(counts=counts, counted=counted, holdable=holdable[live], tol=tol[live])
+        a, score = _link_score(space, pt, counts, counted, slopes[:m], work[:m])
+        kkt = np.abs(score).max(axis=1)
+        free = ~pt.held.any(axis=1)
+        ended = free & (kkt <= by_table["tol"])
+        climbing, mode, resid = ~ended, np.array(["stationary"] * m, dtype=object), np.zeros(m)
+        # a table without held cells has no edge rows: no penalty
+        terms = dict(step=np.zeros(score.shape), B=np.zeros((m, d, d)), active=pt.held.copy(),
+                     nu=np.full(m, 1.0), mur=np.zeros(m), pen=np.zeros(m))
+        plain, info = climbing & free & np.isfinite(kkt), None
+        if climbing.any():
+            try:
+                terms["B"], info = _theta_information(
+                    space, pt, a, counts, counted, orbit_counts[live],
+                    None if unit_mu is None else unit_mu[live], None, work[:m],
+                )
+                plain &= info != "fisher-pinv"
+                at = slice(None) if plain.all() else plain  # a slice takes views
+                if plain.any():
+                    terms["step"][at] = np.linalg.solve(terms["B"][at], score[at, :, None])[..., 0]
+                    mode[at] = info[at]
+            except np.linalg.LinAlgError:  # singular, or not finite: each table alone
+                plain[:], info = False, None
+        plans = {}
+        for j in np.flatnonzero(climbing & ~plain):
+            # a held cell of a pinned orbit needs definiteness on its tangent only
+            given = None if info is None or space.pins and not free[j] else (terms["B"][j], info[j])
+            try:
+                plans[j] = p = plan(pt[j], a[j], score[j], live[j], it, given)
+            except FitError as exc:
+                fail(live[j], str(exc))
+                climbing[j] = False
+                continue
+            ended[j] = (p["kkt"] <= by_table["tol"][j] and p["resid"] <= TOL_CONSTRAINT
+                        and np.array_equal(p["active"], pt.held[j]))
+            kkt[j], resid[j], mode[j] = p["kkt"], p["resid"], p["mode"]
+            for key, v in terms.items():
+                v[j] = p[key]
+        # a table that failed above has no record of this step, nor any later
+        history.append((it, live, ll[live], kkt, resid, mode))
+        if ended.any():
+            out[live[ended]], iterations[live[ended]] = pt[ended], it
+        climbing &= ~ended
+        if it == MAX_ITER or not climbing.any():
+            for j in np.flatnonzero(climbing):
+                fail(live[j], f"no convergence within {MAX_ITER} iterations; "
+                              f"final score norm {kkt[j]:.3e}")
             break
-        p = plan(pt, it, a, score)
-        trace.append((it, ll, p["kkt"], p["resid"], p["mode"]))
-        if p["kkt"] <= tol and p["resid"] <= TOL_CONSTRAINT and np.array_equal(p["active"], pt.held):
-            break
-        if it == MAX_ITER:
-            raise FitError(
-                f"no convergence within {MAX_ITER} iterations; "
-                f"final score norm {p['kkt']:.3e}",
-                trace,
-            )
-        moved = None
-        free_zero = np.flatnonzero(holdable & ~p["active"]) if space.pins else ()
-        if len(free_zero):
+
+        pinned = {}
+        for j in np.flatnonzero(climbing) if space.pins else ():
             # Near a lam > 1 edge dg/dy blows up, so the free normalizer holds
             # a zero cell's y in place and a Newton step only shrinks its
             # distance u by a constant factor.  A cell that the step takes
@@ -486,31 +554,57 @@ def _link_ascent(space, pt, nvec):
             # that the step moves toward the edge from within PIN_U of it,
             # is pinned where it stands instead, and the pinned orbit's step
             # is taken if it improves on the unpinned point.
-            dy = p["a"][free_zero] @ p["step"]
-            hold = pt.held.copy()
-            hold[free_zero[_reach(dy, pt.u[free_zero], lam) < 2.0]] = True
-            approach = (dy < 0) & (pt.u[free_zero] < PIN_U)
-            if pt.pin is not None:
-                approach &= pt.pin[space.orbits.orbit_id[free_zero]] < 0
-            near = np.full(len(nvec), np.inf)
-            near[free_zero[approach]] = pt.y[free_zero[approach]]
-            hold |= np.isfinite(near) & (near == space.orbits.min(near)[space.orbits.orbit_id])
-            if np.any(hold & ~pt.held):
-                try:
-                    alt = space.evaluate(pt.theta, hold, pt.gamma)
-                    alt_plan = plan(alt, it, *_link_score(space, alt, nvec, has_count))
-                    moved = line_search(alt, alt_plan, ll, p["r"], it)
-                    p = alt_plan
-                except (InfeasibleParameterError, FitError):
-                    moved = None
-        if moved is None:
-            moved = line_search(pt, p, ll, p["r"], it)
-        if unit_mu is not None:
-            unit_mu[:] = np.nan
-            unit_mu[p["owner"][p["releasable"]]] = p["mu"][p["releasable"]]
-        pt, ll = moved
+            free_zero = np.flatnonzero(by_table["holdable"][j] & ~terms["active"][j])
+            pj = pt[j]
+            dy = a[j, free_zero] @ terms["step"][j]
+            hold = pj.held.copy()
+            hold[free_zero[_reach(dy, pj.u[free_zero], lam) < 2.0]] = True
+            approach = (dy < 0) & (pj.u[free_zero] < PIN_U) & (pj.pin[orbits.orbit_id[free_zero]] < 0)
+            near = np.full(len(hold), np.inf)
+            near[free_zero[approach]] = pj.y[free_zero[approach]]
+            hold |= np.isfinite(near) & (near == orbits.min(near)[orbits.orbit_id])
+            if not np.any(hold & ~pj.held):
+                continue
+            try:
+                q = space.evaluate(pj.theta[None], hold[None], pj.gamma[None])
+                qa, qs = _link_score(space, q, counts[j : j + 1], counted[j : j + 1])
+                qp = plan(q[0], qa[0], qs[0], live[j], it)
+            except (InfeasibleParameterError, FitError):
+                continue
+            found = search(q, qa, live[j : j + 1], {key: np.array([qp[key]]) for key in terms}
+                           | {key: v[j : j + 1] for key, v in by_table.items()}, terms["pen"][j], it)
+            if not found[2]:
+                pinned[j] = found[0], found[1], qp
 
-    return pt, ll, it
+        climbing[list(pinned)] = False
+        at = slice(None) if climbing.all() else climbing  # a slice takes views
+        k = live[at]
+        new, ll_new, failed = search(pt[at], a[at], k, {
+            key: v[at] for key, v in (terms | by_table).items()}, terms["pen"][at], it)
+        for i, reason in failed.items():
+            fail(k[i], f"line search failed at iteration {it}: {reason}; "
+                       f"score norm {kkt[at][i]:.3e}")
+        if unit_mu is not None:  # the pinned orbits' multipliers of the step taken
+            unit_mu[live] = np.nan
+            for j, p in (plans | {j: found[2] for j, found in pinned.items()}).items():
+                unit_mu[live[j], p["owner"][p["releasable"]]] = p["mu"][p["releasable"]]
+        if failed or pinned:  # the climbing tables change
+            m, moved = 0, np.ones(len(k), dtype=bool)
+            moved[list(failed)] = False
+            k, new, ll_new = (
+                np.concatenate([k[moved], live[list(pinned)]]),
+                LinkPoint.concatenate([new[moved]] + [found[0] for found in pinned.values()]),
+                np.concatenate([ll_new[moved]] + [found[1] for found in pinned.values()]))
+        live, pt = k, new
+        ll[live] = ll_new
+
+    return out, ll, iterations, errors
+
+
+def _climb(space, pt, nvec) -> LinkPoint | None:
+    """The end of one table's climb from the point pt, or None where it fails."""
+    end, _, _, errors = _link_ascent(space, pt[None], nvec[None])
+    return None if errors[0] else end[0]
 
 
 def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
@@ -525,10 +619,10 @@ def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
     tables show them at lam = -1.1 and -1.5, never at lam = -1, Hellinger's
     -1/2 or -1/4; and at lam = 1.5, 2 and 3, where the edge's infinite dg/dy
     makes every zero cell on it a corner), so links with |lam| > 1 are
-    climbed from several starts, keeping the best: the smoothed table (for
-    lam > 1 its theta halved toward 0 until feasible), theta = 0, for
-    lam < -1 the KL fit, and for lam > 1 the fit of the table plus t in
-    every cell, followed from t = 0.5 down to 0.02.
+    climbed from several starts, as the rows of one stack, keeping the best:
+    the smoothed table (for lam > 1 its theta halved toward 0 until
+    feasible), theta = 0, for lam < -1 the KL fit, and for lam > 1 the fit
+    of the table plus t in every cell, followed from t = 0.5 down to 0.02.
 
     theta = 0 lies in every link model and has within-orbit log likelihood
     (``_link_loglik``) exactly 0, so a start whose climb ends below
@@ -549,47 +643,36 @@ def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
     if not fitted:
         starts.append(_link_start(space, theta))
         if space.lam < -1.0:
-            kl = FFunction(KL)
-            kl_space = link_space(shape, spec.family, kl)
-            kl_start = _link_start(kl_space, _smoothed_start(kl_space, nvec)[0])
-            try:
-                if kl_start is None:
-                    kl_start = kl_space.evaluate(zero)
-                kl_pt = _link_ascent(kl_space, kl_start, nvec)[0]
+            kl_space = link_space(shape, spec.family, FFunction(KL))
+            kl_pt = _link_start(kl_space, _smoothed_start(kl_space, nvec)[0])
+            kl_pt = _climb(kl_space, kl_space.evaluate(zero) if kl_pt is None else kl_pt, nvec)
+            if kl_pt is not None:
                 starts.append(_link_start(space, _share_theta(space, kl_pt.g)))
-            except FitError:
-                pass
         if abs(space.lam) > 1.0:
             starts.append(space.evaluate(zero))
         if space.lam > 1.0:
             # The fit of the table plus t in every cell has no cell on the
             # edge; followed as t shrinks, it leads into the basin that the
             # zero cells approach from the inside.
-            try:
-                pt = space.evaluate(zero)
-                for t in (0.5, 0.1, 0.02):
-                    pt = _link_ascent(space, pt, nvec + t)[0]
-                starts.append(pt)
-            except FitError:
-                pass
+            pt = space.evaluate(zero)
+            for t in (0.5, 0.1, 0.02):
+                pt = None if pt is None else _climb(space, pt, nvec + t)
+            starts.append(pt)
     starts = [pt for pt in starts if pt is not None] or [space.evaluate(zero)]
-    best, error = None, None
-    for start in starts:
-        try:
-            result = _link_ascent(space, start, nvec)
-            if result[1] < -0.5 * G2_ROUNDOFF:
-                raise FitError(
-                    f"climb ended below the symmetric fit (theta = 0): within-orbit "
-                    f"log likelihood {result[1]:.6g} < -G2_ROUNDOFF / 2"
-                )
-        except FitError as exc:
-            error = error or exc
-            continue
-        if best is None or result[1] > best[1]:
-            best = result
-    if best is None:
-        raise error
-    pt, _, iterations = best
+    ends, ll, steps, errors = _link_ascent(
+        space, LinkPoint.concatenate([pt[None] for pt in starts]) if len(starts) > 1
+        else starts[0][None], np.tile(nvec, (len(starts), 1)))
+    for k, error in enumerate(errors):
+        if error is None and ll[k] < -0.5 * G2_ROUNDOFF:
+            errors[k] = FitError(
+                f"climb ended below the symmetric fit (theta = 0): within-orbit "
+                f"log likelihood {ll[k]:.6g} < -G2_ROUNDOFF / 2"
+            )
+    fits = [k for k, error in enumerate(errors) if error is None]
+    if not fits:
+        raise errors[0]
+    best = max(fits, key=lambda k: ll[k])
+    pt, iterations = ends[best], int(steps[best])
 
     orbits = space.orbits
     resid = 0.0
@@ -610,18 +693,15 @@ def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
 
 def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """G2 of the s/gs/els/ls model ``spec`` on each row of ``counts``, a stack
-    of tables of ``shape``.
+    of tables of ``shape``, each ``fit_model``'s bit for bit.
 
-    s takes its closed form on every row in ``fit_symmetry``'s arithmetic,
-    so each row's G2 is ``fit_model``'s bit for bit.  Under gs/els/ls, the
-    tables with every count positive under a link with |lam| <= 1 take
-    ``fit_link``'s climb, run on all of them in lockstep (``_link_block``)
-    with full Newton steps only.  A NaN marks a table outside that case (a
-    zero count, |lam| > 1) or one the lockstep climb hands over (a step that
-    would be cut, say); ``fit_model`` must fit it from scratch.
-    The first table the climb settles is also fitted by ``fit_model``; if
-    the two G2 differ by more than BLOCK_RTOL, every table is handed over.
-    Otherwise a row's G2 does not depend on the rows beside it.
+    s takes its closed form in ``fit_symmetry``'s arithmetic; gs/els/ls with
+    |lam| <= 1 take ``fit_link``'s start and climb, run on the whole stack.
+    A NaN marks a table for ``fit_model`` to fit: every table under |lam| > 1,
+    whose several starts stay per table, and a table whose climb fails, for
+    which ``fit_model`` raises the FitError.  The first settled table is
+    also fitted by ``fit_model``; if the two G2 differ by more than
+    BLOCK_RTOL, every table is handed over.
     """
     if spec.family not in (SYMMETRY,) + design.ASYMMETRY_FAMILIES:
         raise ValueError(f"fit_block fits s/gs/els/ls, not {spec.family}")
@@ -633,18 +713,20 @@ def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndar
         return np.where(nonpositive | (value < -G2_ROUNDOFF), np.nan, np.maximum(value, 0.0))
     out = np.full(len(counts), np.nan)
     space = link_space(shape, spec.family, spec.ff)
-    rows = np.flatnonzero(np.all(counts > 0, axis=1))
-    if abs(space.lam) > 1.0 or not rows.size:
+    if abs(space.lam) > 1.0:
         return out
-    nvec = counts[rows]
-    g, settled = _link_block(space, nvec)
+    # fit_link's start, theta = 0 where that is not finite or not feasible
+    theta = _smoothed_start(space, counts)[0]
+    theta[~np.all(np.isfinite(theta), axis=1)] = 0.0
+    ends, ll, _, errors = _link_ascent(space, _evaluate(space, theta)[0], counts)
     orbits = space.orbits
-    mhat = (orbits.sum(nvec) / orbits.size)[:, orbits.orbit_id] * g
-    value, nonpositive = _g2_values(nvec, mhat)
+    mhat = (orbits.sum(counts) / orbits.size)[:, orbits.orbit_id] * ends.g
+    value, nonpositive = _g2_values(counts, mhat)
+    settled = np.array([error is None for error in errors]) & (ll >= -0.5 * G2_ROUNDOFF)
     settled &= ~nonpositive & (value >= -G2_ROUNDOFF)
-    out[rows[settled]] = np.maximum(value[settled], 0.0)
+    out[settled] = np.maximum(value[settled], 0.0)
     if settled.any():
-        k = rows[np.argmax(settled)]
+        k = np.argmax(settled)
         try:
             want = fit_model(CountTable(shape, counts[k]), spec).g2
         except FitError:
@@ -652,92 +734,6 @@ def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndar
         if not abs(out[k] - want) <= BLOCK_RTOL * (1.0 + want):
             out[:] = np.nan
     return out
-
-
-def _point_rows(pt: LinkPoint, k) -> LinkPoint:
-    """Rows k of a stacked point."""
-    return LinkPoint(pt.theta[k], pt.gamma[k], pt.y[k], pt.g[k], pt.u[k], pt.w[k], pt.held[k], None)
-
-
-def _definite_steps(B, score):
-    """(B^-1 score, mask of the rows whose B is finite and passes Cholesky);
-    the other rows' steps are void."""
-    ok = np.all(np.isfinite(B), axis=(1, 2))
-    eye = np.eye(B.shape[1])
-    B = np.where(ok[:, None, None], B, eye)
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:  # the stacked test does not say which row failed
-        for k in np.flatnonzero(ok):
-            try:
-                np.linalg.cholesky(B[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        B = np.where(ok[:, None, None], B, eye)
-    return np.linalg.solve(B, np.where(ok[:, None], score, 0.0)[..., None])[..., 0], ok
-
-
-def _link_block(space, nvec):
-    """(g, settled): ``_link_ascent``'s interior climb from ``fit_link``'s
-    start, in lockstep over the rows of ``nvec``, for a link with
-    |lam| <= 1 and every count positive, so that no cell is ever held.
-
-    It takes the same start, score test SCORE_TOL * (1 + n), Newton weights,
-    full step, sufficient decrease test at t = 1 and MAX_ITER, and settles
-    a row only where ``fit_link`` would accept its climb (log likelihood at
-    least -G2_ROUNDOFF / 2).  A row is handed over, never as a partial
-    iterate, when its start is infeasible, its Hessian fails Cholesky
-    (``_link_ascent`` would switch to Fisher scoring), its score is not
-    finite, its full step is infeasible or fails the test (``_link_ascent``
-    would cut it), it ends below the symmetric fit or it reaches MAX_ITER.
-    Every step acts on each row alone.
-    """
-    n = nvec.sum(axis=1)
-    g_out = np.zeros(nvec.shape)
-    settled = np.zeros(len(nvec), dtype=bool)
-
-    pt, feasible = space.evaluate_rows(_smoothed_start(space, nvec)[0])
-    row = np.flatnonzero(feasible)  # the tables still climbing
-    if not feasible.all():
-        pt = _point_rows(pt, row)
-    ll = _row_loglik(nvec[row], pt.g)
-    # the slopes and the weighted slopes, allocated once for the rows that climb
-    slopes, work = np.empty((2, len(row)) + space.X.shape)
-
-    for it in range(MAX_ITER + 1):
-        counts, k = nvec[row], len(row)
-        a, score = _link_score(space, pt, counts, True, slopes[:k], work[:k])
-        stationary = np.all(np.abs(score) <= SCORE_TOL * (1.0 + n[row])[:, None], axis=1)
-        done = stationary & (ll >= -0.5 * G2_ROUNDOFF)
-        g_out[row[done]] = pt.g[done]
-        settled[row[done]] = True
-        live = ~stationary & np.all(np.isfinite(score), axis=1) & (it < MAX_ITER)
-        if not live.any():
-            break
-        if not live.all():
-            row, pt, ll, counts = row[live], _point_rows(pt, live), ll[live], counts[live]
-            a, score = a[live], score[live]
-
-        B = _gram(a, _newton_weights(space, pt, counts, True)[0], work[: len(row)])
-        step, ok = _definite_steps(B, score)
-
-        # _link_ascent's test of its full step with no edge rows: nu = 1, slope -quad
-        quad = (step[:, None, :] @ B @ step[..., None])[:, 0, 0]
-        trial, feasible = space.evaluate_rows(pt.theta + step, pt.gamma)
-        ll_trial = _row_loglik(counts, trial.g)
-        moved = ok & feasible & _sufficient_decrease(-ll_trial, -ll, 1.0, np.minimum(-quad, 0.0), quad)
-        if moved.all():
-            pt, ll = trial, ll_trial
-        else:
-            row, pt, ll = row[moved], _point_rows(trial, moved), ll_trial[moved]
-    return g_out, settled
-
-
-def _row_loglik(nvec, g):
-    """``_link_loglik`` of each row, every count positive."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = np.sum(nvec * np.log(g), axis=1)
-    return np.where(np.all(g > 0, axis=1), ll, -math.inf)
 
 
 def fit_moment(counts: CountTable, spec: ModelSpec) -> FitResult:

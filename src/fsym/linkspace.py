@@ -27,11 +27,10 @@ edge:
   the orbit's free cells becomes a constraint on theta (``pins``).
 
 ``normalizers`` solves the orbits of one table or, over leading axes, of a
-stack of tables of one shape, each orbit of each table alone.
-``LinkSpace.evaluate`` builds one table's point, with held and pinned cells;
-``evaluate_rows`` builds a stack's, with no cell held, for the lockstep fits
-of ``fitting.fit_block``.  The orbit type, ``Orbits``, lives in ``tables``
-and is re-exported here.
+stack of tables of one shape, each orbit of each table alone, and
+``LinkSpace.evaluate`` builds the point of one table or of a stack, with
+held and pinned cells, for ``fitting``'s link climb.  The orbit type,
+``Orbits``, lives in ``tables`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -127,9 +126,10 @@ def normalizers(z, orbits: Orbits, lam: float, free=None, start=None) -> np.ndar
     return gamma
 
 
-@dataclass(frozen=True)
+@dataclass
 class LinkPoint:
-    """Link values at one theta: y = z + gamma_o, g = F^{-1}(y), u = 1 + lam y."""
+    """Link values at one theta, or at each row of a stack of them:
+    y = z + gamma_o, g = F^{-1}(y), u = 1 + lam y."""
 
     theta: np.ndarray
     gamma: np.ndarray  # per orbit
@@ -139,6 +139,22 @@ class LinkPoint:
     w: np.ndarray  # dg/dy
     held: np.ndarray
     pin: np.ndarray | None  # per orbit, the held cell that fixes gamma_o, or -1
+
+    def __getitem__(self, rows) -> "LinkPoint":
+        """The point of ``rows`` of a stacked point."""
+        return LinkPoint(*(None if v is None else v[rows] for v in vars(self).values()))
+
+    def __setitem__(self, rows, other: "LinkPoint"):
+        """Write the stacked point ``other`` into ``rows`` of this one."""
+        for mine, theirs in zip(vars(self).values(), vars(other).values()):
+            if mine is not None:
+                mine[rows] = theirs
+
+    @staticmethod
+    def concatenate(points) -> "LinkPoint":
+        """One stacked point of the rows of several."""
+        fields = zip(*(vars(pt).values() for pt in points))
+        return LinkPoint(*(None if v[0] is None else np.concatenate(v) for v in fields))
 
 
 class LinkSpace:
@@ -169,72 +185,58 @@ class LinkSpace:
         return (self._lift @ y[..., None])[..., 0]
 
     def evaluate(self, theta, held=None, start=None, holdable=None) -> LinkPoint:
-        """Link values at theta; held cells sit at g = 0 outside the normalizers.
+        """Link values at theta, of one table or of a stack on the leading
+        axis, each row solved alone; held cells sit at g = 0 outside the
+        normalizers, and under lam > 1 ``pin`` is -1 where nothing pins.
 
-        Where an orbit's normalizer has no root because its lowest free cell
-        would cross the edge, that cell is held instead if ``holdable`` allows.
+        In a stack, where an orbit's normalizer has no root because its
+        lowest free cell would cross the edge, that cell is held instead if
+        ``holdable`` allows.  Raises InfeasibleParameterError where an orbit
+        has no root otherwise, a pin leaves a free cell past the edge or a
+        link value overflows; its ``orbits`` marks the orbits without a root
+        or, for the other two, every orbit of the row.
         """
-        orbits, n_cells = self.orbits, len(self.orbits.orbit_id)
-        oid = orbits.orbit_id
-        held = np.zeros(n_cells, dtype=bool) if held is None else held.copy()
-        z = self.X @ theta
+        orbits, oid, n_cells = self.orbits, self.orbits.orbit_id, len(self.orbits.orbit_id)
+        z = (self.X @ theta[..., None])[..., 0]
+        held = np.zeros(z.shape, dtype=bool) if held is None else held.copy()
         while True:
-            pinned = None
+            zs, free, pinned = z, None, None
             if self.pins and held.any():
                 pinned = orbits.sum(held) > 0
                 # a pinned orbit's normalizer is not solved: all-zero z gives 0
-                zs, free = np.where(pinned[oid], 0.0, z), None
-            else:
-                zs, free = z, (~held if held.any() else None)
+                zs = np.where(pinned[..., oid], 0.0, z)
+            elif not self.pins and held.any():
+                free = ~held
             try:
                 gamma = normalizers(zs, orbits, self.lam, free, start)
                 break
             except InfeasibleParameterError as exc:
-                if holdable is None or exc.orbits is None:
+                if holdable is None:
                     raise
-                for o in np.flatnonzero(exc.orbits):
+                stuck = np.zeros(exc.orbits.shape, dtype=bool)
+                for k, o in zip(*np.nonzero(exc.orbits)):
                     cells = orbits.members[o]
-                    cells = cells[~held[cells]]
-                    low = cells[np.argmin(z[cells])]
-                    if not holdable[low]:
-                        raise
-                    held[low] = True
-        pin = None
+                    cells = cells[~held[k, cells]]
+                    low = cells[np.argmin(z[k, cells])]
+                    held[k, low], stuck[k, o] = holdable[k, low], not holdable[k, low]
+                if stuck.any():
+                    raise InfeasibleParameterError(str(exc), stuck) from exc
+        pin = np.full(gamma.shape, -1) if self.pins else None
         if pinned is not None:
             lowest = orbits.min(np.where(held, z, np.inf))
-            at_pin = held & (z == lowest[oid])
+            at_pin = held & (z == lowest[..., oid])
             pin = np.where(pinned, orbits.min(np.where(at_pin, np.arange(n_cells), n_cells)), -1)
             gamma = np.where(pinned, -1.0 / self.lam - lowest, gamma)
         pt = self._point(theta, z, gamma, held, pin)
-        if pinned is not None and np.any(~held & pinned[oid] & ~(pt.u > 0)):
-            raise InfeasibleParameterError("a free cell of a pinned orbit crosses the edge")
-        if not np.all(np.isfinite(pt.g)):
-            raise InfeasibleParameterError("link values overflow")
+        bad = ~np.isfinite(pt.g)
+        if pinned is not None:
+            bad |= ~held & pinned[..., oid] & ~(pt.u > 0)
+        if bad.any():
+            raise InfeasibleParameterError(
+                "link values overflow, or a free cell of a pinned orbit crosses the edge",
+                np.broadcast_to(bad.any(axis=-1)[..., None], gamma.shape),
+            )
         return pt
-
-    def evaluate_rows(self, theta, start=None) -> tuple[LinkPoint, np.ndarray]:
-        """``evaluate`` with no cell held at each row of theta, as one stacked
-        point, and the mask of its feasible rows.  A row is infeasible where
-        an orbit's normalizer has no root or the link values overflow; its
-        values are void.  The rows share one ``normalizers`` call on the
-        (rows, N) stack of design values, which solves each row alone, and
-        every other operation acts on each row alone too, so a row's values
-        do not depend on the rows beside it.
-        """
-        z = (self.X @ theta[..., None])[..., 0]
-        feasible = np.ones(len(theta), dtype=bool)
-        while True:
-            try:
-                gamma = normalizers(z, self.orbits, self.lam, None, start)
-                break
-            except InfeasibleParameterError as exc:
-                if exc.orbits is None:
-                    raise
-                feasible &= ~exc.orbits.any(axis=1)
-                z[~feasible] = 0.0  # theta = 0 always has gamma = 0
-        pt = self._point(theta, z, gamma, np.zeros(z.shape, dtype=bool))
-        feasible &= np.all(np.isfinite(pt.g), axis=1)
-        return pt, feasible
 
     def _point(self, theta, z, gamma, held, pin=None) -> LinkPoint:
         """The point of one table or a stack with design values z and
@@ -252,10 +254,10 @@ class LinkSpace:
 
         In a free orbit that is the dg/dy-weighted mean row: implicit
         differentiation of the normalizer equations eliminates gamma.  In a
-        pinned orbit it is the pin's row.  A stacked point (``evaluate_rows``)
-        gives one slope matrix per row, built in ``out`` with the weighted
-        rows in ``work`` when given (arrays of the result's shape), so that a
-        climb over a stack need not allocate them at every step.  For lam = 1
+        pinned orbit it is the pin's row.  A stacked point gives one slope
+        matrix per row, built in ``out`` with the weighted rows in ``work``
+        when given (arrays of the result's shape), so that a climb over a
+        stack need not allocate them at every step.  For lam = 1
         every dg/dy is 1, held cells included (``_dg_dy``), so every point's
         slopes are ``centered``, read-only and broadcast over a stack's rows.
         """
@@ -291,7 +293,7 @@ def _dg_dy(g, u, lam):
     """
     if lam == 1.0:
         return np.ones_like(g)
-    return np.divide(g, u, out=np.zeros_like(g), where=g > 0)
+    return np.divide(g, u, out=np.zeros(g.shape), where=g > 0)
 
 
 @lru_cache(maxsize=64)

@@ -215,6 +215,8 @@ class Orbits:
         if v.ndim == 1:
             return np.bincount(self.orbit_id, weights=v, minlength=n_orb)
         rows = v.size // v.shape[-1]
+        if rows == 1:  # a stack of one
+            return np.bincount(self.orbit_id, weights=v.ravel(), minlength=n_orb)[None]
         n_ids = rows * len(self.orbit_id)
         ids = self._stacked_ids  # replaced when it grows, never written
         if len(ids) < n_ids:

@@ -148,6 +148,12 @@ class TiltedDual:
         self.spans = np.count_nonzero(sv > RANK_TOL * sv.max()) == self.A.shape[1]
         self.log_const = float(self.n_obs @ np.log(self.n_obs)) - self.n
 
+    def free_zero(self, active: list) -> np.ndarray:
+        """The zero-count cells outside ``active``, in cell order."""
+        keep = np.ones(len(self.A), dtype=bool)
+        keep[active] = False
+        return self.zero[keep[self.zero]]
+
     @cached_property
     def seen(self) -> np.ndarray:
         """Orthonormal basis (columns) of the span of the observed rows."""
@@ -255,7 +261,7 @@ class TiltedDual:
             ll = float(n_obs @ np.log(p_obs / abs(total)))
             if active:
                 resid = float(np.max(np.abs(grad - A[active].T @ mass)))
-                free = self.zero[~np.isin(self.zero, active)]
+                free = self.free_zero(active)
                 A_free = A[free]
             else:
                 resid = float(np.max(np.abs(grad)))
@@ -338,7 +344,7 @@ class TiltedDual:
 
 def _shifted_slack(dual, tilt, psi):
     """Smallest slack of a free zero cell under the dual w - kernel psi."""
-    free = dual.zero[~np.isin(dual.zero, tilt.active)]
+    free = dual.free_zero(tilt.active)
     return float(np.min(dual.A[free] @ (tilt.w - tilt.kernel @ psi), initial=np.inf))
 
 
@@ -392,15 +398,15 @@ def _lagrangian(tilt, mult, Hc, tangent):
         return B, tangent.T @ B @ tangent, False
 
 
-def _kkt_fit(counts, model, max_iter, tol_constraint, tol_loglik, trace):
+def _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik, trace):
     """ve or ce by Newton's method on the joint KKT system of the profile
     dual and the constraints, from the observed table: (fitted tilt, steps),
     or None once it hands over; ``trace`` gets one record (step, largest
     scaled residual, step length, "kkt") per step, and a hand-over one
     (step, "handover", reason).
 
-    The unknowns are the dual w of ``TiltedDual(counts, F)``, from (n, 0),
-    and the multipliers mu, from 0.  With p = n_obs / (A_obs w),
+    The unknowns are the dual w of ``dual``, ``TiltedDual(counts, F)``, from
+    (n, 0), and the multipliers mu, from 0.  With p = n_obs / (A_obs w),
     x = F_obs' p and lam = w[1:], the residuals are 1'p - 1, lam - J(x)' mu
     and c(x).  Each step solves that (k + 1 + m)-square system, whose dual
     block is the dual Hessian H = A_obs' diag(p / s) A_obs, and is halved
@@ -418,8 +424,7 @@ def _kkt_fit(counts, model, max_iter, tol_constraint, tol_loglik, trace):
     the SQP's test (``_sqp_test``) and a reduced Lagrangian Hessian
     definite on the tangent space (``_lagrangian``).
     """
-    shape, nvec, n = counts.shape, counts.counts, counts.n
-    dual = TiltedDual(nvec, design.moment_basis(shape))
+    shape, n = counts.shape, counts.n
     A_obs, n_obs = dual.A_obs, dual.n_obs
 
     def handover(it, reason):
@@ -500,9 +505,9 @@ def _kkt_fit(counts, model, max_iter, tol_constraint, tol_loglik, trace):
     raise AssertionError("unreachable")
 
 
-def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
+def _profile_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik):
     """ve or ce: (fitted tilt, steps) maximizing the profile l*(x) subject to
-    c(x) = 0 over the moment coordinates x = F' pi.
+    c(x) = 0 over the moment coordinates x = F' pi, on ``dual``.
 
     The SQP step uses l*'s Hessian plus the constraint curvature (only l*'s
     own where the sum is not definite on the tangent space).  Where the
@@ -521,7 +526,6 @@ def _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik):
     """
     shape, nvec, n = counts.shape, counts.counts, counts.n
     F = design.moment_basis(shape)
-    dual = TiltedDual(nvec, F)
 
     def profile(x, start=None, cutoff=-math.inf):
         return dual.solve(x, start, max_iter=max_iter, tol=INNER_TOL, cutoff=cutoff)
@@ -679,11 +683,12 @@ def fit(counts: CountTable, model: str, *, max_iter: int, tol_constraint: float,
         return _two_category_ve(counts, max_iter, tol_constraint, tol_loglik)
     if model == CE and counts.shape.T == 2:  # one correlation, nothing to equate
         return counts.proportions().probs, 0
+    dual = TiltedDual(counts.counts, design.moment_basis(counts.shape))
     trace: list[tuple] = []
-    done = _kkt_fit(counts, model, max_iter, tol_constraint, tol_loglik, trace)
+    done = _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik, trace)
     if done is None:
         try:
-            done = _profile_fit(counts, model, max_iter, tol_constraint, tol_loglik)
+            done = _profile_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik)
         except CertificateError as exc:
             exc.trace[:0] = trace  # both phases, in the order they ran
             raise

@@ -49,6 +49,11 @@ from conftest import (
 )
 
 
+def dual_of(counts):
+    """The ve/ce dual of a table that ``tilted.fit`` hands to both phases."""
+    return tilted.TiltedDual(counts.counts, moment_basis(counts.shape))
+
+
 def symmetric_counts(rng, shape, n=3000):
     """Counts whose table is exactly orbit-constant."""
     struct = orbit_structure(shape)
@@ -253,8 +258,8 @@ class TestMomentFits:
         # 1e-8 is below its rounding and the SQP's last step is taken as it
         # is; fit_model finishes this table by the KKT Newton phase instead
         counts = ladder_table(1, 6, 6)
-        tilt, steps = tilted._profile_fit(
-            counts, "ce", fitting.MAX_ITER, fitting.TOL_CONSTRAINT, fitting.TOL_LOGLIK)
+        tilt, steps = tilted._profile_fit(counts, dual_of(counts), "ce", fitting.MAX_ITER,
+                                          fitting.TOL_CONSTRAINT, fitting.TOL_LOGLIK)
         assert g2(counts, counts.n * tilt.probs) == pytest.approx(874.689212627, rel=1e-9)
         assert steps == 4
         assert moment_certificate(counts, "ce", tilt.probs) == []
@@ -288,13 +293,13 @@ class TestKKTPhase:
         """Whether the Newton phase finishes; where it does, its G2 is the
         SQP's to 1e-9 and its table is certified."""
         trace = []
-        done = tilted._kkt_fit(counts, model, *self.ARGS, trace)
+        done = tilted._kkt_fit(counts, dual_of(counts), model, *self.ARGS, trace)
         if done is None:
             assert trace[-1][1] == "handover"
             return False
         tilt, steps = done
         assert [record[-1] for record in trace] == ["kkt"] * (steps + 1)
-        sqp, _ = tilted._profile_fit(counts, model, *self.ARGS)
+        sqp, _ = tilted._profile_fit(counts, dual_of(counts), model, *self.ARGS)
         assert g2(counts, counts.n * tilt.probs) == pytest.approx(
             g2(counts, counts.n * sqp.probs), rel=1e-9)
         assert moment_certificate(counts, model, tilt.probs) == []
@@ -332,9 +337,9 @@ class TestKKTPhase:
     def test_a_hand_over_keeps_the_sqp_bits(self, table, model, reason):
         counts = table()
         trace = []
-        assert tilted._kkt_fit(counts, model, *self.ARGS, trace) is None
+        assert tilted._kkt_fit(counts, dual_of(counts), model, *self.ARGS, trace) is None
         assert trace[-1] == (0, "handover", reason)
-        tilt, steps = tilted._profile_fit(counts, model, *self.ARGS)
+        tilt, steps = tilted._profile_fit(counts, dual_of(counts), model, *self.ARGS)
         fit = fit_model(counts, ModelSpec(model))
         assert np.array_equal(fit.pihat.probs, tilt.probs)
         assert fit.iterations == steps

@@ -136,17 +136,20 @@ class TestSlopes:
     @pytest.mark.parametrize("ff", [kl(), hellinger(), power(0.5), power(2.0)], ids=lambda f: f.name)
     def test_buffers_and_a_stack_give_each_rows_slopes(self, rng, ff):
         space = link_space(TableShape(4, 3), "gs", ff)
-        pt, feasible = space.evaluate_rows(small_theta(rng, space, 5))
-        assert feasible.all()
+        theta = small_theta(rng, space, 5)
+        pt = space.evaluate(theta)
         out, work = np.empty((2, 5) + space.X.shape)
         a = space.slopes(pt, out, work)
         assert a is out
         for k in range(5):
-            assert np.array_equal(a[k], space.slopes(fitting._point_rows(pt, k)))
+            alone = space.evaluate(theta[k])
+            for got, want in zip(vars(pt[k]).values(), vars(alone).values()):
+                assert np.array_equal(got, want)
+            assert np.array_equal(a[k], space.slopes(alone))
 
     def test_pearson_slopes_are_the_weighted_formula(self, rng):
         space = link_space(TableShape(4, 3), "gs", pearson())
-        stacked, _ = space.evaluate_rows(small_theta(rng, space, 5))
+        stacked = space.evaluate(small_theta(rng, space, 5))
         _, held = held_point(rng, pearson(), TableShape(4, 3), 16)
         assert held.held.sum() == 16
         orbits, X = space.orbits, space.X
@@ -353,7 +356,7 @@ class TestLinkFit:
 
     def test_a_climb_below_the_symmetric_fit_is_named(self, monkeypatch):
         def below(space, pt, nvec):
-            return pt, -1.0, 0
+            return pt, np.full(len(nvec), -1.0), np.zeros(len(nvec), dtype=int), [None] * len(nvec)
 
         monkeypatch.setattr(fitting, "_link_ascent", below)
         with pytest.raises(FitError, match="climb ended below the symmetric fit"):

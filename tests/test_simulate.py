@@ -18,7 +18,9 @@ from fsym.simulate import (
     mvn_sample,
     power_study,
 )
-from fsym.tables import CountTable, TableShape
+from fsym.tables import CountTable, TableShape, orbit_sums
+
+from conftest import restart_tables
 
 SCENARIOS = ("table2_row1.json", "table2_row2.json", "table2_row3.json")
 
@@ -352,16 +354,16 @@ class TestBlockFits:
         counts, spec = np.array([t.counts for t in tables]), config.models[0]
         assert not np.isnan(fit_block(tables[0].shape, counts, spec)).any()
 
-        def shifted(nvec, g, real=fitting._row_loglik):
-            return real(nvec, g) - 1e6
+        def shifted(nvec, has_count, g, real=fitting._link_loglik):
+            return real(nvec, has_count, g) - 1e6
 
-        monkeypatch.setattr(fitting, "_row_loglik", shifted)
+        monkeypatch.setattr(fitting, "_link_loglik", shifted)
         assert np.isnan(fit_block(tables[0].shape, counts, spec)).all()
 
     def test_skewed_tables_match_fit_model_or_fall_back(self, rng):
         # one plus a sparse multinomial in every cell: starts that are
-        # infeasible, indefinite Hessians and steps that would be cut
-        settled = handed_over = 0
+        # infeasible, indefinite Hessians and steps that would be cut; only a
+        # table that fit_model cannot fit either falls back
         for shape in (TableShape(3, 3), TableShape(4, 3)):
             counts = np.array([
                 rng.multinomial(200, rng.dirichlet(np.full(shape.n_cells, 0.3))) + 1
@@ -374,18 +376,10 @@ class TestBlockFits:
                     # a row's G2 does not depend on the rows beside it
                     alone = np.array([fit_block(shape, row[None], spec)[0] for row in counts])
                     np.testing.assert_array_equal(alone, got, err_msg=spec.label)
-                    for row, stat in zip(counts, got):
-                        if np.isnan(stat):
-                            handed_over += 1
-                            continue
-                        # the block's climb is fit_model's, step for step
-                        assert stat == fit_model(CountTable(shape, row), spec).g2, spec.label
-                        settled += 1
-                    if (shape.r, spec.label) == (3, "gs[pearson]"):
-                        # fit_model damps a step on the second table; the block hands it over
-                        assert np.isnan(got[1])
-                        assert fit_model(CountTable(shape, counts[1]), spec).converged
-        assert settled > handed_over > 0
+                    # the block's climb is fit_model's, step for step
+                    np.testing.assert_array_equal(
+                        got, [fit_model(CountTable(shape, row), spec).g2 for row in counts],
+                        err_msg=spec.label)
 
     def test_zero_cells_and_steep_links_match_a_loop_of_fit_model(self):
         config = tiny_config(
@@ -405,7 +399,7 @@ class TestBlockFits:
         )
         tables = replicate_tables(config)
         zero = [bool(np.any(t.counts == 0)) for t in tables]
-        assert 0 < sum(zero) < len(tables)  # both the block and the fallback path
+        assert 0 < sum(zero) < len(tables)  # tables with and without a zero count
         want = []
         for spec in config.models:
             rejections = failures = 0
@@ -419,9 +413,97 @@ class TestBlockFits:
             rows = power_study(config, workers=workers).rows
             assert [(row.rejections, row.failures) for row in rows] == want
             fallbacks = {row.model: row.fallbacks for row in rows}
-            assert fallbacks["s"] == 0
-            assert fallbacks["gs[kl]"] == sum(zero)
+            # a zero count no longer falls back; a link with |lam| > 1 always does
+            assert fallbacks["s"] == fallbacks["gs[kl]"] == 0
+            assert fallbacks["ls[pearson]"] == fallbacks["els[hellinger]"] == 0
             assert fallbacks["gs[power(2)]"] == fallbacks["ls[power(-1.5)]"] == len(tables)
+
+
+def link_stacks():
+    """(name, shape, counts) stacks with zero counts: the first 64
+    replicates of table2_row1 and table2_row3 at n = 300, and the r >= 3
+    restart-sweep tables of seeds 1-8, one stack per shape."""
+    for name in ("table2_row1.json", "table2_row3.json"):
+        tables = replicate_tables(replace(scenario(name, 64), n_obs=300))
+        yield name, tables[0].shape, np.array([t.counts for t in tables])
+    by_shape = {}
+    for seed in range(1, 9):
+        for (r, _, _, _), table in restart_tables(seed):
+            if r >= 3:
+                by_shape.setdefault(table.shape, []).append(table.counts)
+    for shape, rows in by_shape.items():
+        yield str(shape), shape, np.array(rows)
+
+
+def fit_or_nan(shape, row, spec) -> float:
+    try:
+        return fit_model(CountTable(shape, row), spec).g2
+    except FitError:
+        return np.nan
+
+
+STACKED_LINKS = [ModelSpec("gs", ff) for ff in (kl(), pearson(), hellinger(), power(0.5))]
+STACKED_LINKS += [ModelSpec("els", kl()), ModelSpec("ls", kl())]
+
+
+class TestOneLinkClimb:
+    """``fit_block`` runs ``fit_link``'s one climb on a stack of tables with
+    zero counts, held cells, Fisher steps and cut steps."""
+
+    @pytest.mark.parametrize("spec", STACKED_LINKS, ids=lambda spec: spec.label)
+    def test_every_row_is_fit_model_bit_for_bit(self, spec):
+        for name, shape, counts in link_stacks():
+            got = fit_block(shape, counts, spec)
+            want = [fit_or_nan(shape, row, spec) for row in counts]
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} {spec.label}")
+            # a table with a zero count climbs in the stack
+            assert np.any((counts == 0).any(axis=1) & ~np.isnan(got)), name
+            # so does the same stack in reverse, row for row
+            np.testing.assert_array_equal(fit_block(shape, counts[::-1], spec)[::-1], got)
+
+    def test_a_failing_row_is_nan_alone(self):
+        # one 3^3 restart table's power(0.5) climb raises FitError
+        name, shape, counts = [stack for stack in link_stacks() if stack[1] == TableShape(3, 3)][0]
+        spec = ModelSpec("gs", power(0.5))
+        got = fit_block(shape, counts, spec)
+        failed = np.flatnonzero(np.isnan(got))
+        assert len(failed) == 1
+        with pytest.raises(FitError):
+            fit_model(CountTable(shape, counts[failed[0]]), spec)
+        # without it, every other row's G2 is the same
+        rest = np.delete(counts, failed, axis=0)
+        np.testing.assert_array_equal(fit_block(shape, rest, spec), np.delete(got, failed))
+
+    def test_the_stacks_meet_held_cells_fisher_steps_and_cut_steps(self, monkeypatch):
+        events = []  # (function, result) of the climb's calls, in order
+
+        def recorded(attr, real):
+            def call(*args):
+                result = real(*args)
+                events.append((attr, result))
+                return result
+            return call
+
+        for attr in ("_theta_information", "_evaluate", "_link_score"):
+            monkeypatch.setattr(fitting, attr, recorded(attr, getattr(fitting, attr)))
+        seen = set()
+        for _, shape, counts in link_stacks():
+            for spec in (ModelSpec("gs", pearson()), ModelSpec("gs", hellinger())):
+                events.clear()
+                fit_block(shape, counts, spec)
+                modes = [result[1] for attr, result in events if attr == "_theta_information"]
+                if any(set(mode) - {"newton"} for mode in modes):
+                    seen.add("fisher")
+                calls = [attr for attr, _ in events]
+                scores = [i for i, attr in enumerate(calls) if attr == "_link_score"]
+                # two trial points before the second score: a first full step is cut
+                if calls[scores[0] : scores[1]].count("_evaluate") > 1:
+                    seen.add("cut")
+            for row in counts:  # a cell held at g = 0 in an orbit with mass
+                probs = fit_model(CountTable(shape, row), ModelSpec("gs", pearson())).pihat.probs
+                if np.any(probs[(row == 0) & (orbit_sums(shape, row) > 0)] == 0):
+                    seen.add("held")
+        assert seen == {"fisher", "cut", "held"}
 
 
 def study(monkeypatch, config: SimConfig):
