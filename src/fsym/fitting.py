@@ -154,7 +154,7 @@ def _link_loglik(nvec: np.ndarray, has_count: np.ndarray, g: np.ndarray) -> np.n
     is one dot product over its cells with a count, as for that row alone."""
     with np.errstate(divide="ignore"):  # log 0 at held cells
         log_g = np.log(g)
-    if has_count.all():
+    if np.count_nonzero(has_count) == has_count.size:
         return (nvec[:, None, :] @ log_g[..., None])[:, 0, 0]
     return np.array([n[h] @ log[h] for n, h, log in zip(nvec, has_count, log_g)])
 
@@ -182,7 +182,7 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tan
     B = _gram(a, hessian, work)
     mode = np.array(["newton"] * len(B), dtype=object)
     weak = ~_definite(B if tangent is None else tangent.T @ B @ tangent)
-    if weak.any():
+    if np.count_nonzero(weak):
         fisher = (orbit_counts / orbits.size)[:, orbits.orbit_id] * wu
         B[weak] = _gram(a[weak], fisher[weak])
         if not np.all(np.isfinite(B[weak])):
@@ -194,7 +194,7 @@ def _theta_information(space, pt, a, nvec, has_count, orbit_counts, unit_mu, tan
 def _definite(M):
     """Which matrices of the stack M are finite and pass their Cholesky test."""
     ok = np.isfinite(M).all(axis=(1, 2))
-    if not ok.all():
+    if np.count_nonzero(ok) < len(ok):
         M = np.where(ok[:, None, None], M, np.eye(M.shape[-1]))
     try:
         np.linalg.cholesky(M)
@@ -480,11 +480,11 @@ def _link_ascent(space, pt, nvec):
                     ok &= ~np.any(grabbed & (orbits.sum(trial.g) - orbits.size > PIN_EXCESS), axis=1)
                 ll_trial = _link_loglik(p["counts"], p["counted"], trial.g)
                 merit = -ll_trial
-                for i in np.flatnonzero(ok & ~moved & trial.held.any(axis=1)) if trial.held.any() else ():
+                for i in np.flatnonzero(ok & ~moved & trial.held.any(axis=1)) if np.count_nonzero(trial.held) else ():
                     r = _edge_rows(space, trial[i], None, trial.held[i])[1]
                     merit[i] += nu[i] * float(np.sum(np.abs(r)))
                 moved |= ok & (merit <= merit0 + 1e-4 * t * slope + slack)
-                if moved.all():
+                if np.count_nonzero(moved) == len(moved):
                     return trial, ll_trial, {}
             infeasible += ~ok
             t[~moved] *= 0.5
@@ -506,15 +506,16 @@ def _link_ascent(space, pt, nvec):
         terms = dict(step=np.zeros(score.shape), B=np.zeros((m, d, d)), active=pt.held.copy(),
                      nu=np.full(m, 1.0), mur=np.zeros(m), pen=np.zeros(m))
         plain, info = climbing & free & np.isfinite(kkt), None
-        if climbing.any():
+        if np.count_nonzero(climbing):
             try:
                 terms["B"], info = _theta_information(
                     space, pt, a, counts, counted, orbit_counts[live],
                     None if unit_mu is None else unit_mu[live], None, work[:m],
                 )
                 plain &= info != "fisher-pinv"
-                at = slice(None) if plain.all() else plain  # a slice takes views
-                if plain.any():
+                n_plain = np.count_nonzero(plain)
+                at = slice(None) if n_plain == m else plain  # a slice takes views
+                if n_plain:
                     terms["step"][at] = np.linalg.solve(terms["B"][at], score[at, :, None])[..., 0]
                     mode[at] = info[at]
             except np.linalg.LinAlgError:  # singular, or not finite: each table alone
@@ -536,10 +537,10 @@ def _link_ascent(space, pt, nvec):
                 v[j] = p[key]
         # a table that failed above has no record of this step, nor any later
         history.append((it, live, ll[live], kkt, resid, mode))
-        if ended.any():
+        if np.count_nonzero(ended):
             out[live[ended]], iterations[live[ended]] = pt[ended], it
         climbing &= ~ended
-        if it == MAX_ITER or not climbing.any():
+        if it == MAX_ITER or not np.count_nonzero(climbing):
             for j in np.flatnonzero(climbing):
                 fail(live[j], f"no convergence within {MAX_ITER} iterations; "
                               f"final score norm {kkt[j]:.3e}")
@@ -577,7 +578,7 @@ def _link_ascent(space, pt, nvec):
                 pinned[j] = found[0], found[1], qp
 
         climbing[list(pinned)] = False
-        at = slice(None) if climbing.all() else climbing  # a slice takes views
+        at = slice(None) if np.count_nonzero(climbing) == m else climbing  # a slice takes views
         k = live[at]
         new, ll_new, failed = search(pt[at], a[at], k, {
             key: v[at] for key, v in (terms | by_table).items()}, terms["pen"][at], it)
@@ -664,10 +665,8 @@ def fit_link(counts: CountTable, spec: ModelSpec) -> FitResult:
         else starts[0][None], np.tile(nvec, (len(starts), 1)))
     for k, error in enumerate(errors):
         if error is None and ll[k] < -0.5 * G2_ROUNDOFF:
-            errors[k] = FitError(
-                f"climb ended below the symmetric fit (theta = 0): within-orbit "
-                f"log likelihood {ll[k]:.6g} < -G2_ROUNDOFF / 2"
-            )
+            errors[k] = FitError(f"climb ended below the symmetric fit (theta = 0): within-orbit "
+                                 f"log likelihood {ll[k]:.6g} < -G2_ROUNDOFF / 2")
     fits = [k for k, error in enumerate(errors) if error is None]
     if not fits:
         raise errors[0]

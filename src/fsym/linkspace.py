@@ -201,11 +201,11 @@ class LinkSpace:
         held = np.zeros(z.shape, dtype=bool) if held is None else held.copy()
         while True:
             zs, free, pinned = z, None, None
-            if self.pins and held.any():
+            if self.pins and np.count_nonzero(held):
                 pinned = orbits.sum(held) > 0
                 # a pinned orbit's normalizer is not solved: all-zero z gives 0
                 zs = np.where(pinned[..., oid], 0.0, z)
-            elif not self.pins and held.any():
+            elif not self.pins and np.count_nonzero(held):
                 free = ~held
             try:
                 gamma = normalizers(zs, orbits, self.lam, free, start)
@@ -231,7 +231,7 @@ class LinkSpace:
         bad = ~np.isfinite(pt.g)
         if pinned is not None:
             bad |= ~held & pinned[..., oid] & ~(pt.u > 0)
-        if bad.any():
+        if np.count_nonzero(bad):
             raise InfeasibleParameterError(
                 "link values overflow, or a free cell of a pinned orbit crosses the edge",
                 np.broadcast_to(bad.any(axis=-1)[..., None], gamma.shape),

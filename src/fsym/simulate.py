@@ -18,15 +18,15 @@ and in intp otherwise, and tabulates the indices by ``bincount``.  Only
 the draws gain from a second thread: on two shared CPUs, 60 replicates of
 n = 10,000 took 30.5 ms to draw on one thread and 25.5 ms on two, and 6.8
 and 8.0 ms to bin (medians of 15).  A row's counts depend only on its
-replicate, so the stack is the same for any thread count.  The fits run on
-the worker's own thread.  Each s, gs, els or ls model is then fitted to the
+replicate, so the stack is the same for any thread count.  The fits run
+on the worker's own thread.  Each s, gs, els or ls model is then fitted to the
 whole stack at once by ``fitting.fit_block``: s in closed form, a link
 family with |lam| <= 1 by ``fitting.fit_link``'s climb run on every table
-of the stack, zero counts, held cells and cut steps included.  A table
-under a link with |lam| > 1, whose several starts stay per table, and a
-table whose climb fails fall back to ``fitting.fit_model``, which fits the
-first and raises the second's FitError for the report; so does the whole
-block when its first settled table's G2 disagrees with ``fit_model``'s.
+of the stack.  A table under a link with |lam| > 1, whose several starts
+stay per table, and a table whose climb fails fall back to
+``fitting.fit_model``, which fits the first and raises the second's
+FitError for the report; so does the whole block when its first settled
+table's G2 disagrees with ``fit_model``'s.
 Each row of the report counts these fallbacks.  The moment families are
 fitted table by table with ``fitting.fit_model``.  A block's rejections are
 counted on its sorted G2 values by bisection, so ``pvalue`` is evaluated a

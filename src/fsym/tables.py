@@ -212,11 +212,10 @@ class Orbits:
         index of the largest stack seen is kept, read-only, and a smaller
         stack reads its leading slice."""
         n_orb = len(self.size)
-        if v.ndim == 1:
-            return np.bincount(self.orbit_id, weights=v, minlength=n_orb)
         rows = v.size // v.shape[-1]
-        if rows == 1:  # a stack of one
-            return np.bincount(self.orbit_id, weights=v.ravel(), minlength=n_orb)[None]
+        if rows == 1:  # one table, alone or as a stack of one
+            return np.bincount(self.orbit_id, weights=v.ravel(), minlength=n_orb).reshape(
+                v.shape[:-1] + (n_orb,))
         n_ids = rows * len(self.orbit_id)
         ids = self._stacked_ids  # replaced when it grows, never written
         if len(ids) < n_ids:

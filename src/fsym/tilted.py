@@ -148,12 +148,6 @@ class TiltedDual:
         self.spans = np.count_nonzero(sv > RANK_TOL * sv.max()) == self.A.shape[1]
         self.log_const = float(self.n_obs @ np.log(self.n_obs)) - self.n
 
-    def free_zero(self, active: list) -> np.ndarray:
-        """The zero-count cells outside ``active``, in cell order."""
-        keep = np.ones(len(self.A), dtype=bool)
-        keep[active] = False
-        return self.zero[keep[self.zero]]
-
     @cached_property
     def seen(self) -> np.ndarray:
         """Orthonormal basis (columns) of the span of the observed rows."""
@@ -261,7 +255,7 @@ class TiltedDual:
             ll = float(n_obs @ np.log(p_obs / abs(total)))
             if active:
                 resid = float(np.max(np.abs(grad - A[active].T @ mass)))
-                free = self.free_zero(active)
+                free = self.zero[np.bincount(active, minlength=len(A))[self.zero] == 0]
                 A_free = A[free]
             else:
                 resid = float(np.max(np.abs(grad)))
@@ -344,7 +338,7 @@ class TiltedDual:
 
 def _shifted_slack(dual, tilt, psi):
     """Smallest slack of a free zero cell under the dual w - kernel psi."""
-    free = dual.free_zero(tilt.active)
+    free = dual.zero[np.bincount(tilt.active, minlength=len(dual.A))[dual.zero] == 0]
     return float(np.min(dual.A[free] @ (tilt.w - tilt.kernel @ psi), initial=np.inf))
 
 
