@@ -712,7 +712,7 @@ def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndar
         return np.where(nonpositive | (value < -G2_ROUNDOFF), np.nan, np.maximum(value, 0.0))
     out = np.full(len(counts), np.nan)
     space = link_space(shape, spec.family, spec.ff)
-    if abs(space.lam) > 1.0:
+    if abs(space.lam) > 1.0 or not len(counts):
         return out
     # fit_link's start, theta = 0 where that is not finite or not feasible
     theta = _smoothed_start(space, counts)[0]
@@ -722,7 +722,8 @@ def fit_block(shape: TableShape, counts: np.ndarray, spec: ModelSpec) -> np.ndar
     mhat = (orbits.sum(counts) / orbits.size)[:, orbits.orbit_id] * ends.g
     value, nonpositive = _g2_values(counts, mhat)
     settled = np.array([error is None for error in errors]) & (ll >= -0.5 * G2_ROUNDOFF)
-    settled &= ~nonpositive & (value >= -G2_ROUNDOFF)
+    # a table without counts is left to fit_model, which refuses it
+    settled &= ~nonpositive & (value >= -G2_ROUNDOFF) & (counts.sum(axis=1) > 0)
     out[settled] = np.maximum(value[settled], 0.0)
     if settled.any():
         k = np.argmax(settled)

@@ -323,6 +323,15 @@ class TestBlockFits:
         monkeypatch.setattr(fitting, "fit_model", off)
         assert np.isnan(fit_block(tables[0].shape, counts, spec)).all()
 
+    def test_empty_stacks_and_tables_are_left_to_fit_model(self):
+        shape, spec = TableShape(3, 3), ModelSpec("gs", kl())
+        assert fit_block(shape, np.zeros((0, 27)), spec).shape == (0,)
+        counts = np.zeros((3, 27))
+        counts[1] = np.arange(27) % 5 + 1
+        got = fit_block(shape, counts, spec)
+        assert np.isnan(got[[0, 2]]).all()
+        assert got[1] == fit_model(CountTable(shape, counts[1]), spec).g2
+
     @pytest.mark.parametrize("family", ["me", "ce"])
     def test_only_link_families_are_blocked(self, family):
         with pytest.raises(ValueError, match="fit_block fits s/gs/els/ls"):
