@@ -37,8 +37,8 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BAD_MODEL = 4
 
-# ``fsym design`` writes U, whose full SVD holds an N x N float64 array; it
-# refuses shapes where that array would take more than this many bytes.
+# ``fsym design`` writes U, an N x d1 float64 array; it refuses shapes where
+# that array would take more than this many bytes.
 DESIGN_MAX_BYTES = 2**30
 
 
@@ -259,10 +259,11 @@ def cmd_design(args) -> int:
     try:
         shape = TableShape(args.r, args.T, scores)
         n = shape.n_cells
-        if 8 * n * n > DESIGN_MAX_BYTES:
+        d1 = n - design_mod.family_d2(spec.family, shape.T) - shape.n_orbits
+        if 8 * n * d1 > DESIGN_MAX_BYTES:
             raise CliError(
-                f"U of {n} cells needs an {n} x {n} float64 array "
-                f"({8 * n * n / 2**30:.1f} GiB; the limit is {DESIGN_MAX_BYTES / 2**30:g} GiB)",
+                f"U of {n} cells needs an array of {n} x {d1} doubles "
+                f"({8 * n * d1 / 2**30:.1f} GiB; the limit is {DESIGN_MAX_BYTES / 2**30:g} GiB)",
                 EXIT_INPUT,
             )
         ds = design_mod.design_matrix(shape, spec.family)

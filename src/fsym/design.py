@@ -111,14 +111,34 @@ def independent_moment_rows(shape: TableShape) -> np.ndarray:
 
     Every row for r >= 3.  With two categories a squared score is affine in
     the score, so the squared-score differences repeat the first-order ones
-    and are left out.
+    and are left out.  Decided on the k-wide rows of A R', with A the
+    ``difference_coefficients`` and F = QR the moment basis: M = A R' Q', and
+    Q' has orthonormal rows, so any set of M's rows has the rank of the same
+    rows of A R'.
     """
-    M = _moment_matrix(shape)
+    rows = difference_coefficients(shape.T) @ np.linalg.qr(moment_basis(shape), mode="r").T
     keep: list[int] = []
-    for i in range(len(M)):
-        if np.linalg.matrix_rank(M[keep + [i]]) > len(keep):
+    for i in range(len(rows)):
+        if np.linalg.matrix_rank(rows[keep + [i]]) > len(keep):
             keep.append(i)
     return _read_only(np.array(keep, dtype=np.intp))
+
+
+def householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H, T): one Householder QR of the n x c matrix A (n >= c) in compact-WY
+    form, Q = I - H'T H (Schreiber and Van Loan 1989).  H = V' holds the unit
+    lower trapezoidal reflectors V as rows and T is c x c upper triangular,
+    so Q is applied in a few n x c products and never formed."""
+    c = A.shape[1]
+    H, tau = np.linalg.qr(A, mode="raw")  # R' sits in H's lower triangle
+    H[:, :c][np.tri(c, k=-1, dtype=bool)] = 0.0
+    H[:, :c][np.diag_indices(c)] = 1.0
+    S = H @ H.T
+    T = np.zeros((c, c))
+    for i, t in enumerate(tau):  # LAPACK's dlarft, forward and columnwise
+        T[:i, i] = -t * (T[:i, :i] @ S[:i, i])
+        T[i, i] = t
+    return H, T
 
 
 def symmetry_indicator(shape: TableShape) -> np.ndarray:
@@ -174,8 +194,15 @@ class DesignSystem:
 
     @cached_property
     def U(self) -> np.ndarray:
-        """Orthonormal basis of the complement of X's columns (an N x N SVD, run on first read)."""
-        return np.linalg.svd(self.X)[0][:, self.n_columns :]
+        """Orthonormal basis of the complement of X's columns, an N x d1 array
+        built on first read: the last d1 columns of Q in one Householder QR of
+        X, E - V T V2' with E = [0; I] and V2 the last d1 rows of V (see
+        ``householder``), so that no N x N array is formed."""
+        c = self.n_columns
+        H, T = householder(self.X)
+        U = H.T @ (-T @ H[:, c:])
+        U[c + np.arange(self.d1), np.arange(self.d1)] += 1.0
+        return _read_only(U)
 
 
 @lru_cache(maxsize=None)
@@ -194,14 +221,15 @@ def design_matrix(shape: TableShape, family: str) -> DesignSystem:
     layout = {name: slice(stop - widths[name], stop) for name, stop in zip(widths, stops)}
     X2 = moment_matrix(shape)[: family_d2(family, T)].T
 
-    # Full column rank is required (only X2 can lose it); name the first offending block.
-    if np.linalg.matrix_rank(X2) < X2.shape[1]:
-        for name, cols in layout.items():
-            if np.linalg.matrix_rank(X2[:, : cols.stop]) < cols.stop:
-                raise ConfigurationError(
-                    f"design for family {family!r} at r={shape.r}, T={T} is rank deficient "
-                    f"starting at the {name!r} block (degenerate scores?)"
-                )
+    # Full column rank is required (only X2 can lose it); name the block of
+    # the first column that repeats earlier ones.
+    missing = sorted(set(range(X2.shape[1])) - set(independent_moment_rows(shape).tolist()))
+    if missing:
+        name = next(name for name, cols in layout.items() if missing[0] < cols.stop)
+        raise ConfigurationError(
+            f"design for family {family!r} at r={shape.r}, T={T} is rank deficient "
+            f"starting at the {name!r} block (degenerate scores?)"
+        )
     return DesignSystem(shape, family, X2, tuple(pair_chain(T)), layout)
 
 

@@ -25,8 +25,9 @@ import numpy as np
 Cell = tuple[int, ...]
 
 # Tables are length-N vectors; reject configurations whose cell count exceeds
-# this.  Only the lazy X, Xs and U of ``DesignSystem`` and the test oracles
-# build N x O or N x N arrays, and ``fsym design`` refuses shapes too large for U.
+# this.  Only the lazy X, Xs and U of ``DesignSystem`` (N x (d2 + O), N x O and
+# N x d1) and the test oracles' N x N forms grow faster than N, and
+# ``fsym design`` refuses shapes whose U would pass its byte limit.
 INDEX_CAP = 10**7
 
 

@@ -8,30 +8,34 @@ h1 Sigma h2' vanishes.
 
 ``decompose`` needs neither U nor any N x N array.  With J = dg/dpi and
 D = diag(pi), J pi = 0, so H1 Sigma H1' = U'VU with V = J D J'; J is block
-diagonal by orbit, J_o = diag(f''/pi_bar) - a 1'.  The orbit indicators Z
-are columns of X, so U = B W with B the within-orbit contrasts (orthonormal
-per orbit, B'Z = 0) and W a basis of the complement of B'M'.  Per orbit,
-D^{1/2} J'B = QR has R'R = B'VB, and
-U (U'VU)^{-1} U' = B R^{-1} (I - Pi) R^{-T} B', with Pi the orthogonal
-projector onto the columns of R^{-T} B'M'.  Hence, with the whitened
-g^ = (I - Pi) R^{-T} B'g and C^ = (I - Pi) R^{-T} B'C for C = J D M' (so
-that H1 Sigma H2' = U'C):
+diagonal by orbit, J_o = diag(e) - a 1', so V_o = diag(e^2 pi) - P_o a a'
+with P_o the orbit's mass, and V_o's null vector is 1/e.  The orbit
+indicators Z are columns of X, so U = B W with B the within-orbit contrasts
+(B'Z = 0) and W a basis of the complement of B'M'.  Per orbit,
+K_o = B (B'V_o B)^{-1} B' maps y to the x with 1'x = 0 and V_o x - y in the
+span of 1, which gives K_o = F_o'F_o in closed form:
+
+    F_o y = (y - mu_o(y)) / (e sqrt(pi)),  mu_o(y) = sum(y / e) / sum(1 / e).
+
+Hence U (U'VU)^{-1} U' = F'(I - Pi) F, with Pi the orthogonal projector onto
+the columns of F M'.  With the whitened g^ = (I - Pi) F g and
+C^ = (I - Pi) F C for C = J D M' (so that H1 Sigma H2' = U'C):
 
 * W_gs = n ||g^||^2, with N - (columns of X) degrees of freedom;
 * W_me2 = n h2'(M Sigma M')^{-1} h2, with M Sigma M' = (M D) M' - h2 h2';
 * W_s = W_gs + n r'S^{-1}r, with S = M Sigma M' - C^'C^ and r = h2 - C^'g^.
 
-The QR factors come one batched call per orbit size, and Pi from the QR of
-a matrix with only M's d2 columns (``decomposition_statistics``).  Whitening
-by the QR factor instead of solving with X'V^{-1}X keeps the statistics
-accurate where V is badly conditioned, as it is for power links far from
-lambda = 0 on sparse tables.
+F costs one orbit sum per column, and C needs no more than that, so the
+whitening takes time and memory linear in N; so does Pi, from the Householder
+QR of the N x len(M) matrix F M' (``decomposition_statistics``).  Projecting
+the whitened rows, rather than taking a Schur complement of their Gram matrix
+or solving with X'V^{-1}X, keeps the statistics accurate where V is badly
+conditioned, as it is for power links far from lambda = 0 on sparse tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from .tables import (
     CountTable,
     ProbTable,
     TableShape,
-    _read_only,
     orbit_structure,
     orbit_sums,
     symmetric_average,
@@ -69,60 +72,42 @@ def _solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.solve(A, B), True
 
 
-def _link_jacobian(p: ProbTable, ff: FFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, e, a): the link values g = F(pi / pi_bar) and the orbit blocks
-    J_o = diag(e) - a 1' of their Jacobian."""
-    size = orbit_structure(p.shape).size_of_cell
+def _link_jacobian(p: ProbTable, ff: FFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(g, e): the link values g = F(pi / pi_bar) and the diagonal e of the
+    orbit blocks J_o = diag(e) - a 1' of their Jacobian, a = pi e / P_o."""
     pi = p.probs
-    pi_bar = orbit_sums(p.shape, pi) / size
-    e = np.asarray(ff.f_second(pi / pi_bar)) / pi_bar
-    return np.asarray(ff.F(pi / pi_bar)), e, pi * e / (size * pi_bar)
+    pi_bar = orbit_sums(p.shape, pi) / orbit_structure(p.shape).size_of_cell
+    return np.asarray(ff.F(pi / pi_bar)), np.asarray(ff.f_second(pi / pi_bar)) / pi_bar
 
 
-def _cross_covariance(p: ProbTable, e: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """C = J D M', the N x d2 cross-covariance of the link values and M pi."""
+def _moment_deviations(p: ProbTable) -> np.ndarray:
+    """M' less its pi-weighted orbit mean, cell by cell (N x d2).  The
+    cross-covariance C = J D M' of the link values and M pi is e pi times it;
+    it has mu_o(C) = 0, so F C = sqrt(pi) times it."""
     orbits = orbit_structure(p.shape)
-    Y = p.probs[:, None] * design.moment_matrix(p.shape).T
-    return e[:, None] * Y - a[:, None] * orbits.sum_rows(Y)[orbits.orbit_id]
-
-
-@lru_cache(maxsize=None)
-def _orbit_blocks(shape: TableShape) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(cells, B) per orbit size above one: the cells of the orbits of that
-    size, one orbit per row, and an orthonormal basis B of the vectors of
-    that size that sum to zero."""
-    orbits = orbit_structure(shape)
-    blocks = []
-    for size in sorted({int(s) for s in orbits.size if s > 1}):
-        cells = orbits.order[orbits.starts[orbits.size == size][:, None] + np.arange(size)]
-        B = np.linalg.qr(np.eye(size) - 1.0 / size)[0][:, : size - 1]
-        blocks.append((_read_only(cells), _read_only(B)))
-    return tuple(blocks)
-
-
-def _whiten(p: ProbTable, e: np.ndarray, a: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """R^{-T} B'Y, stacked over the orbits of two or more cells, where
-    D^{1/2} J'B = QR orbit by orbit; one batched QR and solve per orbit size."""
-    out = []
-    for cells, B in _orbit_blocks(p.shape):
-        JtB = e[cells][:, :, None] * B - (a[cells] @ B)[:, None, :]
-        r = np.linalg.qr(np.sqrt(p.probs[cells])[:, :, None] * JtB, mode="r")
-        out.append(np.linalg.solve(r.transpose(0, 2, 1), B.T @ Y[cells]).reshape(-1, Y.shape[1]))
-    return np.concatenate(out)
+    MT = design.moment_matrix(p.shape).T
+    mean = orbits.sum_rows(p.probs[:, None] * MT) / orbits.sum(p.probs)[:, None]
+    return MT - mean[orbits.orbit_id]
 
 
 def decomposition_statistics(
     p: ProbTable, ff: FFunction, n: float
 ) -> tuple[float, float, float, bool]:
-    """(W_gs, W_me2, W_s, ridged) at an interior table p, by the orbit blocks
-    of the module docstring; ``ridged`` when M Sigma M' or S took the ridge."""
+    """(W_gs, W_me2, W_s, ridged) at an interior table p, by the closed-form
+    whitening of the module docstring; ``ridged`` when M Sigma M' or S took
+    the ridge.  I - Pi = Q2 Q2' for the last columns Q2 of one Householder QR
+    of F M', so [g^ | C^]'[g^ | C^] is the Gram matrix of Q2'[F g | F C]."""
     design.design_matrix(p.shape, design.GS)  # refuses a rank-deficient design
     M = design.moment_matrix(p.shape)
-    g, e, a = _link_jacobian(p, ff)
-    W = _whiten(p, e, a, np.column_stack([g, _cross_covariance(p, e, a), M.T]))
-    k = 1 + len(M)
-    Q = np.linalg.qr(W[:, k:])[0]
-    G = W[:, :k] - Q @ (Q.T @ W[:, :k])  # [g_hat | C_hat]
+    orbits = orbit_structure(p.shape)
+    g, e = _link_jacobian(p, ff)
+    w, root = 1.0 / e, np.sqrt(p.probs)
+    Y = np.column_stack([g, M.T])
+    Y -= (orbits.sum_rows(w[:, None] * Y) / orbits.sum(w)[:, None])[orbits.orbit_id]
+    Y *= (w / root)[:, None]  # [F g | F M']
+    H, T = design.householder(Y[:, 1:])
+    A = np.column_stack([Y[:, 0], root[:, None] * _moment_deviations(p)])  # [F g | F C]
+    G = A[len(M) :] - H[:, len(M) :].T @ (T.T @ (H @ A))  # Q2'A
     GG = G.T @ G
     h2 = M @ p.probs
     M_sigma = (M * p.probs) @ M.T - np.outer(h2, h2)
@@ -139,8 +124,8 @@ def orthogonality_residual(sym: ProbTable, ff: FFunction) -> float:
     orthogonal to the orbits): zero exactly where h1 Sigma h2' = U'C vanishes,
     and never below max |U'C| for an orthonormal U."""
     Q = design.design_matrix(sym.shape, design.GS).Q
-    _, e, a = _link_jacobian(sym, ff)
-    C = orbit_structure(sym.shape).center_rows(_cross_covariance(sym, e, a))
+    _, e = _link_jacobian(sym, ff)
+    C = orbit_structure(sym.shape).center_rows((e * sym.probs)[:, None] * _moment_deviations(sym))
     resid = C - Q @ (Q.T @ C)
     return float(np.max(np.linalg.norm(resid, axis=0)))
 
@@ -186,10 +171,7 @@ def decompose(counts: CountTable, ff: FFunction) -> WaldReport:
     """
     shape = counts.shape
     p_obs = counts.proportions()
-    if p_obs.is_interior:
-        p_eval, point = p_obs, "observed"
-    else:
-        p_eval, point = counts.smoothed_proportions(), "smoothed"
+    p_eval = p_obs if p_obs.is_interior else counts.smoothed_proportions()
     w1, w2, w3, ridged = decomposition_statistics(p_eval, ff, counts.n)
 
     sym = symmetric_average(p_obs)
@@ -213,28 +195,18 @@ def decompose(counts: CountTable, ff: FFunction) -> WaldReport:
         p_s=chi2_sf(w3, df_gs + df_me2),
         additivity_gap=abs(w3 - w1 - w2),
         orthogonality_residual=orthogonality_residual(sym, ff),
-        evaluation_point=point,
+        evaluation_point="observed" if p_eval is p_obs else "smoothed",
         ridged=ridged,
     )
 
-    partition_specs = [
-        fitting.ModelSpec("s"),
-        fitting.ModelSpec(design.GS, ff),
-        fitting.ModelSpec("me2"),
-        fitting.ModelSpec("me"),
-        fitting.ModelSpec("ve"),
-        fitting.ModelSpec("ce"),
+    fits = {
+        family: fitting.fit_model(counts, fitting.ModelSpec(family, ff if family == design.GS else None))
+        for family in ("s", design.GS, "me2", "me", "ve", "ce")
+    }
+    report.g2_partition = [
+        PartitionRow(family=fit.spec.label, g2=fit.g2, df=fit.df, pvalue=fit.pvalue) for fit in fits.values()
     ]
-    fits = {}
-    for spec in partition_specs:
-        fit = fitting.fit_model(counts, spec)
-        fits[spec.family] = fit
-        report.g2_partition.append(
-            PartitionRow(family=spec.label, g2=fit.g2, df=fit.df, pvalue=fit.pvalue)
-        )
-    report.g2_gap = abs(
-        fits["s"].g2 - fits[design.GS].g2 - fits["me2"].g2
-    )
+    report.g2_gap = abs(fits["s"].g2 - fits[design.GS].g2 - fits["me2"].g2)
     return report
 
 

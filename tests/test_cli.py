@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fsym import design, fitting, simulate
+from fsym import cli, design, fitting, simulate
 from fsym.cli import main
 from fsym.datasets import anes_party_id, data_path, load_table_document
 from fsym.tables import TableShape, orbit_structure
@@ -313,8 +313,9 @@ class TestDesign:
                      "--out", str(tmp_path)]) == 4
         capsys.readouterr()
 
-    @pytest.mark.parametrize("r,T", [(4, 7), (108, 2)])
+    @pytest.mark.parametrize("r,T", [(4, 7), (129, 2)])
     def test_shapes_too_large_for_u_exit_2_before_the_build(self, tmp_path, capsys, monkeypatch, r, T):
+        # U is N x d1; at T = 2, d1 = r(r - 1)/2 - 2, and r = 128 still fits in 1 GiB
         def refuse(*args, **kwargs):
             raise AssertionError("design_matrix was called")
 
@@ -326,3 +327,16 @@ class TestDesign:
         assert stdout == ""
         assert err.startswith(f"error: U of {r**T} cells needs an ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_refusal_boundary_is_u_bytes(self, tmp_path, capsys, monkeypatch):
+        # 3^3 under gs: U is 27 x 11, 2,376 bytes
+        args = ["design", "--r", "3", "--T", "3", "--model", "gs"]
+        monkeypatch.setattr(cli, "DESIGN_MAX_BYTES", 8 * 27 * 11 - 1)
+        assert main(args + ["--out", str(tmp_path / "refused")]) == 2
+        assert capsys.readouterr().err.startswith("error: U of 27 cells needs an array of 27 x 11 doubles")
+        assert not (tmp_path / "refused").exists()
+        monkeypatch.setattr(cli, "DESIGN_MAX_BYTES", 8 * 27 * 11)
+        assert main(args + ["--out", str(tmp_path / "written")]) == 0
+        U = np.loadtxt(tmp_path / "written" / "U.csv", delimiter=",")
+        assert U.shape == (27, 11)
+        capsys.readouterr()

@@ -25,14 +25,16 @@ SWEEP_TABLES = list(itertools.product(range(1, 9), ((3, 3), (4, 3), (3, 4)), (60
 
 @pytest.mark.parametrize("ff", [kl(), pearson(), hellinger(), power(2.0)], ids=lambda f: f.name)
 def test_blocked_statistics_match_the_dense_oracle(ff):
-    # the restart sweep's r >= 3 tables, at their smoothed proportions
+    # the restart sweep's r >= 3 tables, at their smoothed proportions and,
+    # where no cell is empty, at the observed ones that decompose evaluates
     for seed, (r, T), n, c in SWEEP_TABLES:
         counts = restart_table(seed, r, T, n, c)
-        p = counts.smoothed_proportions()
-        *blocked, ridged = wald.decomposition_statistics(p, ff, counts.n)
-        *dense, dense_ridged = dense_decomposition(p, ff, counts.n)
-        assert blocked == pytest.approx(dense, rel=1e-9, abs=0.0), (seed, r, T, n, c)
-        assert ridged == dense_ridged, (seed, r, T, n, c)
+        points = [counts.smoothed_proportions(), counts.proportions()]
+        for p in points[: 1 + points[1].is_interior]:
+            *blocked, ridged = wald.decomposition_statistics(p, ff, counts.n)
+            *dense, dense_ridged = dense_decomposition(p, ff, counts.n)
+            assert blocked == pytest.approx(dense, rel=1e-9, abs=0.0), (seed, r, T, n, c)
+            assert ridged == dense_ridged, (seed, r, T, n, c)
 
 
 @pytest.mark.parametrize(
@@ -91,8 +93,8 @@ def test_orthogonality_residual_is_the_dense_complement_norm(rng, shape, ff):
     U = design.design_matrix(shape, design.GS).U
     for _ in range(3):
         sym = symmetric_average(random_prob_table(rng, shape))
-        _, e, a = wald._link_jacobian(sym, ff)
-        dense = np.max(np.linalg.norm(U.T @ wald._cross_covariance(sym, e, a), axis=0))
+        C = oracle.f_jacobian(sym, ff) @ (sym.probs[:, None] * design.moment_matrix(shape).T)
+        dense = np.max(np.linalg.norm(U.T @ C, axis=0))
         assert wald.orthogonality_residual(sym, ff) == pytest.approx(dense, rel=0.0, abs=1e-12)
 
 

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fsym
 
 from fsym.design import (
     ConfigurationError,
@@ -21,7 +27,16 @@ from fsym.design import (
 )
 from fsym.tables import TableShape, all_cells, cell_index, orbit, orbit_structure
 
-SHAPES = [TableShape(3, 2), TableShape(3, 3), TableShape(4, 3), TableShape(3, 4), TableShape(4, 4)]
+SHAPES = [TableShape(3, 2), TableShape(3, 3), TableShape(4, 3), TableShape(3, 4), TableShape(4, 4),
+          TableShape(3, 3, (-1.0, 0.5, 4.0))]
+
+
+def assert_complement(ds):
+    """U has orthonormal columns, spans X's complement, and has rank d1."""
+    assert ds.U.shape == (ds.shape.n_cells, ds.d1)
+    assert np.max(np.abs(ds.U.T @ ds.U - np.eye(ds.d1)), initial=0.0) < 1e-12
+    assert np.max(np.abs(ds.U.T @ ds.X), initial=0.0) < 1e-10
+    assert np.linalg.matrix_rank(ds.U) == ds.d1
 
 
 class TestScoreVectors:
@@ -96,6 +111,22 @@ class TestDifferenceVectors:
     def test_column_sums_vanish_for_equal_spacing(self):
         assert np.max(np.abs(moment_matrix(TableShape(3, 3)).sum(axis=1))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "shape", SHAPES + [TableShape(2, 3), TableShape(2, 6), TableShape(2, 5, (-1.0, 3.0)), TableShape(4, 6)],
+        ids=str)
+    def test_independent_rows_match_the_cell_wide_greedy_choice(self, shape):
+        # the reference decides each row on the N-wide rows of M itself
+        M = moment_matrix(shape)
+        keep = []
+        for i in range(len(M)):
+            if np.linalg.matrix_rank(M[keep + [i]]) > len(keep):
+                keep.append(i)
+        assert np.array_equal(independent_moment_rows(shape), keep)
+
+    @pytest.mark.parametrize("shape", [TableShape(3, 8), TableShape(3, 9)], ids=str)
+    def test_every_row_is_independent_for_three_or_more_categories(self, shape):
+        assert np.array_equal(independent_moment_rows(shape), np.arange(family_d2("gs", shape.T)))
+
     def test_independent_rows(self):
         assert np.array_equal(independent_moment_rows(TableShape(3, 3)), np.arange(6))
         assert np.array_equal(independent_moment_rows(TableShape(4, 4)), np.arange(11))
@@ -130,10 +161,37 @@ class TestDesignSystem:
         ds = design_matrix(shape, family)
         L = family_d2(family, shape.T) + shape.n_orbits
         assert ds.X.shape[1] == L
-        assert ds.d1 == ds.U.shape[1]
-        assert np.max(np.abs(ds.U.T @ ds.X)) < 1e-10
         assert np.linalg.matrix_rank(ds.X) == L
-        assert np.linalg.matrix_rank(ds.U) == shape.n_cells - L
+        assert ds.d1 == shape.n_cells - L
+        assert_complement(ds)
+
+    @pytest.mark.parametrize("shape", [TableShape(2, 2), TableShape(2, 3), TableShape(2, 5, (-1.0, 3.0))],
+                             ids=str)
+    def test_two_category_complement(self, shape):
+        # only ls has full rank with two categories
+        assert_complement(design_matrix(shape, "ls"))
+
+    def test_reading_u_costs_about_one_u(self, tmp_path):
+        # ru_maxrss sees LAPACK's work arrays, which tracemalloc does not; a
+        # full N x N factor of 4^5 would more than double U's 7.4 MB
+        script = (
+            "import resource, numpy as np\n"
+            "from fsym.design import design_matrix\n"
+            "from fsym.tables import TableShape\n"
+            "ds = design_matrix(TableShape(4, 5), 'gs')\n"
+            "ds.X  # built first, so that the rise is U's own\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "nbytes = ds.U.nbytes\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / nbytes)\n"
+        )
+        env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0",
+                   PYTHONPATH=str(Path(fsym.__file__).resolve().parents[1]))
+        # Linux keeps ru_maxrss across execve, so a child of this large process
+        # would start at its peak; the measuring process is started from a small one
+        launch = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+        run = subprocess.run([sys.executable, "-c", launch, script], env=env, capture_output=True,
+                             text=True, check=True, cwd=tmp_path)
+        assert float(run.stdout) <= 1.6
 
     def test_column_space_nesting(self):
         shape = TableShape(3, 3)
