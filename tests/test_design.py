@@ -184,7 +184,9 @@ class TestDesignSystem:
             "nbytes = ds.U.nbytes\n"
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / nbytes)\n"
         )
-        env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0",
+        # one BLAS thread, so that no per-thread buffers are first touched inside U's build
+        env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0", OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                    PYTHONPATH=str(Path(fsym.__file__).resolve().parents[1]))
         # Linux keeps ru_maxrss across execve, so a child of this large process
         # would start at its peak; the measuring process is started from a small one
