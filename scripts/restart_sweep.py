@@ -21,7 +21,8 @@ rows, so a refactor that must not move any fit is checked by a ``diff`` of
 the two outputs.  Then it prints on stderr one summary line per moment family and per link:
 the FitError count, the oracle's, the fits above the oracle's G2 by more
 than 1e-6, the fits above s's G2 by more than 1e-6 and, for the moment
-families, the fits that fail the certificate.
+families, the fits that fail the certificate and the total seconds of
+their ``fit_model`` calls (stderr only, so that the rows stay byte-stable).
 A shape a family cannot take (gs/els at r = 2) is skipped.
 
 On each r >= 3 table it also runs ``decompose`` under kl and compares its
@@ -46,6 +47,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 BLAS_THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -125,6 +127,7 @@ def main():
     # [FitError, oracle FitError, fits above the oracle's G2, failed
     # certificates, fits above s's G2] per moment family and per link
     tally = {name: [0, 0, 0, 0, 0] for name in MOMENT_MODELS + tuple(ff.name for ff in LINKS)}
+    seconds = dict.fromkeys(MOMENT_MODELS, 0.0)  # fit_model time per moment family
     wald_gap, ridge_mismatch = 0.0, []
     by_shape = {}
     for key, counts in tables():
@@ -135,6 +138,7 @@ def main():
         specs += [ModelSpec(f, ff) for ff in LINKS for f in LINK_FAMILIES]
         for spec in specs:
             row = dict(key, model=spec.label)
+            start = time.perf_counter()
             try:
                 fit = fit_model(counts, spec)
                 row.update(g2=fit.g2, iterations=fit.iterations, pihat_sha1=pihat_sha1(fit))
@@ -143,6 +147,9 @@ def main():
                 row.update(error=str(exc))
             except ValueError:
                 continue  # the family has no free parameters at this shape
+            finally:
+                if spec.ff is None:
+                    seconds[spec.family] += time.perf_counter() - start
             counter = tally[spec.family if spec.ff is None else spec.ff.name]
             counter[0] += fit is None
             counter[4] += fit is not None and fit.g2 > symmetry.g2 + 1e-6
@@ -172,7 +179,7 @@ def main():
             f"above s's G2: {above_s}"
         )
         if name in MOMENT_MODELS:
-            line += f"; failed certificates: {uncertified}"
+            line += f"; failed certificates: {uncertified}; fit_model {seconds[name]:.3f} s"
         print(line, file=sys.stderr)
     print(f"decompose[kl]: largest relative Wald gap to the dense oracle {wald_gap:.2e}; "
           f"ridged differs on {len(ridge_mismatch)} tables", file=sys.stderr)

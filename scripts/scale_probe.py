@@ -16,13 +16,13 @@ is not drawn in the process that starts the others.  Each line has:
 * ``traced_mb``: the tracemalloc peak of the same operation in a second
   fresh process (numpy's allocations only; LAPACK's are not seen).
 
-Operations: ``gs`` (the gs[kl] fit), ``ce`` (the ce fit), ``decompose``
+Operations: ``gs`` (the gs[kl] fit), ``ve`` and ``ce`` (the ve and ce fits), ``decompose``
 (under kl, with its six partition fits) and ``U`` (reading the gs design's
 complement basis, an N x d1 array).  ``U`` is skipped, with the bytes it
 would need, where ``fsym design`` would refuse it.
 BLAS runs on one thread.
 
-Usage: python scripts/scale_probe.py [--shapes 3^8,3^9,3^10,6^6] [--ops gs,ce,decompose,U]
+Usage: python scripts/scale_probe.py [--shapes 3^8,3^9,3^10,6^6] [--ops gs,ve,ce,decompose,U]
 """
 
 import argparse
@@ -40,7 +40,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("3^8", "3^9", "3^10", "6^6")
-OPS = ("gs", "ce", "decompose", "U")
+OPS = ("gs", "ve", "ce", "decompose", "U")
 
 
 def measure(r: int, T: int, op: str, path: str, trace: bool) -> dict:
@@ -51,6 +51,7 @@ def measure(r: int, T: int, op: str, path: str, trace: bool) -> dict:
     counts = CountTable(TableShape(r, T), np.load(path))
     run = {
         "gs": lambda: fit_model(counts, ModelSpec("gs", kl())),
+        "ve": lambda: fit_model(counts, ModelSpec("ve")),
         "ce": lambda: fit_model(counts, ModelSpec("ce")),
         "decompose": lambda: decompose(counts, kl()),
         "U": lambda: design_matrix(counts.shape, "gs").U,

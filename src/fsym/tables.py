@@ -73,10 +73,6 @@ class TableShape:
         """Number of symmetric classes, C(r+T-1, T)."""
         return math.comb(self.r + self.T - 1, self.T)
 
-    def score_of(self, cell: Cell) -> np.ndarray:
-        """Score vector (u_{i_1}, ..., u_{i_T}) of a single cell."""
-        return np.array([self.scores[c - 1] for c in cell])
-
 
 @dataclass(frozen=True)
 class CountTable:

@@ -29,29 +29,23 @@ The moment families use it in two ways (``fit``):
 * me and me2 are linear, A m = 0 in the moment coordinates m = F' pi, so the
   fit is one solve with G = F A' and b = 0;
 * ve and ce maximize the profile l*(m) = max {loglik : F' pi = m}, one
-  solve with G = F and b = m, subject to c(m) = 0.  First, Newton's method
-  on the joint KKT system of that solve and the constraints (``_kkt_fit``;
+  solve with G = F and b = m, subject to c(m) = 0, by Newton's method on
+  the joint KKT system of that solve and the constraints (``_kkt_fit``;
   Aitchison and Silvey, 1958, *Ann. Math. Statist.*; Lang, 2004, *Ann.
-  Statist.*) iterates on the dual w and the constraint multipliers at once
-  from the observed table, each step one (k + 1 + m)-square solve with no
-  inner dual solve, and its end must pass the SQP's own test.  Where a face
-  appears (a step would empty a zero cell's slack, or the observed rows do
-  not span), where the margin is degenerate, the step stalls or the system
-  is singular, and at the iteration cap, it hands over, and sequential
-  quadratic programming (``_profile_fit``) runs from the observed table as
-  if it had not run.  The gradient of l* is lam and its Hessian follows
-  from the dual stationarity by implicit differentiation.  Each SQP step
-  solves its KKT system in the null-space form from one SVD of the
-  constraint rows: the least-squares range step, then the tangent step on
-  the reduced Hessian Z'BZ, then the multipliers; the second-order
-  correction reuses the same factors, and each trial is one warm-started
-  solve.  Where the observed and held rows do not span, l* has a kink, and
-  the step either keeps to the face on which l* is smooth or goes to the
-  table of largest likelihood on the linearized constraints, one solve with
-  G = F J'.  With two categories a squared score is affine in the score, a
-  direction that no row sees, and ce keeps to that face; ve is a union of
-  linear models there instead (``_two_category_ve``).  A fit's steps are
-  those of the phase that finished it.
+  Statist.*).  It iterates on the dual w, the masses of the held zero cells
+  and the constraint multipliers at once from the observed table, each step
+  one square solve with no inner dual solve.  Zero cells are held on their
+  face as in the dual: a ratio test stops a step at a zero cell's face, the
+  cell's slack row joins the system as an equality and its mass is the
+  row's multiplier, and a held cell whose mass the step drives negative is
+  released.  Where the observed rows do not span, lam = J' mu fixes the
+  directions of w that they do not see.  The end is certified by one
+  warm-started dual solve and the stationarity and second-order test of
+  ``_sqp_test`` and ``_lagrangian``.  Only where an observed margin is
+  constant, so that c is not defined at the observed table, does the fit
+  run sequential quadratic programming on l* from the smoothed table
+  (``_profile_fit``).  With two categories ve is a union of linear models
+  (``_two_category_ve``).
 
 No step builds an N x N array: the largest is N x (d + 1), with d <= k.
 """
@@ -392,49 +386,58 @@ def _lagrangian(tilt, mult, Hc, tangent):
         return B, tangent.T @ B @ tangent, False
 
 
-def _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik, trace):
+def _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik):
     """ve or ce by Newton's method on the joint KKT system of the profile
-    dual and the constraints, from the observed table: (fitted tilt, steps),
-    or None once it hands over; ``trace`` gets one record (step, largest
-    scaled residual, step length, "kkt") per step, and a hand-over one
-    (step, "handover", reason).
+    dual and the constraints: (fitted tilt, steps).  Raises
+    DegenerateMarginalError where an observed margin is constant, and
+    CertificateError, whose trace holds one record (step, largest scaled
+    residual, step length, held cells, "kkt") per step and then, where a
+    dual solve failed, that solve's records.
 
     The unknowns are the dual w of ``dual``, ``TiltedDual(counts, F)``, from
-    (n, 0), and the multipliers mu, from 0.  With p = n_obs / (A_obs w),
-    x = F_obs' p and lam = w[1:], the residuals are 1'p - 1, lam - J(x)' mu
-    and c(x).  Each step solves that (k + 1 + m)-square system, whose dual
-    block is the dual Hessian H = A_obs' diag(p / s) A_obs, and is halved
-    once where it neither lowers the largest residual (that of lam divided
-    by 1 + n) nor keeps it within tol_constraint, or where it leaves an
-    observed slack non-positive or a margin degenerate.  The phase hands
-    over where the observed margin is degenerate (``degenerate``) or the
-    observed rows do not span (``span``), where a step would drive a zero
-    cell's slack to 0 or below (``face``), where the halved step fails too
-    (``stall``), where the system is singular (``singular``), after
-    max_iter steps (``cap``), and where its end fails the certificate
-    (``certificate``).  It ends once the residual is within tol_constraint
-    and the log likelihood changed by at most tol_loglik over the last
-    step; the certificate is one warm-started dual solve at that x, then
-    the SQP's test (``_sqp_test``) and a reduced Lagrangian Hessian
-    definite on the tangent space (``_lagrangian``).
+    (n, 0), the masses of the held zero cells and the multipliers mu, from
+    0.  With p = n_obs / (A_obs w), the moments (1, x) = A_obs' p + A_held'
+    mass and lam = w[1:], the residuals are 1'p + 1'mass - 1, lam - J(x)' mu
+    and c(x), and each held cell's slack row joins them as an equality.
+    Each step solves that square system, whose dual block is the dual
+    Hessian H = A_obs' diag(p / s) A_obs.  Where the observed rows do not
+    span, lam = J' mu fixes the directions of w that they do not see.
+
+    Faces: a step that would drive a free zero cell's slack to 0 or below
+    stops at 0.9 of the way to the first such cell (a ratio test); where
+    the next step meets the same cell, it goes to its face and holds it at
+    mass 0.  A step is cut where it drives a held mass to 0.  A held cell at
+    mass 0 that the step drives below -MASS_TOL is released, one per step,
+    where the step without it does not lower its slack; where it does, the
+    held cell of least mass whose release keeps every other held mass
+    non-negative leaves instead.  A step is halved while it neither lowers
+    the largest residual (that of lam divided by 1 + n) nor keeps it within
+    tol_constraint, or leaves an observed slack non-positive or a margin
+    degenerate; a step to a face need only not raise it.
+
+    It ends once the residual is within tol_constraint and the log
+    likelihood changed by at most tol_loglik over the last step.  Its
+    certificate is one warm-started dual solve at that x, then the SQP's
+    test (``_sqp_test``) and a reduced Lagrangian Hessian definite on the
+    tangent space (``_lagrangian``).
     """
     shape, n = counts.shape, counts.n
-    A_obs, n_obs = dual.A_obs, dual.n_obs
+    A, A_obs, n_obs = dual.A, dual.A_obs, dual.n_obs
+    trace: list[tuple] = []
 
-    def handover(it, reason):
-        trace.append((it, "handover", reason))
-        return None
-
-    def point(w, mu):
+    def point(w, held, mass, mu):
         """(w, slacks, masses, x, jet, mu, residuals, their largest) at
-        (w, mu), with mu = 0 where it is None, or None where an observed
-        slack is not positive or a margin is degenerate.  The residual of
-        lam counts divided by 1 + n: it grows with n, the others do not."""
+        (w, held masses, mu), with mu = 0 where it is None, or None where an
+        observed slack is not positive or a margin is degenerate.  The
+        residual of lam counts divided by 1 + n: it grows with n, the
+        others do not."""
         s = A_obs @ w
         if not (s > 0).all():
             return None
         p = n_obs / s
         moments = A_obs.T @ p
+        if held:
+            moments = moments + A[held].T @ mass
         x = moments[1:]
         try:
             jet = _constraint_jet(model, shape, x)
@@ -446,55 +449,127 @@ def _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik, trace):
                    np.max(np.abs(jet[0])))
         return w, s, p, x, jet, mu, resid, float(size)
 
-    w = np.zeros(A_obs.shape[1])
+    def newton(H, w, held, jet, mu, resid):
+        """The Newton step (w, mu, held masses) at a point whose dual
+        Hessian is H."""
+        _, J, Hc = jet
+        Mh = (mu @ Hc.reshape(m, -1)).reshape(k1 - 1, k1 - 1)
+        K = np.zeros((k1 + m + len(held),) * 2)
+        K[0, :k1] = -H[0]  # 1'p falls along H's first row
+        K[1:k1, :k1] = Mh @ H[1:]
+        K[1:k1, 1:k1] += np.eye(k1 - 1)
+        K[1:k1, k1:k1 + m] = -J.T
+        K[k1:k1 + m, :k1] = -J @ H[1:]  # x falls along H's other rows
+        rhs = -resid
+        if held:  # a held mass moves the moments along its cell's row
+            G = A[held].T
+            K[0, k1 + m:] = G[0]
+            K[1:k1, k1 + m:] = -Mh @ G[1:]
+            K[k1:k1 + m, k1 + m:] = J @ G[1:]
+            K[k1 + m:, :k1] = A[held]
+            rhs = np.concatenate([rhs, -(A[held] @ w)])
+        try:
+            return np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            raise CertificateError(f"singular KKT system at step {it}", trace) from None
+
+    w = np.zeros(A.shape[1])
     w[0] = dual.n
-    start = point(w, None)
-    if start is None:
-        return handover(0, "degenerate")
-    if not dual.spans:
-        return handover(0, "span")
-    w, s, p, x, jet, mu, resid, size = start
+    held, mass = [], np.zeros(0)
+    current = point(w, held, mass, None)
+    if current is None:  # a constant observed margin
+        raise DegenerateMarginalError("a constant observed margin")
+    w, s, p, x, jet, mu, resid, size = current
     k1, m = len(w), len(mu)
-    t, ll_prev = 0.0, None
+    face = dual._face(held)
+    t, ll_prev, stopped = 0.0, None, None
     for it in range(max_iter + 1):
-        trace.append((it, size, t, "kkt"))
-        ll = float(n_obs @ np.log(p / p.sum()))
+        trace.append((it, size, t, len(held), "kkt"))
+        total = p.sum() + mass.sum() if held else p.sum()
+        ll = float(n_obs @ np.log(p / total))
         H = A_obs.T @ ((p / s)[:, None] * A_obs)
         rel = math.inf if ll_prev is None else abs(ll - ll_prev) / (1.0 + abs(ll))
         if size <= tol_constraint and rel <= tol_loglik:
             # the certificate: one dual solve at x, warm-started at (w, s, p, H)
-            warm = Tilt(w, [], p, ll, it, None, None, (dual, s, p, H))
+            warm = Tilt(w, held, p, ll, it, None, None, (dual, s, p, H))
             try:
                 tilt = dual.solve(x, warm, max_iter=max_iter, tol=INNER_TOL)
-            except CertificateError:
-                return handover(it, "certificate")
+            except CertificateError as exc:
+                raise CertificateError(str(exc), trace + exc.trace) from exc
             failed, _, (*_, tangent, coef) = _sqp_test(
                 dual, tilt, jet, ll_prev, n, tol_constraint, tol_loglik)
-            if failed or not _lagrangian(tilt, coef[:m], jet[2], tangent)[2]:
-                return handover(it, "certificate")
+            if not _lagrangian(tilt, coef[:m], jet[2], tangent)[2]:
+                failed.append("the Lagrangian Hessian is not definite on the tangent space")
+            if failed:
+                raise CertificateError(
+                    f"KKT step {it} fails its certificate: " + "; ".join(failed), trace)
             return tilt, it
         if it == max_iter:
-            return handover(it, "cap")
-        _, J, Hc = jet
-        K = np.zeros((k1 + m, k1 + m))
-        K[0, :k1] = -H[0]  # 1'p falls along H's first row
-        K[1:k1, :k1] = (mu @ Hc.reshape(m, -1)).reshape(k1 - 1, k1 - 1) @ H[1:]
-        K[1:k1, 1:k1] += np.eye(k1 - 1)
-        K[1:k1, k1:] = -J.T
-        K[k1:, :k1] = -J @ H[1:]  # x falls along H's other rows
-        try:
-            step = np.linalg.solve(K, -resid)
-        except np.linalg.LinAlgError:
-            return handover(it, "singular")
-        if (dual.A_zero @ (w + step[:k1]) <= 0).any():
-            return handover(it, "face")
-        for t in (1.0, 0.5):
+            raise CertificateError(
+                f"no convergence within {max_iter} KKT steps: residual {size:.3e}", trace)
+        step = newton(H, w, held, jet, mu, resid)
+        if held:
+            leaving = np.flatnonzero((mass <= MASS_TOL) & (mass + step[k1 + m:] < -MASS_TOL))
+            if leaving.size:
+                j = int(leaving[np.argmin(step[k1 + m:][leaving])])
+                for i in [j] + [i for i in np.argsort(mass) if i != j]:
+                    rest, rest_mass = held[:i] + held[i + 1:], np.delete(mass, i)
+                    freed = point(w, rest, rest_mass, mu)
+                    if freed is None:
+                        continue
+                    freed_step = newton(H, w, rest, freed[4], mu, freed[6])
+                    if (A[held[i]] @ freed_step[:k1] > -SLACK_TOL * n if i == j
+                            else (rest_mass + freed_step[k1 + m:]).min() >= -MASS_TOL):
+                        break
+                else:
+                    raise CertificateError(f"no held cell can leave its face at step {it}", trace)
+                (w, s, p, x, jet, mu, resid, size), step = freed, freed_step
+                held, mass, face = rest, rest_mass, dual._face(rest)
+        dw, dmass = step[:k1], step[k1 + m:]
+        if held:
+            free = dual.zero[np.bincount(held, minlength=len(A))[dual.zero] == 0]
+            A_free = A[free]
+        else:
+            free, A_free = dual.zero, dual.A_zero
+        # Ratio tests: the first free zero cell whose slack the step drives
+        # to 0 (looked for only where the full step meets a face), and the
+        # first held cell whose mass it drives to 0.
+        t_max, hold, empty = math.inf, None, None
+        if (A_free @ (w + dw) <= 0).any():
+            dz = A_free @ dw
+            moving = dz < 0
+            if held:  # a cell whose row the held rows span keeps its slack as they do
+                moving &= _outside(face, A_free)
+            reach = np.full(len(free), np.inf)
+            reach[moving] = np.maximum(A_free[moving] @ w, 0.0) / -dz[moving]
+            j = int(np.argmin(reach))
+            t_max, hold = float(reach[j]), int(free[j])
+            if hold != stopped:
+                t_max *= 0.9
+        if held and (mass + dmass).min() < 0:
+            falling = dmass < 0
+            reach = np.full(len(held), np.inf)
+            reach[falling] = np.maximum(mass[falling], 0.0) / -dmass[falling]
+            j = int(np.argmin(reach))
+            if reach[j] < t_max:
+                t_max, hold, empty = float(reach[j]), None, j
+        for t in [min(t_max, 1.0) * 0.5 ** h for h in range(30)]:
+            trial_held, trial_mass = held, mass + t * dmass
+            if t == t_max and hold is not None and hold == stopped:
+                trial_held, trial_mass = held + [hold], np.append(trial_mass, 0.0)
+            elif t == t_max and empty is not None:
+                trial_mass[empty] = 0.0
+            trial = point(w + t * dw, trial_held, trial_mass, mu + t * step[k1:k1 + m])
             # at the rounding floor a step need only keep the residual there
-            trial = point(w + t * step[:k1], mu + t * step[k1:])
-            if trial is not None and (trial[-1] < size or trial[-1] <= tol_constraint):
+            if trial is not None and (trial[-1] < size or trial[-1] <= tol_constraint
+                                      or t == t_max and trial[-1] <= size * (1.0 + 1e-9)):
                 break
         else:
-            return handover(it, "stall")
+            raise CertificateError(f"KKT step {it + 1} lowers no residual", trace)
+        stopped = hold if t == t_max and trial_held is held else None
+        if trial_held is not held:
+            face = dual._face(trial_held)
+        held, mass = trial_held, trial_mass
         (w, s, p, x, jet, mu, resid, size), ll_prev = trial, ll
     raise AssertionError("unreachable")
 
@@ -514,24 +589,27 @@ def _profile_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik):
     largest likelihood on the linearized constraints, one tilted solve with
     G = F J', which finds the next face.  Every step is globalized by an
     exact-penalty line search on l*, each trial one warm-started solve.
-    ``steps`` counts SQP steps.  ``fit`` runs it where the Newton phase
-    (``_kkt_fit``) hands over, from the observed table all the same, so
-    that such a fit keeps the bits it had without that phase.
+    ``steps`` counts SQP steps.  ``fit`` runs it where an observed margin is
+    constant, from the smoothed table.
     """
     shape, nvec, n = counts.shape, counts.counts, counts.n
     F = design.moment_basis(shape)
 
-    def profile(x, start=None, cutoff=-math.inf):
-        return dual.solve(x, start, max_iter=max_iter, tol=INNER_TOL, cutoff=cutoff)
-
-    x = F.T @ counts.proportions().probs
-    try:
-        cur = _constraint_jet(model, shape, x)
-    except DegenerateMarginalError:  # a constant margin: start where none is
-        x = F.T @ counts.smoothed_proportions().probs
-        cur = _constraint_jet(model, shape, x)
-    tilt = profile(x)
     trace: list[tuple] = []
+
+    def solve(dual, b, start=None, cutoff=-math.inf):
+        """A dual solve whose failure carries the SQP's steps, then its own."""
+        try:
+            return dual.solve(b, start, max_iter=max_iter, tol=INNER_TOL, cutoff=cutoff)
+        except CertificateError as exc:
+            raise CertificateError(str(exc), trace + exc.trace) from exc
+
+    def profile(x, start=None, cutoff=-math.inf):
+        return solve(dual, x, start, cutoff)
+
+    x = F.T @ counts.smoothed_proportions().probs
+    cur = _constraint_jet(model, shape, x)
+    tilt = profile(x)
     rho, ll_prev = 1.0, None
     for it in range(max_iter + 1):
         failed, record, (rows, U, sv, V, tangent, coef) = _sqp_test(
@@ -588,9 +666,7 @@ def _profile_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik):
             that no table meets is followed part way."""
             for tau in 0.5 ** np.arange(30):
                 try:
-                    lin = TiltedDual(nvec, F @ J.T).solve(
-                        J @ x - tau * cval, max_iter=max_iter, tol=INNER_TOL
-                    )
+                    lin = solve(TiltedDual(nvec, F @ J.T), J @ x - tau * cval)
                     break
                 except Infeasible:
                     continue
@@ -678,15 +754,10 @@ def fit(counts: CountTable, model: str, *, max_iter: int, tol_constraint: float,
     if model == CE and counts.shape.T == 2:  # one correlation, nothing to equate
         return counts.proportions().probs, 0
     dual = TiltedDual(counts.counts, design.moment_basis(counts.shape))
-    trace: list[tuple] = []
-    done = _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik, trace)
-    if done is None:
-        try:
-            done = _profile_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik)
-        except CertificateError as exc:
-            exc.trace[:0] = trace  # both phases, in the order they ran
-            raise
-    tilt, steps = done
+    try:
+        tilt, steps = _kkt_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik)
+    except DegenerateMarginalError:  # the profile SQP starts at the smoothed table
+        tilt, steps = _profile_fit(counts, dual, model, max_iter, tol_constraint, tol_loglik)
     return tilt.probs, steps
 
 

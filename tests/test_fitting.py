@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from fsym.fitting import (
     pvalue,
     table1_df,
 )
-from fsym.moments import _constraint_jet
+from fsym.moments import DegenerateMarginalError, _constraint_jet
 from fsym.oracle import (
     Constraint,
     _lagrangian_curvature,
@@ -50,8 +52,17 @@ from conftest import (
 
 
 def dual_of(counts):
-    """The ve/ce dual of a table that ``tilted.fit`` hands to both phases."""
+    """The ve/ce dual of a table, as ``tilted.fit`` builds it."""
     return tilted.TiltedDual(counts.counts, moment_basis(counts.shape))
+
+
+def reference_g2():
+    """{(seed, shape, n, concentration, model): G2} of the ve and ce fits of
+    the panel, of the ladder tables of seeds 1 and 7 and of the restart
+    sweep, as the profile SQP fitted them wherever the KKT Newton iteration
+    met a zero cell's face, a kink or a stall (``tests/data/ve_ce_g2.json``)."""
+    with open(Path(__file__).parent / "data" / "ve_ce_g2.json") as fh:
+        return {tuple(row[:5]): row[5] for row in json.load(fh)}
 
 
 def symmetric_counts(rng, shape, n=3000):
@@ -235,12 +246,18 @@ class TestMomentFits:
         assert np.array_equal(fit.pihat.probs, counts.proportions().probs)
 
     def test_iteration_cap_keeps_the_dual_trace(self, monkeypatch):
-        # the panel's ce fit takes 5 SQP steps; the cap also reaches its dual solves
-        monkeypatch.setattr(fitting, "MAX_ITER", 1)
-        with pytest.raises(FitError, match="no certificate within 1 dual steps") as err:
+        # the panel's ce fit takes 6 Newton steps; with no dual residual small
+        # enough, the cap stops the dual solve of its certificate
+        monkeypatch.setattr(fitting, "MAX_ITER", 6)
+        monkeypatch.setattr(tilted, "INNER_TOL", 0.0)
+        with pytest.raises(FitError, match="no certificate within 6 dual steps") as err:
             fit_model(anes_party_id(), ModelSpec("ce"))
         assert isinstance(err.value.__cause__, tilted.CertificateError)
-        assert err.value.trace and err.value.trace == err.value.__cause__.trace
+        trace = err.value.trace
+        assert trace == err.value.__cause__.trace
+        assert [(record[0], record[-1]) for record in trace[:7]] == [(i, "kkt") for i in range(7)]
+        assert [record[0] for record in trace[7:]] == list(range(7))
+        assert all(record[-1] in ("newton", "ray") for record in trace[7:])
 
     def test_panel_zero_cells_are_exact(self):
         # only me2 gives a sampling zero mass: cell 6 = (1, 3, 1)
@@ -253,16 +270,10 @@ class TestMomentFits:
             assert fit.pihat.probs[zero] == pytest.approx(expected, abs=5e-7), model
             assert moment_certificate(counts, model, fit.pihat.probs) == [], model
 
-    def test_ce_where_the_merit_cannot_resolve_the_last_gain(self):
-        # n = 933,120 on 6^6: |merit| is about 8e6, so a predicted gain of
-        # 1e-8 is below its rounding and the SQP's last step is taken as it
-        # is; fit_model finishes this table by the KKT Newton phase instead
+    def test_ce_on_the_6_by_6_ladder_table(self):
+        # n = 933,120 on 6^6: a log likelihood of about -8e6, whose last
+        # gains are below its rounding
         counts = ladder_table(1, 6, 6)
-        tilt, steps = tilted._profile_fit(counts, dual_of(counts), "ce", fitting.MAX_ITER,
-                                          fitting.TOL_CONSTRAINT, fitting.TOL_LOGLIK)
-        assert g2(counts, counts.n * tilt.probs) == pytest.approx(874.689212627, rel=1e-9)
-        assert steps == 4
-        assert moment_certificate(counts, "ce", tilt.probs) == []
         fit = fit_model(counts, ModelSpec("ce"))
         assert fit.g2 == pytest.approx(874.689212627, rel=1e-9)
         assert moment_certificate(counts, "ce", fit.pihat.probs) == []
@@ -282,79 +293,76 @@ class TestMomentFits:
         assert moment_certificate(counts, model, fit.pihat.probs) == []
 
 
-class TestKKTPhase:
+class TestKKTNewton:
     """ve and ce by Newton's method on their joint KKT system
-    (``tilted._kkt_fit``), against the profile SQP (``tilted._profile_fit``)
-    that ``fit_model`` runs wherever the Newton phase hands over."""
+    (``tilted._kkt_fit``), with zero cells held on their face, against the
+    G2 of ``reference_g2`` (the profile SQP's wherever the iteration used to
+    hand over to it) and by their certificate."""
 
     ARGS = (fitting.MAX_ITER, fitting.TOL_CONSTRAINT, fitting.TOL_LOGLIK)
 
-    def finishes_as_the_sqp(self, counts, model):
-        """Whether the Newton phase finishes; where it does, its G2 is the
-        SQP's to 1e-9 and its table is certified."""
-        trace = []
-        done = tilted._kkt_fit(counts, dual_of(counts), model, *self.ARGS, trace)
-        if done is None:
-            assert trace[-1][1] == "handover"
-            return False
-        tilt, steps = done
-        assert [record[-1] for record in trace] == ["kkt"] * (steps + 1)
-        sqp, _ = tilted._profile_fit(counts, dual_of(counts), model, *self.ARGS)
-        assert g2(counts, counts.n * tilt.probs) == pytest.approx(
-            g2(counts, counts.n * sqp.probs), rel=1e-9)
-        assert moment_certificate(counts, model, tilt.probs) == []
-        return True
+    @staticmethod
+    def check(counts, model, g2_ref):
+        fit = fit_model(counts, ModelSpec(model))
+        assert fit.g2 == pytest.approx(g2_ref, rel=1e-9)
+        assert moment_certificate(counts, model, fit.pihat.probs) == []
 
     @pytest.mark.parametrize("model", ["ve", "ce"])
     def test_panel_and_ladder_tables(self, model):
-        tables = [anes_party_id()] + [
-            ladder_table(seed, r, T) for seed in (1, 7) for r, T in ((4, 5), (3, 6), (3, 5))]
-        for counts in tables:
-            assert self.finishes_as_the_sqp(counts, model), counts.shape
+        reference = reference_g2()
+        self.check(anes_party_id(), model, reference[("anes", "3^3", 1127.0, None, model)])
+        for seed in (1, 7):
+            for r, T in ((4, 5), (3, 6), (3, 5)):
+                counts = ladder_table(seed, r, T)
+                self.check(counts, model, reference[(seed, f"{r}^{T}", counts.n, None, model)])
 
     def test_restart_tables(self):
-        # 117 of the 192 fits finish; 73 of the others meet a zero cell's face
-        finished = 0
+        # every r >= 3 fit and every 2^3 ce fit; 107 of these 224 used to
+        # hand over: 73 at a zero cell's face, the 32 2^3 ce fits at observed
+        # rows that do not span, and 2 at a stall
+        reference = reference_g2()
+        fitted = 0
         for seed in range(1, 9):
             for (r, T, n, c), counts in restart_tables(seed):
-                if r >= 3:
-                    finished += sum(self.finishes_as_the_sqp(counts, m) for m in ("ve", "ce"))
-        assert finished >= 100
+                for model in ("ve", "ce") if r >= 3 else ("ce",):
+                    self.check(counts, model, reference[(seed, f"{r}^{T}", n, c, model)])
+                    fitted += 1
+        assert fitted == 224
 
-    @staticmethod
-    def constant_margin():
-        """A 3^3 table whose first variable always takes category 2."""
+    @pytest.mark.parametrize("table,model", [
+        (lambda: restart_table(5, 3, 4, 60, 0.3), "ve"),
+        (lambda: restart_table(3, 2, 3, 500, 0.3), "ce"),
+    ], ids=["face", "span"])
+    def test_a_face_and_a_kink_in_the_iteration(self, table, model):
+        counts = table()
+        tilt, steps = tilted._kkt_fit(counts, dual_of(counts), model, *self.ARGS)
+        fit = fit_model(counts, ModelSpec(model))
+        assert np.array_equal(fit.pihat.probs, tilt.probs) and fit.iterations == steps
+        key = (3, "2^3", 500, 0.3) if model == "ce" else (5, "3^4", 60, 0.3)
+        self.check(counts, model, reference_g2()[key + (model,)])
+
+    def test_a_constant_margin_runs_the_profile_sqp(self):
+        # the first variable always takes category 2, so ce is not defined
+        # at the observed table
         counts = np.zeros(27)
         first = np.indices((3, 3, 3))[0].ravel()
         counts[first == 1] = np.random.default_rng(3).integers(1, 20, 9)
-        return CountTable(TableShape(3, 3), counts)
+        counts = CountTable(TableShape(3, 3), counts)
+        with pytest.raises(DegenerateMarginalError):
+            tilted._kkt_fit(counts, dual_of(counts), "ce", *self.ARGS)
+        tilt, steps = tilted._profile_fit(counts, dual_of(counts), "ce", *self.ARGS)
+        fit = fit_model(counts, ModelSpec("ce"))
+        assert np.array_equal(fit.pihat.probs, tilt.probs) and fit.iterations == steps
+        self.check(counts, "ce", 0.08715085675553147)
 
-    @pytest.mark.parametrize("table,model,reason", [
-        (lambda: restart_table(5, 3, 4, 60, 0.3), "ve", "face"),
-        (constant_margin, "ce", "degenerate"),
-        (lambda: restart_table(3, 2, 3, 500, 0.3), "ce", "span"),
-    ], ids=["face", "degenerate", "span"])
-    def test_a_hand_over_keeps_the_sqp_bits(self, table, model, reason):
-        counts = table()
-        trace = []
-        assert tilted._kkt_fit(counts, dual_of(counts), model, *self.ARGS, trace) is None
-        assert trace[-1] == (0, "handover", reason)
-        tilt, steps = tilted._profile_fit(counts, dual_of(counts), model, *self.ARGS)
-        fit = fit_model(counts, ModelSpec(model))
-        assert np.array_equal(fit.pihat.probs, tilt.probs)
-        assert fit.iterations == steps
-
-    def test_a_fit_error_shows_both_phases(self, monkeypatch):
-        # the panel's ce fit takes 6 Newton steps: at the cap of 2 it hands
-        # over, and the SQP then stops at the same cap
+    def test_a_fit_error_shows_every_step(self, monkeypatch):
+        # the panel's ce fit takes 6 Newton steps: at the cap of 2 it stops
         monkeypatch.setattr(fitting, "MAX_ITER", 2)
-        with pytest.raises(FitError) as err:
+        with pytest.raises(FitError, match="no convergence within 2 KKT steps") as err:
             fit_model(anes_party_id(), ModelSpec("ce"))
         trace = err.value.trace
-        assert [record[-1] for record in trace[:3]] == ["kkt"] * 3
-        assert [record[0] for record in trace[:3]] == [0, 1, 2]
-        assert trace[3] == (2, "handover", "cap")
-        assert len(trace) > 4 and trace == err.value.__cause__.trace
+        assert [(record[0], record[-1]) for record in trace] == [(0, "kkt"), (1, "kkt"), (2, "kkt")]
+        assert trace == err.value.__cause__.trace
 
 
 class TestWarmStart:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsym.design import design_matrix, moment_matrix, recover_coefficients
+from fsym.design import design_matrix, moment_matrix, recover_coefficients, score_matrix
 from fsym.divergences import divergence, hellinger, kl, pearson, power
 from fsym.linkspace import LinkSpace
 from fsym.projection import (
@@ -15,6 +15,7 @@ from fsym.projection import (
 from fsym.tables import (
     ProbTable,
     TableShape,
+    cell_index,
     orbit,
     orbit_structure,
     orbit_sums,
@@ -107,7 +108,7 @@ class TestNormalizeGamma:
         alpha = rng.normal(size=3) * 0.1
         B = rng.normal(size=(3, 3)) * 0.05
         B = 0.5 * (B + B.T)
-        u = shape.score_of((2, 2, 2))
+        u = score_matrix(shape)[cell_index(shape, (2, 2, 2))]
         expected = -(u @ alpha + u @ B @ u)
         got = normalize_gamma(shape, ((2, 2, 2),), alpha, B, kl())
         assert got == pytest.approx(expected, abs=1e-14)
@@ -122,10 +123,8 @@ class TestNormalizeGamma:
             B = 0.5 * (B + B.T)
             cells = orbit((1, 2, 3))
             gamma = normalize_gamma(shape, cells, alpha, B, ff)
-            total = sum(
-                float(ff.F_inv(shape.score_of(c) @ alpha + shape.score_of(c) @ B @ shape.score_of(c) + gamma))
-                for c in cells
-            )
+            scores = score_matrix(shape)[[cell_index(shape, c) for c in cells]]
+            total = sum(float(ff.F_inv(u @ alpha + u @ B @ u + gamma)) for u in scores)
             assert total == pytest.approx(len(cells), abs=1e-9)
 
     def test_infeasible_parameters_detected(self):
